@@ -58,15 +58,26 @@ def pulling_lambda(state: AugmentorState) -> float:
     return max(math.exp(-state.alpha / state.j_avg), LAMBDA_FLOOR)
 
 
-def augment_negative(z, z_neg, d_plus: float, lambda_interp: float) -> np.ndarray:
-    """Pull one negative toward the anchor along their connecting segment.
+def _harden(z, z_neg, d_plus, lambda_interp: float) -> np.ndarray:
+    """Pull negatives toward their anchors along the connecting segments.
 
-    If the negative already sits within the reference distance d_plus it is
-    returned unchanged; otherwise the result lies at distance
-    lambda_interp * d(z, z_neg) + (1 - lambda_interp) * d_plus from the
-    anchor, on the segment [z, z_neg]. lambda_interp = 1 short-circuits to
-    an exact copy of z_neg so the warm-up schedule is a bitwise identity.
+    Broadcasts over (..., D) rows: anchors z, negatives z_neg and reference
+    distances d_plus of shape (...). A negative at distance d > d_plus from
+    its anchor moves to distance lambda_interp * d + (1 - lambda_interp) *
+    d_plus on the segment [z, z_neg]; any other negative, and every one at
+    lambda_interp = 1, comes back as an exact copy.
     """
+    if lambda_interp == 1.0:
+        return np.array(z_neg, dtype=np.float64)
+    d = np.sqrt(((z - z_neg) ** 2).sum(axis=-1))
+    moved = d > d_plus
+    target = lambda_interp * d + (1.0 - lambda_interp) * d_plus
+    scale = np.where(moved, target, 0.0) / np.where(moved, d, 1.0)
+    return np.where(moved[..., None], z + scale[..., None] * (z_neg - z), z_neg)
+
+
+def augment_negative(z, z_neg, d_plus: float, lambda_interp: float) -> np.ndarray:
+    """`_harden` for one anchor and one negative, with its arguments checked."""
     z = np.asarray(z, dtype=np.float64)
     z_neg = np.asarray(z_neg, dtype=np.float64)
     if z.shape != z_neg.shape or z.ndim != 1:
@@ -75,24 +86,20 @@ def augment_negative(z, z_neg, d_plus: float, lambda_interp: float) -> np.ndarra
         raise InputError(f"reference distance must be positive, got {d_plus}")
     if not (0.0 < lambda_interp <= 1.0):
         raise InputError(f"lambda_interp must lie in (0, 1], got {lambda_interp}")
-    d = float(np.sqrt(((z - z_neg) ** 2).sum()))
-    if d <= d_plus or lambda_interp == 1.0:
-        return z_neg.copy()
-    target = lambda_interp * d + (1.0 - lambda_interp) * d_plus
-    return z + (target / d) * (z_neg - z)
+    return _harden(z, z_neg, d_plus, lambda_interp)
 
 
 @dataclass
 class AugmentedTuple:
     """A tuple batch after negative hardening.
 
-    Anchors and positives are copies of their originals. For triplets the
-    per-negative arrays are (T, D); for N-pair tuples they are (N, N-1, D)
-    because every anchor gets its own hardened copy of each other pair's
-    positive. `degenerate` lists tuple rows (triplet) or anchor rows
-    (npair) whose reference distance was zero: triplet rows are dropped,
-    npair anchors keep their negatives unhardened so the tuple structure
-    survives.
+    Anchors and positives are rows of the embedding batch, unaltered. For
+    triplets the per-negative arrays are (T,) and (T, D); for N-pair tuples
+    they are (N, N-1) and (N, N-1, D) because every anchor gets its own
+    hardened copy of each other pair's positive. `degenerate` lists tuple
+    rows (triplet) or anchor rows (npair) whose reference distance was
+    zero: triplet rows are dropped, npair anchors keep their negatives
+    unhardened so the tuple structure survives.
     """
 
     kind: str
@@ -100,9 +107,6 @@ class AugmentedTuple:
     anchor_idx: np.ndarray
     positive_idx: np.ndarray
     negative_idx: np.ndarray
-    anchors: np.ndarray
-    positives: np.ndarray
-    original_negatives: np.ndarray
     hardened_negatives: np.ndarray
     reference_distances: np.ndarray
     anchor_labels: np.ndarray
@@ -130,87 +134,32 @@ def augment_tuples(
     if fixed_reference is not None and fixed_reference <= 0:
         raise InputError(f"fixed reference distance must be positive, got {fixed_reference}")
     lam = pulling_lambda(state)
-    idx = tuples.indices
-    labels = tuples.labels
-
+    anchors, positives, negatives = tuples.anchors, tuples.positives, tuples.negatives
+    if fixed_reference is None:
+        d_plus = np.sqrt(((z[anchors] - z[positives]) ** 2).sum(axis=-1))
+    else:
+        d_plus = np.full(tuples.size, float(fixed_reference))
+    degenerate = np.flatnonzero(d_plus <= 0.0)
     if tuples.kind == "triplet":
-        kept_rows = []
-        degenerate = []
-        hardened = []
-        refs = []
-        for t in range(idx.shape[0]):
-            a, p, n = idx[t]
-            d_plus = (
-                fixed_reference
-                if fixed_reference is not None
-                else float(np.sqrt(((z[a] - z[p]) ** 2).sum()))
-            )
-            if d_plus <= 0.0:
-                degenerate.append(t)
-                continue
-            kept_rows.append(t)
-            refs.append(d_plus)
-            hardened.append(augment_negative(z[a], z[n], d_plus, lam))
-        kept = np.asarray(kept_rows, dtype=np.int64)
-        dim = z.shape[1]
-        return AugmentedTuple(
-            kind="triplet",
-            lambda_interp=lam,
-            anchor_idx=idx[kept, 0],
-            positive_idx=idx[kept, 1],
-            negative_idx=idx[kept, 2],
-            anchors=z[idx[kept, 0]].copy(),
-            positives=z[idx[kept, 1]].copy(),
-            original_negatives=z[idx[kept, 2]].copy(),
-            hardened_negatives=(
-                np.asarray(hardened) if hardened else np.empty((0, dim))
-            ),
-            reference_distances=np.asarray(refs, dtype=np.float64),
-            anchor_labels=labels[kept, 0],
-            negative_labels=labels[kept, 2],
-            degenerate=np.asarray(degenerate, dtype=np.int64),
-        )
-
-    # npair: anchor i hardens every other pair's positive against its own
-    # reference distance
-    n = idx.shape[0]
-    dim = z.shape[1]
-    anchor_rows = idx[:, 0]
-    pos_rows = idx[:, 1]
-    neg_idx = np.empty((n, n - 1), dtype=np.int64)
-    neg_labels = np.empty((n, n - 1), dtype=np.int64)
-    hardened = np.empty((n, n - 1, dim))
-    refs = np.empty((n, n - 1))
-    degenerate = []
-    for i in range(n):
-        others = np.concatenate([pos_rows[:i], pos_rows[i + 1 :]])
-        neg_idx[i] = others
-        neg_labels[i] = np.concatenate([labels[:i, 1], labels[i + 1 :, 1]])
-        d_plus = (
-            fixed_reference
-            if fixed_reference is not None
-            else float(np.sqrt(((z[anchor_rows[i]] - z[pos_rows[i]]) ** 2).sum()))
-        )
-        if d_plus <= 0.0:
-            degenerate.append(i)
-            hardened[i] = z[others]
-            refs[i] = 0.0
-            continue
-        refs[i] = d_plus
-        for jj, row in enumerate(others):
-            hardened[i, jj] = augment_negative(z[anchor_rows[i]], z[row], d_plus, lam)
+        # a triplet without a reference distance is dropped
+        kept = np.flatnonzero(d_plus > 0.0)
+        anchors, positives, negatives, d_plus = anchors[kept], positives[kept], negatives[kept], d_plus[kept]
+    # an N-pair anchor without one keeps its negatives: nothing lies beyond an infinite reference
+    reach = np.where(d_plus > 0.0, d_plus, np.inf)[:, None]
+    hardened = _harden(z[anchors][:, None, :], z[negatives], reach, lam)
+    refs = np.broadcast_to(d_plus[:, None], negatives.shape).copy()
+    negative_labels = tuples.labels[negatives]
+    if tuples.kind == "triplet":
+        negatives, hardened, refs, negative_labels = negatives[:, 0], hardened[:, 0], refs[:, 0], negative_labels[:, 0]
     return AugmentedTuple(
-        kind="npair",
+        kind=tuples.kind,
         lambda_interp=lam,
-        anchor_idx=anchor_rows.copy(),
-        positive_idx=pos_rows.copy(),
-        negative_idx=neg_idx,
-        anchors=z[anchor_rows].copy(),
-        positives=z[pos_rows].copy(),
-        original_negatives=z[neg_idx].copy(),
+        anchor_idx=anchors,
+        positive_idx=positives,
+        negative_idx=negatives,
         hardened_negatives=hardened,
         reference_distances=refs,
-        anchor_labels=labels[:, 0].copy(),
-        negative_labels=neg_labels,
-        degenerate=np.asarray(degenerate, dtype=np.int64),
+        anchor_labels=tuples.labels[anchors],
+        negative_labels=negative_labels,
+        degenerate=degenerate,
     )

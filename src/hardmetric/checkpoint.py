@@ -10,6 +10,7 @@ round-trip bitwise.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,22 +68,37 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> CheckpointBundle:
-    with np.load(path, allow_pickle=False) as npz:
-        if "format_version" not in npz:
-            raise InputError(f"{path} is not a checkpoint (missing format_version)")
-        version = int(npz["format_version"])
-        if version != FORMAT_VERSION:
-            raise InputError(f"unsupported checkpoint format version {version}")
-        doc = json.loads(str(npz["meta_json"]))
-        activations = {entry["prefix"]: entry["activation"] for entry in doc["layers"]}
+    """Read a checkpoint; a file that is not a readable one raises InputError."""
+    with open(path, "rb") as fh:  # np.load leaks its own handle when the zip is damaged
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except (EOFError, ValueError, zipfile.BadZipFile):
+            archive = None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise InputError(f"{path} is not a checkpoint archive (.npz)")
+        try:
+            with archive as npz:
+                return _read_bundle(npz)
+        except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+            raise InputError(f"{path} is a damaged checkpoint: {exc}") from None
 
-        def layer(prefix: str) -> DenseLayer:
-            return DenseLayer(npz[f"{prefix}/weight"], npz[f"{prefix}/bias"], activations[prefix])
 
-        extractor = [layer(f"embedder/extractor/{i}") for i in range(doc["num_extractor_layers"])]
-        embedder = EmbedderParams(extractor, layer("embedder/projector"), doc["normalize_embeddings"])
-        generator = None
-        if doc["num_generator_layers"]:
-            generator = GeneratorParams([layer(f"generator/{i}") for i in range(doc["num_generator_layers"])])
-        classifier = ClassifierParams(layer("classifier")) if doc["has_classifier"] else None
+def _read_bundle(npz) -> CheckpointBundle:
+    if "format_version" not in npz:
+        raise InputError("missing format_version")
+    version = int(npz["format_version"])
+    if version != FORMAT_VERSION:
+        raise InputError(f"unsupported format version {version}")
+    doc = json.loads(str(npz["meta_json"]))
+    activations = {entry["prefix"]: entry["activation"] for entry in doc["layers"]}
+
+    def layer(prefix: str) -> DenseLayer:
+        return DenseLayer(npz[f"{prefix}/weight"], npz[f"{prefix}/bias"], activations[prefix])
+
+    extractor = [layer(f"embedder/extractor/{i}") for i in range(doc["num_extractor_layers"])]
+    embedder = EmbedderParams(extractor, layer("embedder/projector"), doc["normalize_embeddings"])
+    generator = None
+    if doc["num_generator_layers"]:
+        generator = GeneratorParams([layer(f"generator/{i}") for i in range(doc["num_generator_layers"])])
+    classifier = ClassifierParams(layer("classifier")) if doc["has_classifier"] else None
     return CheckpointBundle(embedder, generator, classifier, doc["meta"])

@@ -54,8 +54,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint; writes metrics JSON and embeddings CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--train-fraction", type=float, default=0.5)
+    p.add_argument("--split-seed", type=int, help="default: the split recorded in the checkpoint")
+    p.add_argument("--train-fraction", type=float, help="default: the fraction recorded in the checkpoint, else 0.5")
     p.add_argument("--ks", default="1,2,4,8")
     p.add_argument("--kmeans-seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
@@ -95,14 +95,22 @@ def _cmd_eval(args) -> int:
         ks = tuple(int(part) for part in args.ks.split(",") if part.strip())
     except ValueError:
         raise InputError(f"--ks must be a comma list of integers, got {args.ks!r}") from None
-    split = split_zero_shot(dataset, args.train_fraction, args.split_seed)
+    recorded = bundle.meta.get("config", {})
+    split_seed = args.split_seed if args.split_seed is not None else recorded.get("split_seed")
+    if split_seed is None:
+        raise InputError(f"{args.checkpoint} records no class split; pass --split-seed")
+    fraction = args.train_fraction if args.train_fraction is not None else recorded.get("train_fraction", 0.5)
+    split = split_zero_shot(dataset, fraction, split_seed)
+    seen = np.intersect1d(split.test_classes, bundle.meta.get("train_classes", []))
+    if seen.size:
+        raise InputError(f"classes {seen.tolist()} would be evaluated but were training classes of {args.checkpoint}")
     test_x, test_labels = take_classes(dataset, split.test_classes)
     emb, _ = embed(bundle.embedder, test_x, labels=test_labels)
     report = evaluate_embeddings(emb.embeddings, test_labels, ks=ks, kmeans_seed=args.kmeans_seed)
     os.makedirs(args.out_dir, exist_ok=True)
     metrics_path = os.path.join(args.out_dir, "metrics.json")
     embeddings_path = os.path.join(args.out_dir, "embeddings.csv")
-    save_metrics_json(report, metrics_path, extra={"kmeans_seed": args.kmeans_seed, "split_seed": args.split_seed})
+    save_metrics_json(report, metrics_path, extra={"kmeans_seed": args.kmeans_seed, "split_seed": split_seed})
     export_embeddings_csv(embeddings_path, np.flatnonzero(np.isin(dataset.labels, split.test_classes)), test_labels, emb.embeddings)
     recalls = " ".join(f"R@{k}={v:.4f}" for k, v in sorted(report.recall_at.items()))
     print(f"NMI={report.nmi:.4f} F1={report.f1:.4f} {recalls}")

@@ -1,11 +1,13 @@
 """Flat `key = value` run configuration files.
 
-One assignment per line; blank lines and `#` comments are ignored. Keys are
+One assignment per line; `#` starts a comment, blank lines are ignored. Keys are
 exactly the TrainConfig field names; unknown or duplicate keys fail fast.
 Tuples are comma lists (`hidden_dims = 256,256`), optionals accept `none`.
 """
 
 from __future__ import annotations
+
+import typing
 
 from .errors import ConfigError, InputError
 from .training import TrainConfig
@@ -20,48 +22,26 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _parse_int_tuple(value: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in value.split(",") if part.strip())
+def _parser(hint):
+    """Text-to-value parser for one TrainConfig field type."""
+    if hint is bool:
+        return _parse_bool
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        return lambda value: tuple(args[0](part.strip()) for part in value.split(",") if part.strip())
+    if len(args) == 1:  # optional: `none` or a value
+        return lambda value: None if value.lower() == "none" else args[0](value)
+    return hint
 
 
-def _parse_optional_float(value: str):
-    return None if value.lower() == "none" else float(value)
-
-
-def _parse_optional_int(value: str):
-    return None if value.lower() == "none" else int(value)
-
-
-_FIELD_PARSERS = {
-    "loss_kind": str,
-    "alpha": float,
-    "beta": float,
-    "lambda_balance": float,
-    "margin": float,
-    "npair_n": int,
-    "batch_size": int,
-    "epochs": int,
-    "learning_rate": float,
-    "fc_lr_multiplier": float,
-    "seed": int,
-    "embed_dim": int,
-    "eval_every": int,
-    "hidden_dims": _parse_int_tuple,
-    "generator_hidden_dim": _parse_optional_int,
-    "train_fraction": float,
-    "split_seed": int,
-    "normalize_embeddings": _parse_bool,
-    "synthetics": _parse_bool,
-    "fixed_reference_distance": _parse_optional_float,
-    "recall_ks": _parse_int_tuple,
-}
+_FIELD_PARSERS = {name: _parser(hint) for name, hint in typing.get_type_hints(TrainConfig).items()}
 
 
 def parse_config_text(text: str) -> TrainConfig:
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")

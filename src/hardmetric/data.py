@@ -137,6 +137,7 @@ def load_dataset(path) -> Dataset:
         raise DatasetParseError(f"unknown header {lines[0]!r}", line=1)
     samples = []
     labels = []
+    linenos = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -152,9 +153,15 @@ def load_dataset(path) -> Dataset:
             raise DatasetParseError(f"negative label {label}", line=lineno)
         labels.append(label)
         samples.append(row)
+        linenos.append(lineno)
     if not samples:
         raise DatasetParseError("file contains a header but no samples")
+    samples = np.asarray(samples)
+    bad = np.argwhere(~np.isfinite(samples))
+    if bad.size:
+        row, col = bad[0]
+        raise DatasetParseError(f"non-finite value {samples[row, col]} in column f_{col}", line=linenos[row])
     try:
-        return Dataset(np.asarray(samples), np.asarray(labels))
+        return Dataset(samples, np.asarray(labels))
     except InputError as exc:
         raise DatasetParseError(str(exc)) from None

@@ -210,28 +210,16 @@ def classifier_accuracy(clf: ClassifierParams, features, labels) -> float:
     return float((classifier_logits(clf, features).argmax(axis=1) == labels).mean())
 
 
-def classifier_step(
-    clf: ClassifierParams,
-    features,
-    labels,
-    learning_rate: float,
-    optimizer=None,
-) -> float:
+def classifier_step(clf: ClassifierParams, features, labels, optimizer) -> float:
     """One softmax-loss update of the classifier head on real features.
 
     Features are constants here: no gradient is propagated toward whatever
-    produced them. With `optimizer` set (any object exposing step(grads)
-    bound to this head's arrays) the update goes through it and
-    learning_rate is ignored; otherwise it is a plain gradient step.
-    Returns the pre-update loss.
+    produced them. `optimizer` is any object exposing step(grads) bound to
+    this head's arrays. Returns the pre-update loss.
     """
     features = as_matrix(features, "features")
     logits, tape = dense_forward(clf.layer, features)
     loss, grad_logits = softmax_xent(logits, labels)
     _, w_grad, b_grad = dense_backward(clf.layer, tape, grad_logits)
-    if optimizer is not None:
-        optimizer.step([w_grad, b_grad])
-    else:
-        clf.layer.weight -= learning_rate * w_grad
-        clf.layer.bias -= learning_rate * b_grad
+    optimizer.step([w_grad, b_grad])
     return loss

@@ -32,58 +32,68 @@ class LossConfig:
 
 @dataclass
 class TupleBatch:
-    """Training tuples as row indices into an embedding batch.
+    """Training tuples as row indices into a batch of R labelled rows.
 
-    triplet: indices is (T, 3) columns (anchor, positive, negative).
-    npair:   indices is (N, 2) columns (anchor, positive), one pair per
-             class; each anchor's negatives default to the other pairs'
-             positives. `negative_indices` (N, N-1) overrides that default,
-             which synthetic tuples use because their hardened negatives are
-             distinct rows per (anchor, negative) combination.
-
-    labels mirrors the indices shape and holds the member class labels.
+    Tuple t is (anchors[t], positives[t], negatives[t, :]): M = 1 negative
+    per triplet, M = N - 1 per anchor of an N-pair tuple (one pair per
+    class). A 1-D `negatives` means M = 1. `labels` (R,) holds the class of
+    every batch row. `kind` selects the loss formula (hinge per triplet, or
+    one log-sum-exp tuple over all N anchors) and what hardening does with a
+    tuple whose positive pair coincides.
     """
 
     kind: str
-    indices: np.ndarray
+    anchors: np.ndarray
+    positives: np.ndarray
+    negatives: np.ndarray
     labels: np.ndarray
-    negative_indices: np.ndarray | None = None
-    flavor: str = "original"
 
     def __post_init__(self):
         if self.kind not in TUPLE_KINDS:
             raise InputError(f"unknown tuple kind {self.kind!r}")
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.anchors = np.asarray(self.anchors, dtype=np.int64)
+        self.positives = np.asarray(self.positives, dtype=np.int64)
+        self.negatives = np.asarray(self.negatives, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.shape != self.indices.shape:
-            raise DimensionError(f"labels shape {self.labels.shape} != indices shape {self.indices.shape}")
-        if self.kind == "triplet":
-            if self.indices.ndim != 2 or self.indices.shape[1] != 3:
-                raise DimensionError(f"triplet indices must be (T, 3), got {self.indices.shape}")
-            if self.size and not (self.labels[:, 0] == self.labels[:, 1]).all():
-                raise InputError("triplet anchor and positive must share a label")
-            if self.size and (self.labels[:, 0] == self.labels[:, 2]).any():
-                raise InputError("triplet negative must have a different label than the anchor")
-        else:
-            if self.indices.ndim != 2 or self.indices.shape[1] != 2:
-                raise DimensionError(f"npair indices must be (N, 2), got {self.indices.shape}")
-            n = self.indices.shape[0]
-            if n < 2:
-                raise InputError(f"an N-pair tuple needs at least 2 classes, got {n}")
-            if not (self.labels[:, 0] == self.labels[:, 1]).all():
-                raise InputError("each N-pair (anchor, positive) must share a label")
-            if len(set(self.labels[:, 0].tolist())) != n:
-                raise InputError("N-pair classes must be distinct")
-            if self.negative_indices is not None:
-                self.negative_indices = np.asarray(self.negative_indices, dtype=np.int64)
-                if self.negative_indices.shape != (n, n - 1):
-                    raise DimensionError(
-                        f"negative_indices must be ({n}, {n - 1}), got {self.negative_indices.shape}"
-                    )
+        if self.negatives.ndim == 1:
+            self.negatives = self.negatives[:, None]
+        t = self.size
+        if self.kind == "npair" and t < 2:
+            raise InputError(f"an N-pair tuple needs at least 2 classes, got {t}")
+        m = 1 if self.kind == "triplet" else t - 1
+        if self.anchors.ndim != 1 or self.positives.shape != (t,) or self.negatives.shape != (t, m):
+            raise DimensionError(
+                f"{self.kind} tuples need anchors ({t},), positives ({t},) and negatives ({t}, {m}); got "
+                f"{self.anchors.shape}, {self.positives.shape} and {self.negatives.shape}"
+            )
+        rows = self.rows
+        if rows.size and (rows.min() < 0 or rows.max() >= self.labels.shape[0]):
+            raise InputError(f"tuple rows must lie in [0, {self.labels.shape[0]}), got [{rows.min()}, {rows.max()}]")
+        anchor_labels = self.labels[self.anchors]
+        if not (anchor_labels == self.labels[self.positives]).all():
+            raise InputError("anchor and positive must share a label")
+        if (anchor_labels[:, None] == self.labels[self.negatives]).any():
+            raise InputError("a negative must have a different label than its anchor")
+        if self.kind == "npair" and np.unique(anchor_labels).size != t:
+            raise InputError("N-pair classes must be distinct")
+
+    @classmethod
+    def npair(cls, anchors, positives, labels) -> "TupleBatch":
+        """One N-pair tuple: each anchor's negatives are the other pairs' positives."""
+        positives = np.asarray(positives, dtype=np.int64)
+        n = positives.shape[0]
+        others = np.broadcast_to(positives, (n, n))[~np.eye(n, dtype=bool)]
+        return cls("npair", anchors, positives, others.reshape(n, max(n - 1, 0)), labels)
 
     @property
     def size(self) -> int:
-        return self.indices.shape[0]
+        """T: the number of triplets, or of pairs in the N-pair tuple."""
+        return self.anchors.shape[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Every batch row the tuples reference: anchors, positives, negatives."""
+        return np.concatenate([self.anchors, self.positives, self.negatives.ravel()])
 
 
 def triplet_loss(d_pos, d_neg, margin: float):
@@ -142,52 +152,26 @@ def _unit_diffs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def batch_metric_loss(embeddings, tuples: TupleBatch, config: LossConfig) -> tuple[float, np.ndarray]:
     """Mean tuple loss plus its gradient with respect to every embedding row."""
     z = embeddings.embeddings if hasattr(embeddings, "embeddings") else as_matrix(embeddings, "embeddings")
-    n_rows = z.shape[0]
-    if tuples.size and (tuples.indices.min() < 0 or tuples.indices.max() >= n_rows):
-        raise InputError(
-            f"tuple indices must lie in [0, {n_rows}), got range "
-            f"[{tuples.indices.min()}, {tuples.indices.max()}]"
-        )
     grad = np.zeros_like(z)
     if tuples.size == 0:
         return 0.0, grad
+    last = tuples.rows.max()
+    if last >= z.shape[0]:
+        raise InputError(f"tuple indices must lie in [0, {z.shape[0]}), got up to {last}")
 
+    za = z[tuples.anchors]
+    d_pos, unit_ap = _unit_diffs(za, z[tuples.positives])
+    d_neg, unit_an = _unit_diffs(za[:, None, :], z[tuples.negatives])
     if tuples.kind == "triplet":
-        idx = tuples.indices
-        za, zp, zn = z[idx[:, 0]], z[idx[:, 1]], z[idx[:, 2]]
-        d_pos, unit_ap = _unit_diffs(za, zp)
-        d_neg, unit_an = _unit_diffs(za, zn)
-        losses, g_pos, g_neg = triplet_loss(d_pos, d_neg, config.margin)
-        t = idx.shape[0]
+        t = tuples.size
+        losses, g_pos, g_neg = triplet_loss(d_pos, d_neg[:, 0], config.margin)
         loss = float(losses.mean())
-        wp = (g_pos / t)[:, None] * unit_ap
-        wn = (g_neg / t)[:, None] * unit_an
-        np.add.at(grad, idx[:, 0], wp + wn)
-        np.add.at(grad, idx[:, 1], -wp)
-        np.add.at(grad, idx[:, 2], -wn)
-        return loss, grad
-
-    # npair: one tuple spanning the whole index table
-    idx = tuples.indices
-    n = idx.shape[0]
-    if tuples.negative_indices is not None:
-        neg_idx = tuples.negative_indices
-        if neg_idx.min() < 0 or neg_idx.max() >= n_rows:
-            raise InputError("npair negative indices out of range")
+        g_pos, g_neg = g_pos / t, (g_neg / t)[:, None]
     else:
-        # anchor i is pushed away from every other pair's positive
-        pos_col = idx[:, 1]
-        neg_idx = np.empty((n, n - 1), dtype=np.int64)
-        for i in range(n):
-            neg_idx[i] = np.concatenate([pos_col[:i], pos_col[i + 1 :]])
-    za, zp = z[idx[:, 0]], z[idx[:, 1]]
-    zneg = z[neg_idx]
-    d_pos, unit_ap = _unit_diffs(za, zp)
-    d_neg, unit_an = _unit_diffs(za[:, None, :], zneg)
-    loss, g_pos, g_neg = npair_loss(d_pos, d_neg)
+        loss, g_pos, g_neg = npair_loss(d_pos, d_neg)
     wp = g_pos[:, None] * unit_ap
     wn = g_neg[..., None] * unit_an
-    np.add.at(grad, idx[:, 0], wp + wn.sum(axis=1))
-    np.add.at(grad, idx[:, 1], -wp)
-    np.add.at(grad, neg_idx.reshape(-1), -wn.reshape(-1, z.shape[1]))
+    np.add.at(grad, tuples.anchors, wp + wn.sum(axis=1))
+    np.add.at(grad, tuples.positives, -wp)
+    np.add.at(grad, tuples.negatives.ravel(), -wn.reshape(-1, z.shape[1]))
     return loss, grad

@@ -20,7 +20,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -201,19 +201,18 @@ def mine_tuples(labels, kind: str, config: TrainConfig, rng: np.random.Generator
         if len(classes) < 2:
             log.warning("batch skipped: need at least 2 classes for triplets, got %d", len(classes))
             return None
-        rich = set(classes[counts >= 2].tolist())
-        rows = []
-        for i, lab in enumerate(labels):
-            if lab not in rich:
-                continue
-            same = np.flatnonzero((labels == lab) & (np.arange(len(labels)) != i))
-            other = np.flatnonzero(labels != lab)
-            rows.append((i, int(rng.choice(same)), int(rng.choice(other))))
-        if not rows:
+        same = labels[:, None] == labels[None, :]
+        np.fill_diagonal(same, False)
+        anchors = np.flatnonzero(same.any(axis=1))
+        if not anchors.size:
             log.warning("batch skipped: no class has two samples")
             return None
-        idx = np.asarray(rows, dtype=np.int64)
-        return TupleBatch("triplet", idx, labels[idx])
+        # anchor by anchor, one draw among its other same-class rows, then
+        # one among its other-class rows; draw k picks the pool's k-th row
+        pools = np.stack([same[anchors], labels[None, :] != labels[anchors, None]], axis=1)
+        draws = rng.integers(0, pools.sum(axis=2))
+        picks = (pools.cumsum(axis=2) > draws[..., None]).argmax(axis=2)
+        return TupleBatch("triplet", anchors, picks[:, 0], picks[:, 1], labels)
     # npair
     eligible = classes[counts >= 2]
     if len(eligible) < config.npair_n:
@@ -224,13 +223,8 @@ def mine_tuples(labels, kind: str, config: TrainConfig, rng: np.random.Generator
         )
         return None
     chosen = rng.choice(eligible, size=config.npair_n, replace=False)
-    rows = []
-    for lab in chosen:
-        members = np.flatnonzero(labels == lab)
-        pick = rng.choice(members, size=2, replace=False)
-        rows.append((int(pick[0]), int(pick[1])))
-    idx = np.asarray(rows, dtype=np.int64)
-    return TupleBatch("npair", idx, labels[idx])
+    pairs = np.asarray([rng.choice(np.flatnonzero(labels == lab), size=2, replace=False) for lab in chosen])
+    return TupleBatch.npair(pairs[:, 0], pairs[:, 1], labels)
 
 
 def metric_weight(j_gen: float, beta: float) -> float:
@@ -254,39 +248,30 @@ def _check_finite(value: float, component: str) -> float:
     return value
 
 
+def _member_rows(aug: AugmentedTuple) -> tuple[np.ndarray, np.ndarray]:
+    """Batch rows of the unaltered tuple members, plus the hardened
+    embeddings flattened to a matrix.
+
+    Members are the anchors, the positives and, for triplets, the original
+    negatives; N-pair negatives are other pairs' positives already.
+    """
+    members = [aug.anchor_idx, aug.positive_idx] + ([aug.negative_idx] if aug.kind == "triplet" else [])
+    hardened = aug.hardened_negatives
+    return np.concatenate(members), hardened.reshape(-1, hardened.shape[-1])
+
+
 def _synthetic_tuples(aug: AugmentedTuple, member_features: np.ndarray, hardened_features: np.ndarray):
     """Stack synthetic features into one matrix and index a tuple batch over it.
 
-    Member features arrive in augment order (anchors, then positives, then,
-    for triplets, the reconstructed original negatives, which take no part
-    in the synthetic tuple). Hardened rows are appended at the end.
+    Member features arrive in `_member_rows` order: anchors, then positives
+    (then, for triplets, the reconstructed original negatives, which take no
+    part in the synthetic tuple). Hardened rows are appended at the end.
     """
-    if aug.kind == "triplet":
-        t = aug.size
-        rows = np.vstack([member_features[: 2 * t], hardened_features])
-        idx = np.column_stack([np.arange(t), t + np.arange(t), 2 * t + np.arange(t)])
-        labels = np.column_stack([aug.anchor_labels, aug.anchor_labels, aug.negative_labels])
-        return rows, TupleBatch("triplet", idx, labels, flavor="synthetic")
-    n = aug.size
-    hard_flat = hardened_features.reshape(n * (n - 1), -1) if hardened_features.size else hardened_features
-    rows = np.vstack([member_features, hard_flat])
-    idx = np.column_stack([np.arange(n), n + np.arange(n)])
-    pair_labels = np.column_stack([aug.anchor_labels, aug.anchor_labels])
-    neg_idx = 2 * n + np.arange(n * (n - 1)).reshape(n, n - 1)
-    return rows, TupleBatch("npair", idx, pair_labels, negative_indices=neg_idx, flavor="synthetic")
-
-
-def _member_rows(aug: AugmentedTuple) -> tuple[np.ndarray, np.ndarray]:
-    """Batch row indices of the unaltered tuple members, plus the hardened
-    embeddings flattened to a matrix."""
-    if aug.kind == "triplet":
-        member_idx = np.concatenate([aug.anchor_idx, aug.positive_idx, aug.negative_idx])
-        hardened = aug.hardened_negatives
-    else:
-        member_idx = np.concatenate([aug.anchor_idx, aug.positive_idx])
-        n = aug.size
-        hardened = aug.hardened_negatives.reshape(n * (n - 1), -1)
-    return member_idx, hardened
+    t = aug.size
+    rows = np.vstack([member_features[: 2 * t], hardened_features])
+    negatives = 2 * t + np.arange(aug.negative_idx.size).reshape(aug.negative_idx.shape)
+    labels = np.concatenate([aug.anchor_labels, aug.anchor_labels, aug.negative_labels.ravel()])
+    return rows, TupleBatch(aug.kind, np.arange(t), t + np.arange(t), negatives, labels)
 
 
 def train_step(
@@ -359,13 +344,7 @@ def train_step(
     if update_generator:
         state.adam_generator.step([g for pair in gen_result.grads for g in pair])
     if update_classifier:
-        classifier_step(
-            models.classifier,
-            features.features,
-            labels,
-            learning_rate=config.learning_rate * config.fc_lr_multiplier,
-            optimizer=state.adam_classifier,
-        )
+        classifier_step(models.classifier, features.features, labels, state.adam_classifier)
 
     row = LogRow(
         state.step,
@@ -482,37 +461,11 @@ def write_curves(history: list[LogRow], path) -> None:
             fh.write(row.as_csv() + "\n")
 
 
-def config_to_dict(config: TrainConfig) -> dict:
-    return {
-        "loss_kind": config.loss_kind,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "lambda_balance": config.lambda_balance,
-        "margin": config.margin,
-        "npair_n": config.npair_n,
-        "batch_size": config.batch_size,
-        "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "fc_lr_multiplier": config.fc_lr_multiplier,
-        "seed": config.seed,
-        "embed_dim": config.embed_dim,
-        "eval_every": config.eval_every,
-        "hidden_dims": list(config.hidden_dims),
-        "generator_hidden_dim": config.generator_hidden_dim,
-        "train_fraction": config.train_fraction,
-        "split_seed": config.split_seed,
-        "normalize_embeddings": config.normalize_embeddings,
-        "synthetics": config.synthetics,
-        "fixed_reference_distance": config.fixed_reference_distance,
-        "recall_ks": list(config.recall_ks),
-    }
-
-
 def write_artifacts(result: TrainResult, out_dir, dataset: Dataset) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_curves(result.state.history, os.path.join(out_dir, "curves.csv"))
     manifest = {
-        "config": config_to_dict(result.config),
+        "config": asdict(result.config),
         "seed": result.config.seed,
         "dataset": {
             "num_samples": dataset.num_samples,
@@ -536,5 +489,5 @@ def write_artifacts(result: TrainResult, out_dir, dataset: Dataset) -> None:
         result.models.embedder,
         result.models.generator,
         result.models.classifier,
-        meta={"config": config_to_dict(result.config)},
+        meta={"config": asdict(result.config), "train_classes": result.split.train_classes.tolist()},
     )

@@ -78,17 +78,16 @@ def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator, max_draws
             idx = np.asarray(
                 [row for row in idx if labels[row[0]] == labels[row[1]] and labels[row[0]] != labels[row[2]]]
             )
-            tuples = TupleBatch("triplet", idx, labels[idx])
+            tuples = TupleBatch("triplet", idx[:, 0], idx[:, 1], idx[:, 2], labels)
         else:
-            idx = np.asarray([(2 * c, 2 * c + 1) for c in range(n_classes)])
             labels = np.repeat(np.arange(n_classes), 2)
-            tuples = TupleBatch("npair", idx, labels[idx])
+            tuples = TupleBatch.npair(2 * np.arange(n_classes), 2 * np.arange(n_classes) + 1, labels)
 
         emb, tapes = embed(embedder, x)
         if _near_kink(tapes):
             continue
         z = emb.embeddings
-        member_rows = np.unique(tuples.indices)
+        member_rows = np.unique(tuples.rows)
         d = z[member_rows][:, None, :] - z[member_rows][None, :, :]
         dist = np.sqrt((d * d).sum(-1))
         if dist[~np.eye(len(member_rows), dtype=bool)].min() < 1e-3:

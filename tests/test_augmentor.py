@@ -109,7 +109,8 @@ class TestAugmentNegative:
 
 
 def embedded_triplet_batch(z, labels, idx):
-    return TupleBatch("triplet", np.asarray(idx), np.asarray(labels)[np.asarray(idx)])
+    idx = np.asarray(idx)
+    return TupleBatch("triplet", idx[:, 0], idx[:, 1], idx[:, 2], labels)
 
 
 class TestAugmentTuples:
@@ -122,8 +123,7 @@ class TestAugmentTuples:
         # negative sits at 0.5*4 + 0.5*1 = 2.5 on the axis
         assert abs(aug.lambda_interp - 0.5) < 1e-12
         assert np.allclose(aug.hardened_negatives[0], [2.5, 0.0], atol=1e-12)
-        assert np.array_equal(aug.anchors[0], z[0])
-        assert np.array_equal(aug.positives[0], z[1])
+        assert aug.anchor_idx.tolist() == [0] and aug.positive_idx.tolist() == [1]
         assert aug.reference_distances[0] == 1.0
 
     def test_lambda_one_reproduces_the_tuple(self):
@@ -133,7 +133,7 @@ class TestAugmentTuples:
         tuples = embedded_triplet_batch(z, labels, [[0, 1, 2], [2, 3, 4], [4, 5, 0]])
         aug = augment_tuples(z, tuples, AugmentorState(alpha=5.0))
         assert aug.lambda_interp == 1.0
-        assert np.array_equal(aug.hardened_negatives, aug.original_negatives)
+        assert np.array_equal(aug.hardened_negatives, z[aug.negative_idx])
 
     def test_degenerate_triplet_skipped_and_flagged(self):
         z = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 0.0], [0.0, 0.0], [0.5, 0.0], [4.0, 0.0]])
@@ -148,7 +148,7 @@ class TestAugmentTuples:
         rng = np.random.default_rng(3)
         z = rng.normal(size=(4, 3)) * 2
         labels = np.array([0, 0, 1, 1])
-        tuples = TupleBatch("npair", np.array([[0, 1], [2, 3]]), labels[np.array([[0, 1], [2, 3]])])
+        tuples = TupleBatch.npair([0, 2], [1, 3], labels)
         state = AugmentorState(alpha=2.0, j_avg=3.0)
         aug = augment_tuples(z, tuples, state)
         lam = pulling_lambda(state)
@@ -159,13 +159,45 @@ class TestAugmentTuples:
         assert np.array_equal(aug.hardened_negatives[1, 0], augment_negative(z[2], z[1], d1, lam))
         assert aug.negative_labels.tolist() == [[1], [0]]
 
+    @pytest.mark.parametrize("kind", ["triplet", "npair"])
+    @pytest.mark.parametrize("fixed", [None, 1.5])
+    def test_matches_the_per_negative_reference_loop(self, kind, fixed):
+        # reference: the hardening formula written out for one negative at a time
+        def reference(a, neg, d_plus, lam):
+            d = float(np.sqrt(((a - neg) ** 2).sum()))
+            if d <= d_plus or lam == 1.0:
+                return neg.copy()
+            return a + ((lam * d + (1.0 - lam) * d_plus) / d) * (neg - a)
+
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(12, 5)) * 2
+        z[1] = z[0]  # anchor 0 has no reference distance
+        labels = np.repeat(np.arange(6), 2)
+        if kind == "triplet":
+            tuples = TupleBatch("triplet", [0, 2, 4, 6, 8], [1, 3, 5, 7, 9], [2, 5, 0, 11, 1], labels)
+        else:
+            tuples = TupleBatch.npair([0, 2, 4, 6, 8, 10], [1, 3, 5, 7, 9, 11], labels)
+        state = AugmentorState(alpha=1.0, j_avg=0.8)
+        aug = augment_tuples(z, tuples, state, fixed_reference=fixed)
+        lam = pulling_lambda(state)
+        negatives = tuples.negatives
+        for t in range(tuples.size):
+            a = z[tuples.anchors[t]]
+            d_plus = fixed if fixed is not None else float(np.sqrt(((a - z[tuples.positives[t]]) ** 2).sum()))
+            if d_plus == 0.0 and kind == "triplet":
+                assert t in aug.degenerate and tuples.anchors[t] not in aug.anchor_idx
+                continue
+            out = aug.hardened_negatives[list(aug.anchor_idx).index(tuples.anchors[t])]
+            for m, row in enumerate(negatives[t]):
+                expected = z[row].copy() if d_plus == 0.0 else reference(a, z[row], d_plus, lam)
+                assert np.array_equal(out if kind == "triplet" else out[m], expected)
+
     def test_npair_counts(self):
         rng = np.random.default_rng(4)
         n = 4
         z = rng.normal(size=(2 * n, 5))
         labels = np.repeat(np.arange(n), 2)
-        idx = np.array([[2 * c, 2 * c + 1] for c in range(n)])
-        tuples = TupleBatch("npair", idx, labels[idx])
+        tuples = TupleBatch.npair(2 * np.arange(n), 2 * np.arange(n) + 1, labels)
         aug = augment_tuples(z, tuples, AugmentorState(alpha=1.0, j_avg=1.0))
         assert aug.hardened_negatives.shape == (n, n - 1, 5)
         assert aug.reference_distances.shape == (n, n - 1)
@@ -192,9 +224,10 @@ class TestAugmentTuples:
         tuples = embedded_triplet_batch(z, labels, idx)
         aug = augment_tuples(z, tuples, AugmentorState(alpha=1.0, j_avg=0.7))
         for t in range(aug.size):
-            d_orig = np.linalg.norm(aug.anchors[t] - aug.original_negatives[t])
-            d_hard = np.linalg.norm(aug.anchors[t] - aug.hardened_negatives[t])
+            anchor, negative = z[aug.anchor_idx[t]], z[aug.negative_idx[t]]
+            d_orig = np.linalg.norm(anchor - negative)
+            d_hard = np.linalg.norm(anchor - aug.hardened_negatives[t])
             if d_orig > aug.reference_distances[t]:
                 assert aug.reference_distances[t] - 1e-9 <= d_hard <= d_orig + 1e-9
             else:
-                assert np.array_equal(aug.hardened_negatives[t], aug.original_negatives[t])
+                assert np.array_equal(aug.hardened_negatives[t], negative)

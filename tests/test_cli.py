@@ -113,3 +113,92 @@ class TestExitCodes:
         code = run_cli("train", "--data", str(small_dataset), "--config", str(train_config), "--out-dir", str(tmp_path / "x"))
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def split7_run(tmp_path):
+    data = tmp_path / "ten.csv"
+    assert run_cli("synth-data", "--classes", "10", "--per-class", "10", "--dim", "8", "--seed", "1", "--out", str(data)) == 0
+    config = tmp_path / "split7.cfg"
+    config.write_text("split_seed = 7\nepochs = 1\nbatch_size = 20\nembed_dim = 4\nhidden_dims = 8\n")
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--data", str(data), "--config", str(config), "--out-dir", str(run_dir)) == 0
+    return data, run_dir
+
+
+class TestEvalSplit:
+    def test_defaults_to_the_recorded_split(self, tmp_path, split7_run):
+        data, run_dir = split7_run
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        eval_dir = tmp_path / "eval"
+        assert run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.npz"), "--data", str(data), "--out-dir", str(eval_dir)) == 0
+        rows = (eval_dir / "embeddings.csv").read_text().splitlines()[1:]
+        assert sorted({int(row.split(",")[1]) for row in rows}) == manifest["split"]["test_classes"]
+        assert json.loads((eval_dir / "metrics.json").read_text())["split_seed"] == 7
+
+    def test_training_classes_are_refused(self, tmp_path, split7_run, capsys):
+        data, run_dir = split7_run
+        code = run_cli(
+            "eval", "--checkpoint", str(run_dir / "checkpoint.npz"), "--data", str(data),
+            "--split-seed", "0", "--out-dir", str(tmp_path / "eval"),
+        )
+        assert code == 1
+        assert "were training classes" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    def test_checkpoint_without_a_split_needs_a_seed(self, tmp_path, small_dataset, capsys):
+        from hardmetric.checkpoint import save_checkpoint
+        from hardmetric.embedder import init_embedder
+
+        path = tmp_path / "bare.npz"
+        save_checkpoint(path, init_embedder(5, (4,), 2))
+        argv = ["eval", "--checkpoint", str(path), "--data", str(small_dataset), "--out-dir", str(tmp_path / "eval")]
+        assert run_cli(*argv) == 1
+        assert "--split-seed" in capsys.readouterr().err
+        assert run_cli(*argv, "--split-seed", "0") == 0
+
+
+def _damage(path, name):
+    """Write a broken variant of the checkpoint at `path`; returns its path."""
+    import numpy as np
+
+    out = path.with_name(f"{name}.npz")
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    if name == "text":
+        out.write_text("label,f_0\n0,1.0\n")
+    elif name == "empty":
+        out.write_bytes(b"")
+    elif name == "truncated":
+        out.write_bytes(path.read_bytes()[:200])
+    elif name == "single_array":
+        with open(out, "wb") as fh:
+            np.save(fh, arrays["embedder/projector/weight"])
+    else:
+        if name == "missing_array":
+            del arrays["embedder/projector/bias"]
+        elif name == "missing_meta":
+            del arrays["meta_json"]
+        elif name == "garbled_meta":
+            arrays["meta_json"] = np.asarray('{"layers": [')
+        elif name == "meta_not_a_document":
+            arrays["meta_json"] = np.asarray("[1, 2]")
+        np.savez(out, **arrays)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["text", "empty", "truncated", "single_array", "missing_array", "missing_meta", "garbled_meta", "meta_not_a_document"],
+)
+def test_unreadable_checkpoint_exits_one_with_a_message(tmp_path, small_dataset, capsys, name):
+    from hardmetric.checkpoint import save_checkpoint
+    from hardmetric.embedder import init_embedder
+
+    good = tmp_path / "good.npz"
+    save_checkpoint(good, init_embedder(5, (4,), 2), meta={"config": {"split_seed": 0}})
+    bad = _damage(good, name)
+    code = run_cli("eval", "--checkpoint", str(bad), "--data", str(small_dataset), "--out-dir", str(tmp_path / "eval"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err

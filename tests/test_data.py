@@ -1,3 +1,6 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from hardmetric.data import (
     take_classes,
 )
 from hardmetric.errors import ConfigError, DatasetParseError, InputError
+from hardmetric.training import TrainConfig
 
 
 class TestSynthDataset:
@@ -118,6 +122,14 @@ class TestDatasetIO:
             load_dataset(path)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"label,f_0,f_1\n0,1.0,2.0\n\n1,3.0,{value}\n")
+        with pytest.raises(DatasetParseError, match="non-finite") as exc:
+            load_dataset(path)
+        assert exc.value.line == 4
+
     def test_sparse_labels_rejected(self, tmp_path):
         path = tmp_path / "sparse.csv"
         path.write_text("label,f_0\n0,1.0\n2,2.0\n")
@@ -182,3 +194,15 @@ class TestConfigParsing:
         config = parse_config_text("seed = 3\n")
         assert config.seed == 3
         assert config.loss_kind == "triplet"
+
+    def test_inline_comments_are_ignored(self):
+        config = parse_config_text("seed = 3   # the run seed\nhidden_dims = 8,8 # widths\n")
+        assert config.seed == 3 and config.hidden_dims == (8, 8)
+
+    def test_readme_config_block_lists_every_field_with_its_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file", 1)[1]
+        block = section.split("```", 2)[1]
+        keys = [line.partition("=")[0].strip() for line in block.splitlines() if "=" in line]
+        assert keys == [f.name for f in fields(TrainConfig)]
+        assert parse_config_text(block) == TrainConfig()

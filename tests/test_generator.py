@@ -132,25 +132,27 @@ class TestClassifierStep:
     def test_separable_classes_reach_full_accuracy(self):
         rng = np.random.default_rng(8)
         clf = init_classifier(2, 2, rng=rng)
+        adam = Adam(clf.param_arrays(), learning_rate=0.05)
         y = np.vstack([rng.normal(size=(20, 2)) + [4.0, 0.0], rng.normal(size=(20, 2)) + [-4.0, 0.0]])
         labels = np.repeat([0, 1], 20)
         for _ in range(200):
-            classifier_step(clf, y, labels, learning_rate=0.5)
+            classifier_step(clf, y, labels, adam)
         assert classifier_accuracy(clf, y, labels) == 1.0
 
     def test_zero_learning_rate_is_a_null_step(self):
         rng = np.random.default_rng(9)
         clf = init_classifier(3, 2, rng=rng)
         before = clf.layer.weight.copy()
-        classifier_step(clf, rng.normal(size=(5, 3)), [0, 1, 0, 1, 0], learning_rate=0.0)
+        classifier_step(clf, rng.normal(size=(5, 3)), [0, 1, 0, 1, 0], Adam(clf.param_arrays(), learning_rate=0.0))
         assert np.array_equal(clf.layer.weight, before)
 
     def test_single_class_batch_pushes_its_logit_up(self):
         rng = np.random.default_rng(10)
         clf = init_classifier(2, 3, rng=rng)
+        adam = Adam(clf.param_arrays(), learning_rate=0.1)
         y = rng.normal(size=(4, 2))
-        before = classifier_step(clf, y, [1, 1, 1, 1], learning_rate=0.1)
-        after = classifier_step(clf, y, [1, 1, 1, 1], learning_rate=0.1)
+        before = classifier_step(clf, y, [1, 1, 1, 1], adam)
+        after = classifier_step(clf, y, [1, 1, 1, 1], adam)
         assert after < before
 
     def test_optimizer_takes_over_the_update(self):
@@ -159,5 +161,5 @@ class TestClassifierStep:
         adam = Adam(clf.param_arrays(), learning_rate=0.05)
         y = np.vstack([rng.normal(size=(10, 2)) + [3.0, 0.0], rng.normal(size=(10, 2)) - [3.0, 0.0]])
         labels = np.repeat([0, 1], 10)
-        losses = [classifier_step(clf, y, labels, learning_rate=0.0, optimizer=adam) for _ in range(100)]
+        losses = [classifier_step(clf, y, labels, adam) for _ in range(100)]
         assert losses[-1] < losses[0]

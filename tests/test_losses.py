@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardmetric.augmentor import AugmentorState, augment_tuples
-from hardmetric.errors import InputError
+from hardmetric.errors import DimensionError, InputError
 from hardmetric.losses import LossConfig, TupleBatch, batch_metric_loss, npair_loss, triplet_loss
 
 
@@ -72,7 +72,11 @@ def random_embedding_instance(rng, n_classes=3, per_class=2, dim=4, scale=2.0):
 
 def triplet_batch(labels, idx):
     idx = np.asarray(idx)
-    return TupleBatch("triplet", idx, np.asarray(labels)[idx])
+    return TupleBatch("triplet", idx[:, 0], idx[:, 1], idx[:, 2], labels)
+
+
+def npair_batch(labels, n_classes):
+    return TupleBatch.npair(2 * np.arange(n_classes), 2 * np.arange(n_classes) + 1, labels)
 
 
 class TestBatchMetricLoss:
@@ -113,8 +117,7 @@ class TestBatchMetricLoss:
     def test_npair_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         z, labels = random_embedding_instance(rng, n_classes=4)
-        idx = np.array([[2 * c, 2 * c + 1] for c in range(4)])
-        tuples = TupleBatch("npair", idx, labels[idx])
+        tuples = npair_batch(labels, 4)
         cfg = LossConfig()
         _, grad = batch_metric_loss(z, tuples, cfg)
         h = 1e-6
@@ -141,8 +144,7 @@ class TestBatchMetricLoss:
         if kind == "triplet":
             tuples = triplet_batch(labels, [[0, 1, 2], [2, 3, 6], [4, 5, 0]])
         else:
-            idx = np.array([[2 * c, 2 * c + 1] for c in range(4)])
-            tuples = TupleBatch("npair", idx, labels[idx])
+            tuples = npair_batch(labels, 4)
         cfg = LossConfig(margin=0.7)
         base, _ = batch_metric_loss(z, tuples, cfg)
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
@@ -162,26 +164,18 @@ class TestBatchMetricLoss:
                 rows.append([a, same[0], diff[0]])
             tuples = triplet_batch(labels, rows)
         else:
-            idx = np.array([[2 * c, 2 * c + 1] for c in range(4)])
-            tuples = TupleBatch("npair", idx, labels[idx])
+            tuples = npair_batch(labels, 4)
         cfg = LossConfig(margin=1.0)
         base, _ = batch_metric_loss(z, tuples, cfg)
         aug = augment_tuples(z, tuples, AugmentorState(alpha=1.0, j_avg=0.8))
         assert aug.lambda_interp < 1.0
         # rebuild the tuple geometry with hardened negatives substituted
-        if kind == "triplet":
-            stacked = np.vstack([aug.anchors, aug.positives, aug.hardened_negatives])
-            t = aug.size
-            idx2 = np.column_stack([np.arange(t), t + np.arange(t), 2 * t + np.arange(t)])
-            labels2 = np.column_stack([aug.anchor_labels, aug.anchor_labels, aug.negative_labels])
-            hard_tuples = TupleBatch("triplet", idx2, labels2)
-        else:
-            n = aug.size
-            stacked = np.vstack([aug.anchors, aug.positives, aug.hardened_negatives.reshape(n * (n - 1), -1)])
-            idx2 = np.column_stack([np.arange(n), n + np.arange(n)])
-            neg_idx = 2 * n + np.arange(n * (n - 1)).reshape(n, n - 1)
-            labels2 = np.column_stack([aug.anchor_labels, aug.anchor_labels])
-            hard_tuples = TupleBatch("npair", idx2, labels2, negative_indices=neg_idx)
+        t = aug.size
+        dim = aug.hardened_negatives.shape[-1]
+        stacked = np.vstack([z[aug.anchor_idx], z[aug.positive_idx], aug.hardened_negatives.reshape(-1, dim)])
+        negatives = 2 * t + np.arange(aug.negative_idx.size).reshape(aug.negative_idx.shape)
+        labels2 = np.concatenate([aug.anchor_labels, aug.anchor_labels, aug.negative_labels.ravel()])
+        hard_tuples = TupleBatch(kind, np.arange(t), t + np.arange(t), negatives, labels2)
         hardened, _ = batch_metric_loss(stacked, hard_tuples, cfg)
         assert hardened >= base - 1e-12
 
@@ -189,14 +183,27 @@ class TestBatchMetricLoss:
 class TestTupleBatchValidation:
     def test_triplet_label_constraints(self):
         with pytest.raises(InputError):
-            TupleBatch("triplet", [[0, 1, 2]], [[0, 1, 1]])
+            TupleBatch("triplet", [0], [1], [2], [0, 1, 1])
         with pytest.raises(InputError):
-            TupleBatch("triplet", [[0, 1, 2]], [[0, 0, 0]])
+            TupleBatch("triplet", [0], [1], [2], [0, 0, 0])
 
     def test_npair_needs_distinct_classes(self):
         with pytest.raises(InputError):
-            TupleBatch("npair", [[0, 1], [2, 3]], [[0, 0], [0, 0]])
+            TupleBatch.npair([0, 2], [1, 3], [0, 0, 0, 0])
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
-            TupleBatch("pairs", [[0, 1]], [[0, 0]])
+            TupleBatch("pairs", [0], [1], [2], [0, 0, 1])
+
+    def test_npair_default_negatives_are_the_other_positives(self):
+        tuples = TupleBatch.npair([0, 2, 4], [1, 3, 5], [0, 0, 1, 1, 2, 2])
+        assert tuples.negatives.tolist() == [[3, 5], [1, 5], [1, 3]]
+        assert tuples.size == 3
+
+    def test_shapes_and_rows_checked(self):
+        with pytest.raises(DimensionError):
+            TupleBatch("npair", [0, 2], [1, 3], [[3, 1]], [0, 0, 1, 1])
+        with pytest.raises(DimensionError):
+            TupleBatch("triplet", [0], [1], [[2, 2]], [0, 0, 1])
+        with pytest.raises(InputError):
+            TupleBatch("triplet", [0], [1], [7], [0, 0, 1])

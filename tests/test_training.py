@@ -76,19 +76,43 @@ class TestMineTuples:
         labels = np.array([0, 0, 1, 1])
         tuples = mine_tuples(labels, "triplet", config, rng)
         assert tuples is not None
-        for (a, p, n), (la, lp, ln) in zip(tuples.indices, tuples.labels):
+        assert tuples.anchors.tolist() == [0, 1, 2, 3]
+        assert tuples.negatives.shape == (4, 1)
+        for a, p, (n,) in zip(tuples.anchors, tuples.positives, tuples.negatives):
             assert a != p
-            assert labels[a] == labels[p] == la == lp
-            assert labels[a] != labels[n] and ln == labels[n]
+            assert labels[a] == labels[p] == tuples.labels[a] == tuples.labels[p]
+            assert labels[a] != labels[n] and tuples.labels[n] == labels[n]
+
+    def test_triplet_draws_match_the_per_sample_reference(self):
+        # reference: one rng.choice among the anchor's other same-class rows,
+        # then one among the other-class rows, sample by sample
+        config = small_config()
+        batches = np.random.default_rng(5)
+        for trial in range(200):
+            labels = batches.integers(0, batches.integers(2, 7), size=batches.integers(2, 60))
+            ref_rng, rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            expected = []
+            for i, lab in enumerate(labels):
+                same = np.flatnonzero((labels == lab) & (np.arange(len(labels)) != i))
+                if same.size and len(set(labels.tolist())) > 1:
+                    expected.append([i, ref_rng.choice(same), ref_rng.choice(np.flatnonzero(labels != lab))])
+            tuples = mine_tuples(labels, "triplet", config, rng)
+            if not expected:
+                assert tuples is None
+                continue
+            got = np.column_stack([tuples.anchors, tuples.positives, tuples.negatives[:, 0]])
+            assert got.tolist() == expected
+            assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
     def test_npair_counts(self):
         config = small_config(loss_kind="npair", npair_n=4)
         rng = np.random.default_rng(2)
         labels = np.repeat(np.arange(4), 2)
         tuples = mine_tuples(labels, "npair", config, rng)
-        assert tuples.indices.shape == (4, 2)
+        assert tuples.size == 4 and tuples.positives.shape == (4,)
         # 4 anchors, 3 negatives each, via the default cross-positive wiring
-        assert len(set(tuples.labels[:, 0].tolist())) == 4
+        assert tuples.negatives.shape == (4, 3)
+        assert len(set(labels[tuples.anchors].tolist())) == 4
 
     def test_npair_skips_without_enough_classes(self):
         config = small_config(loss_kind="npair", npair_n=4)
@@ -407,7 +431,7 @@ class TestAlphaZeroDegeneracy:
         emb, _ = project(models.embedder, feats)
         tuples = mine_tuples(labels, "triplet", config, np.random.default_rng(1))
         aug = augment_tuples(emb, tuples, state.augmentor)
-        assert np.array_equal(aug.hardened_negatives, aug.original_negatives)
+        assert np.array_equal(aug.hardened_negatives, emb.embeddings[aug.negative_idx])
         member_idx, hardened = _member_rows(aug)
         member_feats, _ = generate_forward(models.generator, emb.embeddings[member_idx])
         hard_feats, _ = generate_forward(models.generator, hardened)
