@@ -13,7 +13,6 @@ from .data import Dataset, load_dataset, save_dataset, split_zero_shot, synth_ga
 from .embedder import (
     EmbedderParams,
     EmbeddingBatch,
-    FeatureBatch,
     distance,
     embed,
     extract,
@@ -23,7 +22,6 @@ from .embedder import (
 )
 from .evaluation import EvalReport, evaluate_embeddings, kmeans, nmi, pairwise_f1, recall_at_k
 from .generator import (
-    ClassifierParams,
     GeneratorParams,
     classifier_step,
     generate,

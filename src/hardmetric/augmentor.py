@@ -130,7 +130,7 @@ def augment_tuples(
     `fixed_reference` substitutes a constant instead. Works on embeddings
     only; gradients never flow through the returned arrays.
     """
-    z = embeddings.embeddings if hasattr(embeddings, "embeddings") else np.asarray(embeddings, dtype=np.float64)
+    z = np.asarray(embeddings, dtype=np.float64)
     if fixed_reference is not None and fixed_reference <= 0:
         raise InputError(f"fixed reference distance must be positive, got {fixed_reference}")
     lam = pulling_lambda(state)

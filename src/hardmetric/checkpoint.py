@@ -17,7 +17,7 @@ import numpy as np
 
 from .embedder import EmbedderParams
 from .errors import InputError
-from .generator import ClassifierParams, GeneratorParams
+from .generator import GeneratorParams
 from .nn import DenseLayer
 
 FORMAT_VERSION = 1
@@ -27,7 +27,7 @@ FORMAT_VERSION = 1
 class CheckpointBundle:
     embedder: EmbedderParams
     generator: GeneratorParams | None
-    classifier: ClassifierParams | None
+    classifier: DenseLayer | None
     meta: dict
 
 
@@ -41,7 +41,7 @@ def save_checkpoint(
     path,
     embedder: EmbedderParams,
     generator: GeneratorParams | None = None,
-    classifier: ClassifierParams | None = None,
+    classifier: DenseLayer | None = None,
     meta: dict | None = None,
 ) -> None:
     arrays: dict[str, np.ndarray] = {}
@@ -53,7 +53,7 @@ def save_checkpoint(
         for i, layer in enumerate(generator.layers):
             _layer_entries(f"generator/{i}", layer, arrays, layers)
     if classifier is not None:
-        _layer_entries("classifier", classifier.layer, arrays, layers)
+        _layer_entries("classifier", classifier, arrays, layers)
     doc = {
         "layers": layers,
         "num_extractor_layers": len(embedder.extractor),
@@ -100,5 +100,5 @@ def _read_bundle(npz) -> CheckpointBundle:
     generator = None
     if doc["num_generator_layers"]:
         generator = GeneratorParams([layer(f"generator/{i}") for i in range(doc["num_generator_layers"])])
-    classifier = ClassifierParams(layer("classifier")) if doc["has_classifier"] else None
+    classifier = layer("classifier") if doc["has_classifier"] else None
     return CheckpointBundle(embedder, generator, classifier, doc["meta"])

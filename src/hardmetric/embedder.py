@@ -15,35 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError
-from .nn import DenseLayer, GradTape, as_matrix, dense_backward, dense_forward, init_dense
-
-
-@dataclass
-class FeatureBatch:
-    """Feature-space vectors with their sample ids and labels."""
-
-    features: np.ndarray
-    sample_ids: np.ndarray
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.features = as_matrix(self.features, "features")
-        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+from .nn import DenseLayer, GradTape, as_matrix, check_chain, dense_forward, init_dense, stack_backward, stack_forward
 
 
 @dataclass
 class EmbeddingBatch:
-    """Embedding-space vectors with their sample ids and labels."""
+    """Embedding-space vectors with their labels."""
 
     embeddings: np.ndarray
-    sample_ids: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.embeddings = as_matrix(self.embeddings, "embeddings")
-        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
 
@@ -61,40 +44,11 @@ class EmbedderParams:
     normalize: bool = False
 
     def __post_init__(self):
-        if self.extractor:
-            for prev, nxt in zip(self.extractor, self.extractor[1:]):
-                if nxt.in_dim != prev.out_dim:
-                    raise DimensionError(
-                        f"extractor layers disagree: {prev.out_dim} outputs feed {nxt.in_dim} inputs"
-                    )
-            if self.projector.in_dim != self.extractor[-1].out_dim:
-                raise DimensionError(
-                    f"projector expects {self.projector.in_dim} inputs, extractor emits {self.extractor[-1].out_dim}"
-                )
-
-    @property
-    def input_dim(self) -> int:
-        return self.extractor[0].in_dim if self.extractor else self.projector.in_dim
+        check_chain(self.extractor + [self.projector], "embedder")
 
     @property
     def feature_dim(self) -> int:
-        return self.extractor[-1].out_dim if self.extractor else self.projector.in_dim
-
-    @property
-    def embed_dim(self) -> int:
-        return self.projector.out_dim
-
-    def extractor_param_arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.extractor:
-            out.extend((layer.weight, layer.bias))
-        return out
-
-    def projector_param_arrays(self) -> list[np.ndarray]:
-        return [self.projector.weight, self.projector.bias]
-
-    def copy(self) -> "EmbedderParams":
-        return EmbedderParams([l.copy() for l in self.extractor], self.projector.copy(), self.normalize)
+        return self.projector.in_dim
 
 
 def init_embedder(
@@ -128,72 +82,49 @@ class EmbedTape:
     project: ProjectTape
 
 
-@dataclass
-class EmbedderGrads:
-    """Gradients per extractor layer, for the projector, and for the input."""
-
-    extractor: list[tuple[np.ndarray, np.ndarray]]
-    projector: tuple[np.ndarray, np.ndarray]
-    input_grad: np.ndarray
-
-
-def extract(params: EmbedderParams, x, sample_ids=None, labels=None) -> tuple[FeatureBatch, list[GradTape]]:
+def extract(params: EmbedderParams, x) -> tuple[np.ndarray, list[GradTape]]:
     """Run the feature extractor stack; tapes are kept for the backward pass."""
-    h = as_matrix(x)
-    if h.shape[1] != params.input_dim:
-        raise DimensionError(f"input shape {h.shape} incompatible with extractor input dim {params.input_dim}")
-    if sample_ids is None:
-        sample_ids = np.arange(h.shape[0])
-    tapes = []
-    for layer in params.extractor:
-        h, tape = dense_forward(layer, h)
-        tapes.append(tape)
-    return FeatureBatch(h, sample_ids, labels), tapes
+    return stack_forward(params.extractor, x)
 
 
-def project(params: EmbedderParams, features: FeatureBatch) -> tuple[EmbeddingBatch, ProjectTape]:
+def project(params: EmbedderParams, features) -> tuple[np.ndarray, ProjectTape]:
     """Map features to embeddings through the single linear projector."""
-    z, tape = dense_forward(params.projector, features.features)
+    z, tape = dense_forward(params.projector, features)
     if not params.normalize:
-        return EmbeddingBatch(z, features.sample_ids, features.labels), ProjectTape(tape)
+        return z, ProjectTape(tape)
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = z / safe
-    return (
-        EmbeddingBatch(unit, features.sample_ids, features.labels),
-        ProjectTape(tape, norms=safe, unit=unit),
-    )
+    return unit, ProjectTape(tape, norms=safe, unit=unit)
 
 
 def project_backward(
     params: EmbedderParams, tape: ProjectTape, grad_embeddings: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Backward through the projector: (feature_grad, (weight_grad, bias_grad))."""
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Backward through the projector: (feature_grad, [weight_grad, bias_grad])."""
     g = np.asarray(grad_embeddings, dtype=np.float64)
     if params.normalize:
         # d(z/|z|) pushes the gradient onto the tangent of the unit sphere
         radial = (tape.unit * g).sum(axis=1, keepdims=True)
         g = (g - tape.unit * radial) / tape.norms
-    feature_grad, w_grad, b_grad = dense_backward(params.projector, tape.dense, g)
-    return feature_grad, (w_grad, b_grad)
+    return stack_backward([params.projector], [tape.dense], g)
 
 
-def embed(params: EmbedderParams, x, sample_ids=None, labels=None) -> tuple[EmbeddingBatch, EmbedTape]:
+def embed(params: EmbedderParams, x, labels=None) -> tuple[EmbeddingBatch, EmbedTape]:
     """extract followed by project, returning one combined tape."""
-    feats, ext_tapes = extract(params, x, sample_ids, labels)
-    emb, ptape = project(params, feats)
-    return emb, EmbedTape(ext_tapes, ptape)
+    feats, ext_tapes = extract(params, x)
+    z, ptape = project(params, feats)
+    return EmbeddingBatch(z, labels), EmbedTape(ext_tapes, ptape)
 
 
-def embed_backward(params: EmbedderParams, tape: EmbedTape, grad_embeddings: np.ndarray) -> EmbedderGrads:
-    """Backward through projector and extractor stack."""
+def embed_backward(
+    params: EmbedderParams, tape: EmbedTape, grad_embeddings: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Backward through projector and extractor stack: (extractor_grads, projector_grads),
+    each in `stack_params` order."""
     g, proj_grads = project_backward(params, tape.project, grad_embeddings)
-    layer_grads: list[tuple[np.ndarray, np.ndarray]] = []
-    for layer, ltape in zip(reversed(params.extractor), reversed(tape.extractor)):
-        g, w_grad, b_grad = dense_backward(layer, ltape, g)
-        layer_grads.append((w_grad, b_grad))
-    layer_grads.reverse()
-    return EmbedderGrads(layer_grads, proj_grads, g)
+    _, ext_grads = stack_backward(params.extractor, tape.extractor, g)
+    return ext_grads, proj_grads
 
 
 def distance(z_i, z_j) -> float:
@@ -205,14 +136,14 @@ def distance(z_i, z_j) -> float:
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
-def pairwise_distances(batch) -> np.ndarray:
+def pairwise_distances(points) -> np.ndarray:
     """Full symmetric distance matrix with an exactly-zero diagonal.
 
     Computed from explicit coordinate differences rather than the Gram
     expansion, so duplicates come out exactly zero and the matrix is bitwise
     symmetric. Work is blocked to bound temporary memory.
     """
-    z = batch.embeddings if isinstance(batch, EmbeddingBatch) else as_matrix(batch, "points")
+    z = as_matrix(points, "points")
     n, dim = z.shape
     if n == 0:
         raise InputError("pairwise_distances needs a nonempty batch")

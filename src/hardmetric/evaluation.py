@@ -134,7 +134,7 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
     The query itself is excluded; remaining distance ties break by ascending
     sample index (stable sort), which makes duplicate points deterministic.
     """
-    z = embeddings.embeddings if hasattr(embeddings, "embeddings") else as_matrix(embeddings, "embeddings")
+    z = as_matrix(embeddings, "embeddings")
     labels = np.asarray(labels)
     n = z.shape[0]
     if labels.shape != (n,):
@@ -174,7 +174,7 @@ class EvalReport:
 
 def evaluate_embeddings(embeddings, labels, ks=(1, 2, 4, 8), kmeans_seed: int = 0) -> EvalReport:
     """Cluster into as many groups as there are true classes, then score."""
-    z = embeddings.embeddings if hasattr(embeddings, "embeddings") else as_matrix(embeddings, "embeddings")
+    z = as_matrix(embeddings, "embeddings")
     labels = np.asarray(labels)
     classes = np.unique(labels)
     assignment = kmeans(z, len(classes), seed=kmeans_seed)

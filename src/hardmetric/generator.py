@@ -15,9 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedder import EmbeddingBatch, FeatureBatch
 from .errors import DimensionError, InputError, NumericalError
-from .nn import DenseLayer, GradTape, as_matrix, dense_backward, dense_forward, init_dense, softmax_xent, squared_error
+from .nn import (
+    DenseLayer,
+    GradTape,
+    as_matrix,
+    check_chain,
+    dense_backward,
+    dense_forward,
+    init_dense,
+    softmax_xent,
+    squared_error,
+    stack_backward,
+    stack_forward,
+)
 
 
 @dataclass
@@ -27,11 +38,7 @@ class GeneratorParams:
     layers: list[DenseLayer]
 
     def __post_init__(self):
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if nxt.in_dim != prev.out_dim:
-                raise DimensionError(
-                    f"generator layers disagree: {prev.out_dim} outputs feed {nxt.in_dim} inputs"
-                )
+        check_chain(self.layers, "generator")
 
     @property
     def embed_dim(self) -> int:
@@ -40,36 +47,6 @@ class GeneratorParams:
     @property
     def feature_dim(self) -> int:
         return self.layers[-1].out_dim
-
-    def param_arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.extend((layer.weight, layer.bias))
-        return out
-
-    def copy(self) -> "GeneratorParams":
-        return GeneratorParams([l.copy() for l in self.layers])
-
-
-@dataclass
-class ClassifierParams:
-    """Single linear layer from feature space to training-class logits."""
-
-    layer: DenseLayer
-
-    @property
-    def feature_dim(self) -> int:
-        return self.layer.in_dim
-
-    @property
-    def num_classes(self) -> int:
-        return self.layer.out_dim
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [self.layer.weight, self.layer.bias]
-
-    def copy(self) -> "ClassifierParams":
-        return ClassifierParams(self.layer.copy())
 
 
 def init_generator(
@@ -86,43 +63,16 @@ def init_generator(
     )
 
 
-def init_classifier(feature_dim: int, num_classes: int, rng: np.random.Generator | None = None) -> ClassifierParams:
+def init_classifier(feature_dim: int, num_classes: int, rng: np.random.Generator | None = None) -> DenseLayer:
+    """Single linear layer from feature space to training-class logits."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    return ClassifierParams(init_dense(feature_dim, num_classes, "identity", rng))
+    return init_dense(feature_dim, num_classes, "identity", rng)
 
 
-def generate_forward(gen: GeneratorParams, z) -> tuple[np.ndarray, list[GradTape]]:
-    h = as_matrix(z, "embeddings")
-    if h.shape[1] != gen.embed_dim:
-        raise DimensionError(f"embeddings shape {h.shape} incompatible with generator input dim {gen.embed_dim}")
-    tapes = []
-    for layer in gen.layers:
-        h, tape = dense_forward(layer, h)
-        tapes.append(tape)
-    return h, tapes
-
-
-def generate_backward(
-    gen: GeneratorParams, tapes: list[GradTape], grad_out: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients per generator layer; the input gradient is dropped on purpose."""
-    g = grad_out
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
-    for layer, tape in zip(reversed(gen.layers), reversed(tapes)):
-        g, w_grad, b_grad = dense_backward(layer, tape, g)
-        grads.append((w_grad, b_grad))
-    grads.reverse()
-    return grads
-
-
-def generate(gen: GeneratorParams, embeddings: EmbeddingBatch) -> FeatureBatch:
-    """Map a batch of (possibly hardened) embeddings back to feature space.
-
-    Labels and sample ids carry over from the originals: synthesis is
-    label-preserving by construction of the training objective.
-    """
-    y, _ = generate_forward(gen, embeddings.embeddings)
-    return FeatureBatch(y, embeddings.sample_ids, embeddings.labels)
+def generate(gen: GeneratorParams, z) -> tuple[np.ndarray, list[GradTape]]:
+    """Map (possibly hardened) embeddings back to feature space; tapes for
+    `stack_backward` over `gen.layers`."""
+    return stack_forward(gen.layers, z)
 
 
 @dataclass
@@ -145,14 +95,14 @@ class GeneratorLossBreakdown:
 @dataclass
 class GeneratorLossResult:
     breakdown: GeneratorLossBreakdown
-    grads: list[tuple[np.ndarray, np.ndarray]]
+    grads: list[np.ndarray]  # in `stack_params(gen.layers)` order
     member_features: np.ndarray
     hardened_features: np.ndarray
 
 
 def generator_loss(
     gen: GeneratorParams,
-    clf: ClassifierParams,
+    clf: DenseLayer,
     real_features,
     member_embeddings,
     hardened_embeddings,
@@ -179,19 +129,20 @@ def generator_loss(
     if lambda_balance < 0:
         raise InputError(f"lambda_balance must be nonnegative, got {lambda_balance}")
 
-    member_features, member_tapes = generate_forward(gen, member_embeddings)
+    member_features, member_tapes = generate(gen, member_embeddings)
     j_recon, (_, grad_member_features) = squared_error(real_features, member_features)
-    grads = generate_backward(gen, member_tapes, grad_member_features)
+    # the input gradients are dropped on purpose: embeddings are constants here
+    _, grads = stack_backward(gen.layers, member_tapes, grad_member_features)
 
     hardened_embeddings = np.asarray(hardened_embeddings, dtype=np.float64)
     if hardened_embeddings.size:
-        hardened_features, hardened_tapes = generate_forward(gen, hardened_embeddings)
-        logits, clf_tape = dense_forward(clf.layer, hardened_features)
+        hardened_features, hardened_tapes = generate(gen, hardened_embeddings)
+        logits, clf_tape = dense_forward(clf, hardened_features)
         j_soft, grad_logits = softmax_xent(logits, hardened_labels)
         # classifier weight/bias grads are dropped: frozen path
-        grad_hardened, _, _ = dense_backward(clf.layer, clf_tape, grad_logits)
-        soft_grads = generate_backward(gen, hardened_tapes, lambda_balance * grad_hardened)
-        grads = [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(grads, soft_grads)]
+        grad_hardened, _, _ = dense_backward(clf, clf_tape, grad_logits)
+        _, soft_grads = stack_backward(gen.layers, hardened_tapes, lambda_balance * grad_hardened)
+        grads = [a + b for a, b in zip(grads, soft_grads)]
     else:
         hardened_features = np.empty((0, gen.feature_dim))
         j_soft = 0.0
@@ -200,17 +151,13 @@ def generator_loss(
     return GeneratorLossResult(breakdown, grads, member_features, hardened_features)
 
 
-def classifier_logits(clf: ClassifierParams, features) -> np.ndarray:
-    logits, _ = dense_forward(clf.layer, features)
-    return logits
-
-
-def classifier_accuracy(clf: ClassifierParams, features, labels) -> float:
+def classifier_accuracy(clf: DenseLayer, features, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
-    return float((classifier_logits(clf, features).argmax(axis=1) == labels).mean())
+    logits, _ = dense_forward(clf, features)
+    return float((logits.argmax(axis=1) == labels).mean())
 
 
-def classifier_step(clf: ClassifierParams, features, labels, optimizer) -> float:
+def classifier_step(clf: DenseLayer, features, labels, optimizer) -> float:
     """One softmax-loss update of the classifier head on real features.
 
     Features are constants here: no gradient is propagated toward whatever
@@ -218,8 +165,8 @@ def classifier_step(clf: ClassifierParams, features, labels, optimizer) -> float
     this head's arrays. Returns the pre-update loss.
     """
     features = as_matrix(features, "features")
-    logits, tape = dense_forward(clf.layer, features)
+    logits, tape = dense_forward(clf, features)
     loss, grad_logits = softmax_xent(logits, labels)
-    _, w_grad, b_grad = dense_backward(clf.layer, tape, grad_logits)
+    _, w_grad, b_grad = dense_backward(clf, tape, grad_logits)
     optimizer.step([w_grad, b_grad])
     return loss

@@ -151,7 +151,7 @@ def _unit_diffs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def batch_metric_loss(embeddings, tuples: TupleBatch, config: LossConfig) -> tuple[float, np.ndarray]:
     """Mean tuple loss plus its gradient with respect to every embedding row."""
-    z = embeddings.embeddings if hasattr(embeddings, "embeddings") else as_matrix(embeddings, "embeddings")
+    z = as_matrix(embeddings, "embeddings")
     grad = np.zeros_like(z)
     if tuples.size == 0:
         return 0.0, grad

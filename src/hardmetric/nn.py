@@ -64,9 +64,6 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weight.shape[0]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weight.copy(), self.bias.copy(), self.activation)
-
 
 def init_dense(in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> DenseLayer:
     """New layer with weights uniform in +-sqrt(6/(in+out)) and zero bias."""
@@ -123,6 +120,40 @@ def dense_backward(
     bias_grad = upstream.sum(axis=0)
     input_grad = upstream @ layer.weight
     return input_grad, weight_grad, bias_grad
+
+
+def check_chain(layers: list[DenseLayer], what: str) -> None:
+    """Raise DimensionError unless each layer's outputs feed the next one's inputs."""
+    for prev, nxt in zip(layers, layers[1:]):
+        if nxt.in_dim != prev.out_dim:
+            raise DimensionError(f"{what} layers disagree: {prev.out_dim} outputs feed {nxt.in_dim} inputs")
+
+
+def stack_params(layers: list[DenseLayer]) -> list[np.ndarray]:
+    """Live parameter arrays of a layer stack: [w0, b0, w1, b1, ...]."""
+    return [arr for layer in layers for arr in (layer.weight, layer.bias)]
+
+
+def stack_forward(layers: list[DenseLayer], x) -> tuple[np.ndarray, list[GradTape]]:
+    """Run x through the stack in order; one tape per layer."""
+    h = as_matrix(x)
+    tapes = []
+    for layer in layers:
+        h, tape = dense_forward(layer, h)
+        tapes.append(tape)
+    return h, tapes
+
+
+def stack_backward(
+    layers: list[DenseLayer], tapes: list[GradTape], upstream: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Backward through a stack: (input_grad, grads in `stack_params` order)."""
+    g = upstream
+    grads: list[np.ndarray] = []
+    for layer, tape in zip(reversed(layers), reversed(tapes)):
+        g, w_grad, b_grad = dense_backward(layer, tape, g)
+        grads += [b_grad, w_grad]
+    return g, grads[::-1]
 
 
 def softmax_xent(logits, labels) -> tuple[float, np.ndarray]:

@@ -20,7 +20,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .data import Dataset, ZeroShotSplit, split_zero_shot, take_classes
 from .embedder import (
     EmbedderParams,
     EmbedTape,
-    FeatureBatch,
     embed,
     embed_backward,
     extract,
@@ -40,13 +39,18 @@ from .embedder import (
 )
 from .errors import InputError, NumericalError
 from .evaluation import EvalReport, evaluate_embeddings
-from .generator import ClassifierParams, GeneratorParams, classifier_step, generator_loss, init_classifier, init_generator
+from .generator import (
+    GeneratorLossBreakdown,
+    GeneratorParams,
+    classifier_step,
+    generator_loss,
+    init_classifier,
+    init_generator,
+)
 from .losses import LossConfig, TupleBatch, batch_metric_loss
-from .nn import Adam
+from .nn import Adam, DenseLayer, stack_params
 
 log = logging.getLogger(__name__)
-
-CURVE_HEADER = "step,epoch,j_m,j_syn,j_gen,j_recon,j_soft,weight_w,lambda_interp"
 
 
 @dataclass
@@ -98,6 +102,12 @@ class TrainConfig:
             raise InputError(f"epochs must be nonnegative, got {self.epochs}")
         if self.embed_dim <= 0 or any(d <= 0 for d in self.hidden_dims):
             raise InputError("layer dimensions must be positive")
+        if self.generator_hidden_dim is not None and self.generator_hidden_dim <= 0:
+            raise InputError(f"generator_hidden_dim must be positive, got {self.generator_hidden_dim}")
+        if self.eval_every < 0:
+            raise InputError(f"eval_every must be nonnegative, got {self.eval_every}")
+        if not self.recall_ks or min(self.recall_ks) < 1:
+            raise InputError(f"recall_ks must be positive, got {self.recall_ks}")
 
     def loss_config(self) -> LossConfig:
         return LossConfig(margin=self.margin, npair_n=self.npair_n)
@@ -109,7 +119,7 @@ class Models:
 
     embedder: EmbedderParams
     generator: GeneratorParams | None = None
-    classifier: ClassifierParams | None = None
+    classifier: DenseLayer | None = None
 
 
 def init_models(input_dim: int, num_train_classes: int, config: TrainConfig) -> Models:
@@ -143,21 +153,11 @@ class LogRow:
     lambda_interp: float
 
     def as_csv(self) -> str:
-        return ",".join(
-            [str(self.step), str(self.epoch)]
-            + [
-                repr(v)
-                for v in (
-                    self.j_m,
-                    self.j_syn,
-                    self.j_gen,
-                    self.j_recon,
-                    self.j_soft,
-                    self.weight_w,
-                    self.lambda_interp,
-                )
-            ]
-        )
+        # every value is a Python int or float, whose repr is its shortest round-trip form
+        return ",".join(repr(v) for v in astuple(self))
+
+
+CURVE_HEADER = ",".join(f.name for f in fields(LogRow))
 
 
 @dataclass
@@ -181,10 +181,10 @@ def init_state(models: Models, config: TrainConfig) -> TrainState:
     return TrainState(
         augmentor=AugmentorState(alpha=config.alpha),
         rng=np.random.default_rng(config.seed),
-        adam_extractor=Adam(models.embedder.extractor_param_arrays(), config.learning_rate),
-        adam_projector=Adam(models.embedder.projector_param_arrays(), fc_rate),
-        adam_generator=Adam(models.generator.param_arrays(), fc_rate) if models.generator else None,
-        adam_classifier=Adam(models.classifier.param_arrays(), fc_rate) if models.classifier else None,
+        adam_extractor=Adam(stack_params(models.embedder.extractor), config.learning_rate),
+        adam_projector=Adam(stack_params([models.embedder.projector]), fc_rate),
+        adam_generator=Adam(stack_params(models.generator.layers), fc_rate) if models.generator else None,
+        adam_classifier=Adam(stack_params([models.classifier]), fc_rate) if models.classifier else None,
     )
 
 
@@ -296,67 +296,47 @@ def train_step(
         state.skipped_batches += 1
         return None
 
-    features, ext_tapes = extract(models.embedder, x, labels=labels)
-    emb, proj_tape = project(models.embedder, features)
-    j_m, grad_z_m = batch_metric_loss(emb.embeddings, tuples, loss_cfg)
+    features, ext_tapes = extract(models.embedder, x)
+    z, proj_tape = project(models.embedder, features)
+    j_m, grad_z_m = batch_metric_loss(z, tuples, loss_cfg)
     _check_finite(j_m, "metric loss over original tuples")
     lam = pulling_lambda(state.augmentor)
 
-    if not config.synthetics:
-        if update_metric:
-            grads = embed_backward(models.embedder, EmbedTape(ext_tapes, proj_tape), grad_z_m)
-            state.adam_extractor.step([g for pair in grads.extractor for g in pair])
-            state.adam_projector.step(list(grads.projector))
-        row = LogRow(state.step, state.epoch, j_m, 0.0, 0.0, 0.0, 0.0, 1.0, lam)
-        state.step += 1
-        state.history.append(row)
-        return row
-
-    aug = augment_tuples(emb, tuples, state.augmentor, fixed_reference=config.fixed_reference_distance)
-    member_idx, hardened_emb = _member_rows(aug)
-    hard_labels = aug.negative_labels.reshape(-1)
-    gen_result = generator_loss(
-        models.generator,
-        models.classifier,
-        features.features[member_idx],
-        emb.embeddings[member_idx],
-        hardened_emb,
-        hard_labels,
-        config.lambda_balance,
-    )
-    j_gen = gen_result.breakdown.j_gen
-    w = metric_weight(j_gen, config.beta)
-
-    syn_rows, syn_tuples = _synthetic_tuples(aug, gen_result.member_features, gen_result.hardened_features)
-    syn_batch = FeatureBatch(syn_rows, np.arange(syn_rows.shape[0]))
-    syn_emb, syn_tape = project(models.embedder, syn_batch)
-    j_syn, grad_z_syn = batch_metric_loss(syn_emb.embeddings, syn_tuples, loss_cfg)
-    _check_finite(j_syn, "metric loss over synthetic tuples")
+    # the plain loss is the blend at w = 1 without synthetic terms
+    w, j_syn, gen_terms, syn_proj_grads = 1.0, 0.0, GeneratorLossBreakdown(0.0, 0.0, 0.0), None
+    if config.synthetics:
+        aug = augment_tuples(z, tuples, state.augmentor, fixed_reference=config.fixed_reference_distance)
+        member_idx, hardened_emb = _member_rows(aug)
+        gen_result = generator_loss(
+            models.generator,
+            models.classifier,
+            features[member_idx],
+            z[member_idx],
+            hardened_emb,
+            aug.negative_labels.reshape(-1),
+            config.lambda_balance,
+        )
+        gen_terms = gen_result.breakdown
+        w = metric_weight(gen_terms.j_gen, config.beta)
+        syn_rows, syn_tuples = _synthetic_tuples(aug, gen_result.member_features, gen_result.hardened_features)
+        syn_z, syn_tape = project(models.embedder, syn_rows)
+        j_syn, grad_z_syn = batch_metric_loss(syn_z, syn_tuples, loss_cfg)
+        _check_finite(j_syn, "metric loss over synthetic tuples")
+        _, syn_proj_grads = project_backward(models.embedder, syn_tape, (1.0 - w) * grad_z_syn)
+        if update_generator:
+            state.adam_generator.step(gen_result.grads)
+        if update_classifier:
+            classifier_step(models.classifier, features, labels, state.adam_classifier)
 
     if update_metric:
         # original path reaches the extractor; both paths reach the projector
-        grads = embed_backward(models.embedder, EmbedTape(ext_tapes, proj_tape), w * grad_z_m)
-        _, syn_proj_grads = project_backward(models.embedder, syn_tape, (1.0 - w) * grad_z_syn)
-        proj_w = grads.projector[0] + syn_proj_grads[0]
-        proj_b = grads.projector[1] + syn_proj_grads[1]
-        state.adam_extractor.step([g for pair in grads.extractor for g in pair])
-        state.adam_projector.step([proj_w, proj_b])
-    if update_generator:
-        state.adam_generator.step([g for pair in gen_result.grads for g in pair])
-    if update_classifier:
-        classifier_step(models.classifier, features.features, labels, state.adam_classifier)
+        ext_grads, proj_grads = embed_backward(models.embedder, EmbedTape(ext_tapes, proj_tape), w * grad_z_m)
+        if syn_proj_grads is not None:
+            proj_grads = [g + s for g, s in zip(proj_grads, syn_proj_grads)]
+        state.adam_extractor.step(ext_grads)
+        state.adam_projector.step(proj_grads)
 
-    row = LogRow(
-        state.step,
-        state.epoch,
-        j_m,
-        j_syn,
-        j_gen,
-        gen_result.breakdown.j_recon,
-        gen_result.breakdown.j_soft,
-        w,
-        lam,
-    )
+    row = LogRow(state.step, state.epoch, j_m, j_syn, gen_terms.j_gen, gen_terms.j_recon, gen_terms.j_soft, w, lam)
     state.step += 1
     state.history.append(row)
     return row
@@ -381,9 +361,22 @@ class TrainResult:
 
 
 def _remap_labels(labels: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
-    classes = np.unique(labels)
-    mapping = {int(c): i for i, c in enumerate(classes)}
-    return np.asarray([mapping[int(l)] for l in labels], dtype=np.int64), mapping
+    classes, dense = np.unique(labels, return_inverse=True)
+    return dense.astype(np.int64), {int(c): i for i, c in enumerate(classes)}
+
+
+def _check_runnable(config: TrainConfig, num_train_classes: int, num_test_points: int) -> None:
+    """Refuse, before any training, a config under which `mine_tuples` can never
+    return a tuple or the final Recall@K cannot be computed."""
+    n = config.npair_n
+    if config.loss_kind == "npair" and n > num_train_classes:
+        raise InputError(f"npair_n = {n} exceeds the {num_train_classes} training classes")
+    if config.loss_kind == "npair" and 2 * n > config.batch_size:
+        raise InputError(f"npair_n = {n} needs batch_size >= {2 * n}, got {config.batch_size}")
+    if config.loss_kind == "triplet" and num_train_classes < 2:
+        raise InputError(f"triplets need at least 2 training classes, got {num_train_classes}")
+    if max(config.recall_ks) >= num_test_points:
+        raise InputError(f"recall_ks K = {max(config.recall_ks)} must be smaller than the {num_test_points} test points")
 
 
 def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainResult:
@@ -402,6 +395,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
 
     train_x, train_labels_orig = take_classes(dataset, split.train_classes)
     test_x, test_labels = take_classes(dataset, split.test_classes)
+    _check_runnable(config, len(split.train_classes), len(test_labels))
     train_labels, label_map = _remap_labels(train_labels_orig)
 
     models = init_models(dataset.input_dim, len(split.train_classes), config)
@@ -450,7 +444,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
 
 
 def _evaluate(models: Models, test_x, test_labels, config: TrainConfig) -> EvalReport:
-    emb, _ = embed(models.embedder, test_x, labels=test_labels)
+    emb, _ = embed(models.embedder, test_x)
     return evaluate_embeddings(emb.embeddings, test_labels, ks=config.recall_ks, kmeans_seed=0)
 
 
@@ -479,6 +473,7 @@ def write_artifacts(result: TrainResult, out_dir, dataset: Dataset) -> None:
         "label_map": {str(k): v for k, v in result.label_map.items()},
         "skipped_batches": result.state.skipped_batches,
         "final_metrics": result.final_report.to_dict(),
+        "eval_history": [{"epoch": point.epoch, **point.report.to_dict()} for point in result.eval_history],
         "elapsed_seconds": result.elapsed_seconds,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:

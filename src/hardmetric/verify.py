@@ -18,7 +18,7 @@ from .embedder import EmbedTape, embed, embed_backward, init_embedder
 from .errors import InputError
 from .generator import generator_loss, init_classifier, init_generator
 from .losses import LossConfig, TupleBatch, batch_metric_loss
-from .nn import GradcheckReport, gradcheck
+from .nn import GradcheckReport, gradcheck, stack_params
 
 KINK_MARGIN = 1e-6
 
@@ -41,14 +41,9 @@ class _Fragment:
         return self._grads_fn()
 
 
-def _embedder_param_dict(embedder) -> dict[str, np.ndarray]:
-    out = {}
-    for i, layer in enumerate(embedder.extractor):
-        out[f"extractor.{i}.weight"] = layer.weight
-        out[f"extractor.{i}.bias"] = layer.bias
-    out["projector.weight"] = embedder.projector.weight
-    out["projector.bias"] = embedder.projector.bias
-    return out
+def _stack_names(prefix: str, layers) -> list[str]:
+    """Parameter names in `stack_params` order: prefix.0.weight, prefix.0.bias, ..."""
+    return [f"{prefix}.{i}.{part}" for i in range(len(layers)) for part in ("weight", "bias")]
 
 
 def _near_kink(tapes: EmbedTape) -> bool:
@@ -103,19 +98,16 @@ def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator, max_draws
             j, _ = batch_metric_loss(e.embeddings, tuples, cfg)
             return j
 
-        def grads_fn(embedder=embedder, x=x, tuples=tuples, cfg=cfg) -> dict[str, np.ndarray]:
+        names = _stack_names("extractor", embedder.extractor) + ["projector.weight", "projector.bias"]
+
+        def grads_fn(embedder=embedder, x=x, tuples=tuples, cfg=cfg, names=names) -> dict[str, np.ndarray]:
             e, tape = embed(embedder, x)
             _, gz = batch_metric_loss(e.embeddings, tuples, cfg)
-            grads = embed_backward(embedder, tape, gz)
-            out = {}
-            for i, (gw, gb) in enumerate(grads.extractor):
-                out[f"extractor.{i}.weight"] = gw
-                out[f"extractor.{i}.bias"] = gb
-            out["projector.weight"] = grads.projector[0]
-            out["projector.bias"] = grads.projector[1]
-            return out
+            ext_grads, proj_grads = embed_backward(embedder, tape, gz)
+            return dict(zip(names, ext_grads + proj_grads))
 
-        return _Fragment(_embedder_param_dict(embedder), loss_fn, grads_fn)
+        params = dict(zip(names, stack_params(embedder.extractor + [embedder.projector])))
+        return _Fragment(params, loss_fn, grads_fn)
     raise InputError(f"could not draw a kink-free {loss_kind} instance in {max_draws} tries")
 
 
@@ -126,7 +118,7 @@ def generator_objective_fragment(rng: np.random.Generator, max_draws: int = 50) 
     for _ in range(max_draws):
         gen = init_generator(embed_dim, feature_dim, hidden_dim=5, rng=rng)
         clf = init_classifier(feature_dim, n_classes, rng=rng)
-        clf.layer.weight[:] = rng.normal(0.0, 0.5, size=clf.layer.weight.shape)
+        clf.weight[:] = rng.normal(0.0, 0.5, size=clf.weight.shape)
         y = rng.normal(0.0, 1.0, size=(n_members, feature_dim))
         z = rng.normal(0.0, 1.0, size=(n_members, embed_dim))
         z_hard = rng.normal(0.0, 1.0, size=(n_hardened, embed_dim))
@@ -137,23 +129,15 @@ def generator_objective_fragment(rng: np.random.Generator, max_draws: int = 50) 
         if min(np.abs(pre1).min(), np.abs(pre2).min()) < KINK_MARGIN:
             continue
 
-        params = {}
-        for i, layer in enumerate(gen.layers):
-            params[f"generator.{i}.weight"] = layer.weight
-            params[f"generator.{i}.bias"] = layer.bias
+        names = _stack_names("generator", gen.layers)
 
         def loss_fn(gen=gen, clf=clf, y=y, z=z, z_hard=z_hard, labels=labels) -> float:
             return generator_loss(gen, clf, y, z, z_hard, labels, 0.5).breakdown.j_gen
 
-        def grads_fn(gen=gen, clf=clf, y=y, z=z, z_hard=z_hard, labels=labels) -> dict[str, np.ndarray]:
-            result = generator_loss(gen, clf, y, z, z_hard, labels, 0.5)
-            out = {}
-            for i, (gw, gb) in enumerate(result.grads):
-                out[f"generator.{i}.weight"] = gw
-                out[f"generator.{i}.bias"] = gb
-            return out
+        def grads_fn(gen=gen, clf=clf, y=y, z=z, z_hard=z_hard, labels=labels, names=names) -> dict[str, np.ndarray]:
+            return dict(zip(names, generator_loss(gen, clf, y, z, z_hard, labels, 0.5).grads))
 
-        return _Fragment(params, loss_fn, grads_fn)
+        return _Fragment(dict(zip(names, stack_params(gen.layers))), loss_fn, grads_fn)
     raise InputError(f"could not draw a kink-free generator instance in {max_draws} tries")
 
 

@@ -21,7 +21,7 @@ from hardmetric.data import load_dataset, save_dataset, synth_gaussian_dataset, 
 from hardmetric.embedder import embed, extract
 from hardmetric.errors import DatasetParseError
 from hardmetric.evaluation import kmeans, nmi, pairwise_f1, recall_at_k
-from hardmetric.generator import classifier_accuracy, generate_forward
+from hardmetric.generator import classifier_accuracy, generate
 from hardmetric.training import (
     TrainConfig,
     init_models,
@@ -112,7 +112,7 @@ class TestCriterion3StopGradientLedger:
         out["g"] = models.embedder.projector.weight.tobytes() + models.embedder.projector.bias.tobytes()
         for i, layer in enumerate(models.generator.layers):
             out[f"i{i}"] = layer.weight.tobytes() + layer.bias.tobytes()
-        out["c"] = models.classifier.layer.weight.tobytes() + models.classifier.layer.bias.tobytes()
+        out["c"] = models.classifier.weight.tobytes() + models.classifier.bias.tobytes()
         return out
 
     def test_partition_routing_is_bitwise(self):
@@ -226,13 +226,13 @@ class TestCriterion7LabelPreservation:
         dataset = bench_dataset(0)
         train_x, train_labels_orig = take_classes(dataset, res.split.train_classes)
         train_labels = np.asarray([res.label_map[int(l)] for l in train_labels_orig])
-        feats, _ = extract(res.models.embedder, train_x, labels=train_labels)
-        real_acc = classifier_accuracy(res.models.classifier, feats.features, train_labels)
+        feats, _ = extract(res.models.embedder, train_x)
+        real_acc = classifier_accuracy(res.models.classifier, feats, train_labels)
         # harden negatives over the full training set at the converged schedule
         emb, _ = embed(res.models.embedder, train_x, labels=train_labels)
         tuples = mine_tuples(train_labels, "triplet", config, np.random.default_rng(99))
-        aug = augment_tuples(emb, tuples, res.state.augmentor)
-        hard_feats, _ = generate_forward(res.models.generator, aug.hardened_negatives)
+        aug = augment_tuples(emb.embeddings, tuples, res.state.augmentor)
+        hard_feats, _ = generate(res.models.generator, aug.hardened_negatives)
         synth_acc = classifier_accuracy(res.models.classifier, hard_feats, aug.negative_labels)
         ok = synth_acc >= 0.8 * real_acc
         verdict(

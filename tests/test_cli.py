@@ -115,6 +115,29 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config_text, message",
+    [
+        ("generator_hidden_dim = -1\n", "generator_hidden_dim"),
+        ("recall_ks = 1,60\n", "50 test points"),
+        ("loss_kind = npair\nnpair_n = 6\n", "5 training classes"),
+        ("loss_kind = npair\nnpair_n = 3\nbatch_size = 4\n", "batch_size >= 6"),
+        ("train_fraction = 0.1\n", "at least 2 training classes"),
+    ],
+    ids=["gen-hidden-negative", "recall-k-too-large", "npair-more-than-classes", "npair-batch-too-small", "triplet-one-class"],
+)
+def test_config_that_cannot_run_exits_one_before_training(tmp_path, capsys, config_text, message):
+    data = tmp_path / "ten.csv"
+    assert run_cli("synth-data", "--classes", "10", "--per-class", "10", "--dim", "8", "--seed", "1", "--out", str(data)) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs = 3\nembed_dim = 4\nhidden_dims = 8\n" + config_text)
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--data", str(data), "--config", str(config), "--out-dir", str(run_dir)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not run_dir.exists()
+
+
 @pytest.fixture()
 def split7_run(tmp_path):
     data = tmp_path / "ten.csv"

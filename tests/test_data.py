@@ -190,6 +190,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("learning_rate = -1\n")
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("generator_hidden_dim = -1", "generator_hidden_dim"),
+            ("generator_hidden_dim = 0", "generator_hidden_dim"),
+            ("recall_ks = 0", "recall_ks"),
+            ("recall_ks = 1,0,4", "recall_ks"),
+            ("eval_every = -1", "eval_every"),
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, line, named):
+        with pytest.raises(ConfigError, match=named):
+            parse_config_text(line + "\n")
+
     def test_defaults_apply_for_missing_keys(self):
         config = parse_config_text("seed = 3\n")
         assert config.seed == 3

@@ -4,7 +4,6 @@ import pytest
 from hardmetric.checkpoint import load_checkpoint, save_checkpoint
 from hardmetric.embedder import (
     EmbedderParams,
-    FeatureBatch,
     distance,
     embed,
     embed_backward,
@@ -12,10 +11,11 @@ from hardmetric.embedder import (
     init_embedder,
     pairwise_distances,
     project,
+    project_backward,
 )
 from hardmetric.errors import DimensionError, InputError
 from hardmetric.generator import init_classifier, init_generator
-from hardmetric.nn import DenseLayer, init_dense
+from hardmetric.nn import DenseLayer, init_dense, stack_backward
 
 
 def identity_embedder(dim):
@@ -30,7 +30,7 @@ class TestExtract:
         params = identity_embedder(3)
         x = np.array([[1.0, -2.0, 0.5]])
         feats, _ = extract(params, x)
-        assert np.array_equal(feats.features, x)
+        assert np.array_equal(feats, x)
 
     def test_zero_weights_relu_gives_zero_features(self):
         params = EmbedderParams(
@@ -38,7 +38,7 @@ class TestExtract:
             DenseLayer(np.eye(4), np.zeros(4), "identity"),
         )
         feats, _ = extract(params, np.random.default_rng(0).normal(size=(5, 3)))
-        assert np.array_equal(feats.features, np.zeros((5, 4)))
+        assert np.array_equal(feats, np.zeros((5, 4)))
 
     def test_two_layer_stack_matches_composition_oracle(self):
         rng = np.random.default_rng(1)
@@ -48,7 +48,7 @@ class TestExtract:
         h = x
         for layer in params.extractor:
             h = np.maximum(h @ layer.weight.T + layer.bias, 0.0)
-        assert np.abs(feats.features - h).max() < 1e-12
+        assert np.abs(feats - h).max() < 1e-12
 
     def test_dimension_mismatch(self):
         params = init_embedder(4, hidden_dims=(6,), embed_dim=3, rng=np.random.default_rng(0))
@@ -59,23 +59,23 @@ class TestExtract:
 class TestProject:
     def test_identity_projector(self):
         params = identity_embedder(3)
-        feats = FeatureBatch(np.array([[1.0, 2.0, 3.0]]), [0])
+        feats = np.array([[1.0, 2.0, 3.0]])
         emb, _ = project(params, feats)
-        assert np.array_equal(emb.embeddings, feats.features)
+        assert np.array_equal(emb, feats)
 
     def test_scaling_projector_doubles(self):
         params = EmbedderParams([], DenseLayer(2 * np.eye(3), np.zeros(3), "identity"))
-        feats = FeatureBatch(np.array([[1.0, -1.0, 0.5]]), [0])
+        feats = np.array([[1.0, -1.0, 0.5]])
         emb, _ = project(params, feats)
-        assert np.array_equal(emb.embeddings, 2 * feats.features)
+        assert np.array_equal(emb, 2 * feats)
 
     def test_random_projector_matches_matmul_oracle(self):
         rng = np.random.default_rng(2)
         projector = init_dense(5, 3, "identity", rng)
         params = EmbedderParams([], projector)
         y = rng.normal(size=(4, 5))
-        emb, _ = project(params, FeatureBatch(y, np.arange(4)))
-        assert np.abs(emb.embeddings - (y @ projector.weight.T + projector.bias)).max() < 1e-12
+        emb, _ = project(params, y)
+        assert np.abs(emb - (y @ projector.weight.T + projector.bias)).max() < 1e-12
 
     def test_normalize_flag_puts_rows_on_unit_sphere(self):
         rng = np.random.default_rng(3)
@@ -145,11 +145,15 @@ class TestEmbedBackward:
         rng = np.random.default_rng(8)
         params = init_embedder(4, hidden_dims=(5,), embed_dim=3, rng=rng)
         emb, tape = embed(params, rng.normal(size=(6, 4)))
-        grads = embed_backward(params, tape, np.ones_like(emb.embeddings))
-        assert len(grads.extractor) == 1
-        assert grads.extractor[0][0].shape == params.extractor[0].weight.shape
-        assert grads.projector[0].shape == params.projector.weight.shape
-        assert grads.input_grad.shape == (6, 4)
+        ext_grads, proj_grads = embed_backward(params, tape, np.ones_like(emb.embeddings))
+        assert len(ext_grads) == 2 * len(params.extractor)
+        assert ext_grads[0].shape == params.extractor[0].weight.shape
+        assert proj_grads[0].shape == params.projector.weight.shape
+        # the input gradient, which embed_backward drops, from the same chain by hand
+        _, tape = embed(params, rng.normal(size=(6, 4)))
+        g, _ = project_backward(params, tape.project, np.ones_like(emb.embeddings))
+        input_grad, _ = stack_backward(params.extractor, tape.extractor, g)
+        assert input_grad.shape == (6, 4)
 
     def test_normalized_projection_gradient_matches_fd(self):
         rng = np.random.default_rng(9)
@@ -162,7 +166,7 @@ class TestEmbedBackward:
             return ((e.embeddings - target) ** 2).sum()
 
         emb, tape = embed(params, x)
-        grads = embed_backward(params, tape, 2 * (emb.embeddings - target))
+        _, proj_grads = embed_backward(params, tape, 2 * (emb.embeddings - target))
         w = params.projector.weight
         h = 1e-6
         for idx in [(0, 0), (1, 2), (2, 1)]:
@@ -173,7 +177,7 @@ class TestEmbedBackward:
             lm = loss()
             w[idx] = orig
             fd = (lp - lm) / (2 * h)
-            assert abs(grads.projector[0][idx] - fd) < 1e-4 * max(1.0, abs(fd))
+            assert abs(proj_grads[0][idx] - fd) < 1e-4 * max(1.0, abs(fd))
 
 
 class TestCheckpoint:
@@ -191,7 +195,7 @@ class TestCheckpoint:
             assert orig.activation == loaded.activation
         assert np.array_equal(embedder.projector.weight, bundle.embedder.projector.weight)
         assert np.array_equal(generator.layers[1].bias, bundle.generator.layers[1].bias)
-        assert np.array_equal(classifier.layer.weight, bundle.classifier.layer.weight)
+        assert np.array_equal(classifier.weight, bundle.classifier.weight)
         assert bundle.meta["note"] == "test"
 
     def test_embedder_only_checkpoint(self, tmp_path):

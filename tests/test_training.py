@@ -51,8 +51,8 @@ def model_bytes(models: Models) -> dict[str, bytes]:
             out[f"i.{i}.w"] = layer.weight.tobytes()
             out[f"i.{i}.b"] = layer.bias.tobytes()
     if models.classifier:
-        out["c.w"] = models.classifier.layer.weight.tobytes()
-        out["c.b"] = models.classifier.layer.bias.tobytes()
+        out["c.w"] = models.classifier.weight.tobytes()
+        out["c.b"] = models.classifier.bias.tobytes()
     return out
 
 
@@ -220,16 +220,16 @@ class TestTrainStep:
         state = init_state(models, config)
         tuples = mine_tuples(labels, "triplet", config, state.rng)
         from hardmetric.augmentor import augment_tuples
-        from hardmetric.embedder import FeatureBatch, extract
+        from hardmetric.embedder import extract
         from hardmetric.training import _member_rows, _synthetic_tuples
 
-        feats, ext_tapes = extract(models.embedder, x, labels=labels)
+        feats, ext_tapes = extract(models.embedder, x)
         emb, proj_tape = project(models.embedder, feats)
         aug = augment_tuples(emb, tuples, state.augmentor)
         member_idx, hardened = _member_rows(aug)
         gen_result = generator_loss(
             models.generator, models.classifier,
-            feats.features[member_idx], emb.embeddings[member_idx],
+            feats[member_idx], emb[member_idx],
             hardened, aug.negative_labels.reshape(-1), config.lambda_balance,
         )
         w = 0.7  # frozen blend weight
@@ -239,18 +239,18 @@ class TestTrainStep:
         def objective():
             e, _ = embed(models.embedder, x)
             j_m, _ = batch_metric_loss(e.embeddings, tuples, loss_cfg)
-            se, _ = project(models.embedder, FeatureBatch(syn_rows, np.arange(len(syn_rows))))
-            j_s, _ = batch_metric_loss(se.embeddings, syn_tuples, loss_cfg)
+            se, _ = project(models.embedder, syn_rows)
+            j_s, _ = batch_metric_loss(se, syn_tuples, loss_cfg)
             return w * j_m + (1 - w) * j_s
 
-        j_m, gz_m = batch_metric_loss(emb.embeddings, tuples, loss_cfg)
-        grads = embed_backward(models.embedder, EmbedTape(ext_tapes, proj_tape), w * gz_m)
-        syn_emb, syn_tape = project(models.embedder, FeatureBatch(syn_rows, np.arange(len(syn_rows))))
-        j_s, gz_s = batch_metric_loss(syn_emb.embeddings, syn_tuples, loss_cfg)
+        j_m, gz_m = batch_metric_loss(emb, tuples, loss_cfg)
+        ext_grads, proj_grads = embed_backward(models.embedder, EmbedTape(ext_tapes, proj_tape), w * gz_m)
+        syn_emb, syn_tape = project(models.embedder, syn_rows)
+        j_s, gz_s = batch_metric_loss(syn_emb, syn_tuples, loss_cfg)
         _, syn_proj = project_backward(models.embedder, syn_tape, (1 - w) * gz_s)
         analytic = {
-            "f.w": grads.extractor[0][0],
-            "g.w": grads.projector[0] + syn_proj[0],
+            "f.w": ext_grads[0],
+            "g.w": proj_grads[0] + syn_proj[0],
         }
         h = 1e-5
         for name, arr in (("f.w", models.embedder.extractor[0].weight), ("g.w", models.embedder.projector.weight)):
@@ -355,6 +355,17 @@ class TestRunTraining:
         assert (tmp_path / "a" / "curves.csv").read_bytes() == (tmp_path / "b" / "curves.csv").read_bytes()
         assert first.final_report.to_dict() == second.final_report.to_dict()
 
+    def test_interim_evaluations_are_written_to_the_manifest(self, tmp_path):
+        import json
+
+        ds = synth_gaussian_dataset(6, 6, 5, seed=4)
+        result = run_training(ds, small_config(epochs=4, eval_every=2, batch_size=9), out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        history = manifest["eval_history"]
+        assert [point["epoch"] for point in history] == [1, 3]
+        assert history[0] == {"epoch": 1, **result.eval_history[0].report.to_dict()}
+        assert history[-1] == {"epoch": 3, **manifest["final_metrics"]}
+
     def test_baseline_mode_runs_without_generator(self):
         ds = synth_gaussian_dataset(6, 6, 5, seed=5)
         config = small_config(synthetics=False, alpha=0.0, epochs=2, batch_size=9)
@@ -391,14 +402,14 @@ class TestGradientScopeProbe:
             from hardmetric.embedder import extract
             from hardmetric.training import _member_rows
 
-            feats, _ = extract(models.embedder, x, labels=labels)
+            feats, _ = extract(models.embedder, x)
             emb, _ = project(models.embedder, feats)
             tuples = mine_tuples(labels, "triplet", config, np.random.default_rng(0))
             aug = augment_tuples(emb, tuples, state.augmentor)
             member_idx, hardened = _member_rows(aug)
             result = generator_loss(
                 models.generator, models.classifier,
-                feats.features[member_idx], emb.embeddings[member_idx],
+                feats[member_idx], emb[member_idx],
                 hardened, aug.negative_labels.reshape(-1), config.lambda_balance,
             )
             return result.breakdown.j_gen
@@ -423,25 +434,25 @@ class TestAlphaZeroDegeneracy:
         models = init_models(x.shape[1], 3, config)
         state = init_state(models, config)
         from hardmetric.augmentor import augment_tuples
-        from hardmetric.embedder import FeatureBatch, extract
-        from hardmetric.generator import generate_forward
+        from hardmetric.embedder import extract
+        from hardmetric.generator import generate
         from hardmetric.training import _member_rows, _synthetic_tuples
 
-        feats, _ = extract(models.embedder, x, labels=labels)
+        feats, _ = extract(models.embedder, x)
         emb, _ = project(models.embedder, feats)
         tuples = mine_tuples(labels, "triplet", config, np.random.default_rng(1))
         aug = augment_tuples(emb, tuples, state.augmentor)
-        assert np.array_equal(aug.hardened_negatives, emb.embeddings[aug.negative_idx])
+        assert np.array_equal(aug.hardened_negatives, emb[aug.negative_idx])
         member_idx, hardened = _member_rows(aug)
-        member_feats, _ = generate_forward(models.generator, emb.embeddings[member_idx])
-        hard_feats, _ = generate_forward(models.generator, hardened)
+        member_feats, _ = generate(models.generator, emb[member_idx])
+        hard_feats, _ = generate(models.generator, hardened)
         syn_rows, syn_tuples = _synthetic_tuples(aug, member_feats, hard_feats)
-        syn_emb, _ = project(models.embedder, FeatureBatch(syn_rows, np.arange(len(syn_rows))))
-        j_syn, _ = batch_metric_loss(syn_emb.embeddings, syn_tuples, config.loss_config())
+        syn_emb, _ = project(models.embedder, syn_rows)
+        j_syn, _ = batch_metric_loss(syn_emb, syn_tuples, config.loss_config())
         # oracle: re-embed the reconstructions of the raw tuple members directly
-        recon, _ = generate_forward(models.generator, emb.embeddings)
-        recon_emb, _ = project(models.embedder, FeatureBatch(recon, np.arange(len(recon))))
-        j_direct, _ = batch_metric_loss(recon_emb.embeddings, tuples, config.loss_config())
+        recon, _ = generate(models.generator, emb)
+        recon_emb, _ = project(models.embedder, recon)
+        j_direct, _ = batch_metric_loss(recon_emb, tuples, config.loss_config())
         assert abs(j_syn - j_direct) < 1e-12
 
 
