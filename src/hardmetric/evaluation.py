@@ -5,6 +5,13 @@ All metrics depend only on pairwise distances and label/cluster identities,
 so they are invariant to point order, cluster renaming, and rigid motions of
 the embedding (up to nearest-neighbor ties, which break by ascending sample
 index).
+
+Ranking and clustering are defined on explicit-difference distances,
+sqrt(sum((a - b)**2)), the arithmetic of `embedder.pairwise_distances`.
+They are computed from one matrix product, |a|^2 - 2a.b + |b|^2, which is
+off by at most a known rounding bound; only the pairs that bound cannot
+order are recomputed from explicit differences, so every result is
+bitwise the one the explicit definition gives.
 """
 
 from __future__ import annotations
@@ -14,9 +21,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedder import pairwise_distances
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .nn import as_matrix
+
+_EPS = np.finfo(np.float64).eps
+_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+# a Gram entry or explicit squared distance is at most 2(|a|^2 + |b|^2): finite below this
+_MAX_SQUARED_NORM = np.finfo(np.float64).max / 16
+_BLOCK = 1 << 22  # float64 elements per temporary of the explicit-difference kernel
+
+
+def _squared_norms(points: np.ndarray) -> np.ndarray:
+    """Squared row norms; a row whose distances would be NaN or overflow raises."""
+    sq = np.einsum("ij,ij->i", points, points)
+    bad = np.flatnonzero(~(sq <= _MAX_SQUARED_NORM))
+    if bad.size:
+        raise NumericalError(f"embedding row {bad[0]} has squared norm {sq[bad[0]]}; its distances are not finite")
+    return sq
+
+
+def _gram_sqdist(a, sq_a, b, sq_b) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances |a|^2 - 2a.b + |b|^2 from one matrix product, and a
+    per-row slack s such that, for every pair, |Gram - explicit| <= s / 2 and
+    two explicit squared distances with equal square roots differ by <= s / 2.
+
+    Why 4(d+2) eps S, with S = |a_i|^2 + max|b|^2 and u = eps/2: a d-term dot
+    product or squared norm is off by at most d u times the sum of its term
+    magnitudes, in any summation order, and sum|a_k b_k| <= S/2; the two
+    additions add u of at most 2S each. So the Gram value is off by at most
+    (2d + 4) u S = (d+2) eps S from the true squared distance D <= 2S. The
+    explicit sum of d rounded squares of rounded differences is off by at most
+    (d+2) u D <= (d+2) eps S. Together: 2(d+2) eps S <= s / 2. Square roots
+    that round to one value come from squared values at most 2 eps of their
+    size apart, <= 4 eps S < s / 2. The subnormal term covers products that
+    underflow, which lose up to half the smallest subnormal each. Callers
+    allow 2s: a Recall@K candidate needs s for two Gram-to-explicit gaps plus
+    s / 2 for a collapsed square root, a k-means row s for two gaps, and the
+    rest covers second-order rounding terms.
+    """
+    g = a @ b.T
+    g *= -2.0
+    g += sq_a[:, None]
+    g += sq_b
+    slack = 4 * (a.shape[1] + 2) * (_EPS * (sq_a + sq_b.max()) + _SUBNORMAL)
+    return g, slack
+
+
+def _pair_sqdist(a, rows_a, b, rows_b) -> np.ndarray:
+    """Explicit-difference squared distances |a[rows_a[i]] - b[rows_b[i]]|^2,
+    summed exactly as `embedder.pairwise_distances` sums them, in blocks."""
+    out = np.empty(len(rows_a))
+    step = max(1, _BLOCK // a.shape[1])
+    for start in range(0, len(rows_a), step):
+        diff = a[rows_a[start : start + step]] - b[rows_b[start : start + step]]
+        out[start : start + step] = (diff * diff).sum(axis=-1)
+    return out
 
 
 def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
@@ -24,7 +83,10 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
 
     Iterates to an assignment fixpoint or max_iter. Ties in assignment break
     toward the lowest center index; a cluster that empties is reseeded at
-    the point currently farthest from its own center.
+    the point currently farthest from its own center. Assignments are those
+    of explicit-difference squared distances: the Gram argmin stands where
+    its best center wins by more than the rounding bound, and the other rows
+    are assigned from explicit differences.
     """
     pts = as_matrix(points, "points")
     n = pts.shape[0]
@@ -32,6 +94,7 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
         raise InputError(f"k must be positive, got {k}")
     if k > n:
         raise InputError(f"k = {k} exceeds number of points {n}")
+    sq = _squared_norms(pts)
     rng = np.random.default_rng(seed)
 
     centers = np.empty((k, pts.shape[1]))
@@ -48,18 +111,25 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
 
     assign = None
     for _ in range(max_iter):
-        dist2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        new_assign = dist2.argmin(axis=1)
+        g, slack = _gram_sqdist(pts, sq, centers, np.einsum("ij,ij->i", centers, centers))
+        new_assign = g.argmin(axis=1)
+        if k > 1:
+            best_two = np.partition(g, 1, axis=1)
+            close = np.flatnonzero(best_two[:, 1] - best_two[:, 0] <= 2.0 * slack)
+            if close.size:
+                exact = _pair_sqdist(pts, np.repeat(close, k), centers, np.tile(np.arange(k), close.size))
+                new_assign[close] = exact.reshape(-1, k).argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
+        counts = np.bincount(assign, minlength=k)
+        if not counts.all():
+            # the globally worst-fit point, measured against the centers before this update
+            worst = int(_pair_sqdist(pts, np.arange(n), centers, assign).argmax())
         for c in range(k):
-            members = pts[assign == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
+            if counts[c]:
+                centers[c] = pts[assign == c].mean(axis=0)
             else:
-                # reseed at the globally worst-fit point
-                worst = int(dist2[np.arange(n), assign].argmax())
                 centers[c] = pts[worst]
     return assign
 
@@ -133,6 +203,8 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
 
     The query itself is excluded; remaining distance ties break by ascending
     sample index (stable sort), which makes duplicate points deterministic.
+    Distances are explicit differences; the Gram matrix only picks, per
+    query, the points that can rank among the K nearest or tie with them.
     """
     z = as_matrix(embeddings, "embeddings")
     labels = np.asarray(labels)
@@ -144,12 +216,21 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
         raise InputError(f"K values must be positive, got {ks}")
     if ks[-1] >= n:
         raise InputError(f"K = {ks[-1]} must be smaller than the number of points {n}")
-    dist = pairwise_distances(z)
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")
-    neighbor_labels = labels[order[:, : ks[-1]]]
-    hits_prefix = neighbor_labels == labels[:, None]
-    return {k: float(hits_prefix[:, :k].any(axis=1).mean()) for k in ks}
+    sq = _squared_norms(z)
+    g, slack = _gram_sqdist(z, sq, z, sq)
+    np.fill_diagonal(g, np.inf)
+    kth = np.partition(g, ks[-1] - 1, axis=1)[:, ks[-1] - 1]
+    # holds every point that ranks among the K nearest by explicit distance, and its ties
+    query, cand = np.nonzero(g <= (kth + 2.0 * slack)[:, None])
+    dist = np.sqrt(_pair_sqdist(z, query, z, cand))
+    order = np.lexsort((cand, dist, query))
+    query, cand = query[order], cand[order]
+    rank = np.arange(query.size) - np.searchsorted(query, query)
+    hit = labels[cand] == labels[query]
+    first_hit = np.full(n, n)
+    rows, at = np.unique(query[hit], return_index=True)
+    first_hit[rows] = rank[hit][at]
+    return {k: float((first_hit < k).mean()) for k in ks}
 
 
 @dataclass

@@ -108,9 +108,11 @@ class TrainConfig:
             raise InputError(f"eval_every must be nonnegative, got {self.eval_every}")
         if not self.recall_ks or min(self.recall_ks) < 1:
             raise InputError(f"recall_ks must be positive, got {self.recall_ks}")
+        # LossConfig checks margin and npair_n; not a field, so asdict leaves it out
+        self._loss_config = LossConfig(margin=self.margin, npair_n=self.npair_n)
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(margin=self.margin, npair_n=self.npair_n)
+        return self._loss_config
 
 
 @dataclass
@@ -384,8 +386,9 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
 
     The class-disjoint guarantee of the split is asserted on every run. The
     epoch-mean original-tuple loss is published to the hardness schedule at
-    each epoch boundary. With out_dir set, writes curves.csv, manifest.json,
-    and checkpoint.npz there.
+    each epoch boundary. Every batch, a short tail included, goes to
+    `train_step`; one that yields no tuple counts in `skipped_batches`. With
+    out_dir set, writes curves.csv, manifest.json, and checkpoint.npz there.
     """
     if dataset.num_samples == 0:
         raise InputError("dataset is empty")
@@ -408,8 +411,6 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
         order = state.rng.permutation(n)
         for start in range(0, n, config.batch_size):
             rows = order[start : start + config.batch_size]
-            if len(rows) < 2:
-                continue
             train_step(models, train_x[rows], train_labels[rows], state, config)
         epoch_rows = state.history[epoch_start_rows:]
         if epoch_rows:

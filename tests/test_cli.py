@@ -123,14 +123,21 @@ class TestExitCodes:
         ("loss_kind = npair\nnpair_n = 6\n", "5 training classes"),
         ("loss_kind = npair\nnpair_n = 3\nbatch_size = 4\n", "batch_size >= 6"),
         ("train_fraction = 0.1\n", "at least 2 training classes"),
+        ("loss_kind = triplet\nnpair_n = 1\nepochs = 0\n", "npair_n must be at least 2"),
+        ("margin = -1\n", "margin must be nonnegative"),
     ],
-    ids=["gen-hidden-negative", "recall-k-too-large", "npair-more-than-classes", "npair-batch-too-small", "triplet-one-class"],
+    ids=[
+        "gen-hidden-negative", "recall-k-too-large", "npair-more-than-classes", "npair-batch-too-small",
+        "triplet-one-class", "npair-n-one-unused", "margin-negative",
+    ],
 )
 def test_config_that_cannot_run_exits_one_before_training(tmp_path, capsys, config_text, message):
     data = tmp_path / "ten.csv"
     assert run_cli("synth-data", "--classes", "10", "--per-class", "10", "--dim", "8", "--seed", "1", "--out", str(data)) == 0
     config = tmp_path / "run.cfg"
-    config.write_text("epochs = 3\nembed_dim = 4\nhidden_dims = 8\n" + config_text)
+    settings = {"epochs": "3", "embed_dim": "4", "hidden_dims": "8"}
+    settings.update(line.split(" = ") for line in config_text.splitlines())
+    config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
     run_dir = tmp_path / "run"
     assert run_cli("train", "--data", str(data), "--config", str(config), "--out-dir", str(run_dir)) == 1
     err = capsys.readouterr().err
@@ -225,3 +232,19 @@ def test_unreadable_checkpoint_exits_one_with_a_message(tmp_path, small_dataset,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(bad) in err
+
+
+def test_eval_of_a_checkpoint_with_a_nan_weight_exits_two(tmp_path, small_dataset, capsys):
+    from hardmetric.checkpoint import save_checkpoint
+    from hardmetric.embedder import init_embedder
+
+    params = init_embedder(5, (4,), 2)
+    params.projector.weight[1, 2] = float("nan")
+    path = tmp_path / "nan.npz"
+    save_checkpoint(path, params, meta={"config": {"split_seed": 0}})
+    eval_dir = tmp_path / "eval"
+    code = run_cli("eval", "--checkpoint", str(path), "--data", str(small_dataset), "--out-dir", str(eval_dir))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "embedding row 0 " in err
+    assert not eval_dir.exists()

@@ -198,6 +198,8 @@ class TestConfigParsing:
             ("recall_ks = 0", "recall_ks"),
             ("recall_ks = 1,0,4", "recall_ks"),
             ("eval_every = -1", "eval_every"),
+            ("margin = -1", "margin"),
+            ("npair_n = 1", "npair_n"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, line, named):

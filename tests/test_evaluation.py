@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from hardmetric.errors import InputError
+from hardmetric import evaluation
+from hardmetric.embedder import pairwise_distances
+from hardmetric.errors import InputError, NumericalError
 from hardmetric.evaluation import (
     EvalReport,
     evaluate_embeddings,
@@ -238,3 +240,147 @@ class TestReportAndExport:
         assert lines[0] == "sample_id,label,z_0,z_1,z_2,z_3"
         parsed = np.array([[float(v) for v in line.split(",")[2:]] for line in lines[1:]])
         assert np.array_equal(parsed, z)
+
+
+def recall_reference(z, labels, ks):
+    """Recall@K from the full stable argsort of explicit-difference distances."""
+    labels = np.asarray(labels)
+    dist = pairwise_distances(z)
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")
+    hits = labels[order[:, : max(ks)]] == labels[:, None]
+    return {k: float(hits[:, :k].any(axis=1).mean()) for k in sorted(ks)}
+
+
+def kmeans_reference(pts, k, seed, max_iter=300):
+    """Lloyd's algorithm with the (n, k, d) explicit-difference assignment."""
+    n = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[rng.integers(n)]
+    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
+        centers[c] = pts[idx]
+        d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
+    assign = None
+    for _ in range(max_iter):
+        dist2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        new_assign = dist2.argmin(axis=1)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            members = pts[assign == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+            else:
+                centers[c] = pts[int(dist2[np.arange(n), assign].argmax())]
+    return assign
+
+
+def _grid(side, dim):
+    axes = np.meshgrid(*[np.arange(float(side))] * dim, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, dim)
+
+
+def _tied_stars(stars=12, dim=4, offset=1e6, seed=13):
+    """Star centres with 2*dim neighbours at exactly tied distance 1. Only the
+    lowest-index neighbour shares the centre's label, so a Recall@K that drops
+    a tied neighbour, or breaks the tie out of index order, misses."""
+    rng = np.random.default_rng(seed)
+    centres = offset + 100.0 * rng.permutation(stars)[:, None] + rng.uniform(0.0, 1.0, size=(stars, dim))
+    steps = np.vstack([np.eye(dim), -np.eye(dim)])
+    pts = np.concatenate([np.vstack([c, c + steps]) for c in centres])
+    labels = np.concatenate([[s, s] + [(s + 1) % stars] * (2 * dim - 1) for s in range(stars)])
+    return pts, labels
+
+
+def _exactness_cases():
+    rng = np.random.default_rng(11)
+    grid = _grid(4, 3)
+    return {
+        "tied-stars": _tied_stars(),
+        # integer lattice: many exactly tied distances to points and centres
+        "tie-heavy-grid": (np.vstack([grid, grid[::5]]), np.arange(len(grid) + 13) % 7),
+        "duplicated-points": (np.repeat(rng.normal(size=(15, 5)), 4, axis=0), np.repeat(np.arange(5), 12)),
+        # |z|^2 ~ 1e12 * dim against squared distances ~ 1: the worst Gram cancellation
+        "large-offset": (rng.normal(size=(120, 6)) + 1e6, rng.integers(0, 6, size=120)),
+        "offset-grid": (np.vstack([grid, grid]) * 0.25 + 1e5, np.arange(2 * len(grid)) % 5),
+        "gaussian": (rng.normal(size=(200, 16)), rng.integers(0, 8, size=200)),
+    }
+
+
+class _PairSpy:
+    """Records the row arguments of every explicit-difference call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self._inner = evaluation._pair_sqdist
+        monkeypatch.setattr(evaluation, "_pair_sqdist", self)
+
+    def __call__(self, a, rows_a, b, rows_b):
+        self.calls.append((np.asarray(rows_a).copy(), np.asarray(rows_b).copy()))
+        return self._inner(a, rows_a, b, rows_b)
+
+
+@pytest.mark.parametrize("case", list(_exactness_cases()))
+class TestGramExactness:
+    def test_recall_equals_the_explicit_argsort(self, case, monkeypatch):
+        z, labels = _exactness_cases()[case]
+        spy = _PairSpy(monkeypatch)
+        ks = [1, 2, 4, 8]
+        assert recall_at_k(z, labels, ks) == recall_reference(z, labels, ks)
+        if case in ("tie-heavy-grid", "duplicated-points"):
+            # ties beyond the K-th neighbour were pulled in and ranked explicitly
+            assert len(spy.calls[0][0]) > len(z) * max(ks)
+
+    def test_kmeans_equals_the_explicit_assignment(self, case, monkeypatch):
+        z, labels = _exactness_cases()[case]
+        spy = _PairSpy(monkeypatch)
+        k = len(np.unique(labels))
+        for seed in range(3):
+            for clusters in (k, 2 * k):
+                assert np.array_equal(kmeans(z, clusters, seed), kmeans_reference(z, clusters, seed))
+        n = len(z)
+        fallback = [rows for rows, _ in spy.calls if not np.array_equal(rows, np.arange(n))]
+        if case == "tie-heavy-grid":
+            assert fallback, "no row took the explicit-difference assignment"
+
+
+@pytest.mark.parametrize(
+    "pts, k, seed",
+    [
+        # three distinct locations, four clusters: seeding runs out of distance
+        # mass, the fourth centre duplicates one of the first three and loses every tie
+        (np.repeat(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), 4, axis=0), 4, 0),
+        # a centre of two points loses both to its moving neighbours in the second round
+        (np.array([[8.7], [7.2], [4.5], [4.6], [4.0], [4.0], [1.4], [7.3]]), 3, 0),
+    ],
+    ids=["duplicate-centre", "stolen-members"],
+)
+def test_kmeans_reseed_of_an_emptied_cluster_matches_the_reference(monkeypatch, pts, k, seed):
+    spy = _PairSpy(monkeypatch)
+    assert np.array_equal(kmeans(pts, k, seed), kmeans_reference(pts, k, seed))
+    reseeds = [rows for rows, _ in spy.calls if np.array_equal(rows, np.arange(len(pts)))]
+    assert reseeds, "no cluster emptied"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "overflow"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z, labels: evaluate_embeddings(z, labels, ks=(1, 8)),
+        lambda z, labels: recall_at_k(z, labels, [1, 8]),
+        lambda z, labels: kmeans(z, 4, seed=0),
+    ],
+    ids=["evaluate_embeddings", "recall_at_k", "kmeans"],
+)
+def test_non_finite_embedding_raises_naming_the_row(value, call):
+    rng = np.random.default_rng(12)
+    z = rng.normal(size=(40, 4))
+    z[17, 2] = value
+    z[30, 0] = value
+    with pytest.raises(NumericalError, match="row 17 "):
+        call(z, np.arange(40) % 4)

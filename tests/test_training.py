@@ -300,6 +300,13 @@ class TestRunTraining:
         assert curves == ["step,epoch,j_m,j_syn,j_gen,j_recon,j_soft,weight_w,lambda_interp"]
         assert result.final_report.num_test_classes == 3
 
+    def test_one_row_tail_batch_is_offered_and_counted_as_skipped(self):
+        # 3 train classes x 15 = 45 rows in batches of 11: four full batches and one row per epoch
+        ds = synth_gaussian_dataset(6, 15, 5, seed=0)
+        result = run_training(ds, small_config(batch_size=11, epochs=3))
+        assert len(result.state.history) == 12
+        assert result.state.skipped_batches == 3
+
     def test_alpha_zero_keeps_lambda_at_one_and_tuples_unhardened(self):
         ds = synth_gaussian_dataset(6, 8, 5, seed=1)
         config = small_config(alpha=0.0, epochs=3, batch_size=12)
