@@ -13,7 +13,6 @@ from .data import Dataset, load_dataset, save_dataset, split_zero_shot, synth_ga
 from .embedder import (
     EmbedderParams,
     EmbeddingBatch,
-    distance,
     embed,
     extract,
     init_embedder,
@@ -29,7 +28,7 @@ from .generator import (
     init_classifier,
     init_generator,
 )
-from .losses import LossConfig, TupleBatch, batch_metric_loss, npair_loss, triplet_loss
+from .losses import TupleBatch, batch_metric_loss, npair_loss, triplet_loss
 from .nn import Adam, DenseLayer, dense_backward, dense_forward, gradcheck, init_dense, softmax_xent, squared_error
 from .training import Models, TrainConfig, TrainState, metric_weight, mine_tuples, run_training, train_step
 

@@ -22,7 +22,6 @@ class Dataset:
 
     samples: np.ndarray
     labels: np.ndarray
-    class_names: list[str] | None = None
 
     def __post_init__(self):
         self.samples = as_matrix(self.samples, "samples")
@@ -70,12 +69,9 @@ def synth_gaussian_dataset(
         raise InputError(f"noise_sigma must be nonnegative, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, center_scale, size=(num_classes, input_dim))
-    samples = np.empty((num_classes * per_class, input_dim))
-    labels = np.repeat(np.arange(num_classes), per_class)
-    for c in range(num_classes):
-        block = slice(c * per_class, (c + 1) * per_class)
-        samples[block] = centers[c] + rng.normal(0.0, noise_sigma, size=(per_class, input_dim))
-    return Dataset(samples, labels)
+    # one draw fills the rows class by class, as one draw per class would
+    noise = rng.normal(0.0, noise_sigma, size=(num_classes * per_class, input_dim))
+    return Dataset(np.repeat(centers, per_class, axis=0) + noise, np.repeat(np.arange(num_classes), per_class))
 
 
 @dataclass
@@ -121,8 +117,8 @@ def save_dataset(dataset: Dataset, path) -> None:
     header = "label," + ",".join(f"f_{i}" for i in range(dataset.input_dim))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for label, row in zip(dataset.labels, dataset.samples):
-            fh.write(f"{label}," + ",".join(repr(float(v)) for v in row) + "\n")
+        for label, row in zip(dataset.labels.tolist(), dataset.samples.tolist()):
+            fh.write(f"{label}," + ",".join(map(repr, row)) + "\n")
 
 
 def load_dataset(path) -> Dataset:

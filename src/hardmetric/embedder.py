@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import InputError
 from .nn import DenseLayer, GradTape, as_matrix, check_chain, dense_forward, init_dense, stack_backward, stack_forward
 
 
@@ -125,15 +125,6 @@ def embed_backward(
     g, proj_grads = project_backward(params, tape.project, grad_embeddings)
     _, ext_grads = stack_backward(params.extractor, tape.extractor, g)
     return ext_grads, proj_grads
-
-
-def distance(z_i, z_j) -> float:
-    """Euclidean distance between two embedding vectors."""
-    a = np.asarray(z_i, dtype=np.float64)
-    b = np.asarray(z_j, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionError(f"expected two 1-D vectors of equal length, got {a.shape} and {b.shape}")
-    return float(np.sqrt(((a - b) ** 2).sum()))
 
 
 def pairwise_distances(points) -> np.ndarray:

@@ -285,5 +285,5 @@ def export_embeddings_csv(path, sample_ids, labels, embeddings) -> None:
     header = "sample_id,label," + ",".join(f"z_{i}" for i in range(z.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for sid, lab, row in zip(sample_ids, labels, z):
-            fh.write(f"{sid},{lab}," + ",".join(repr(float(v)) for v in row) + "\n")
+        for sid, lab, row in zip(sample_ids.tolist(), labels.tolist(), z.tolist()):
+            fh.write(f"{sid},{lab}," + ",".join(map(repr, row)) + "\n")

@@ -41,10 +41,6 @@ class GeneratorParams:
         check_chain(self.layers, "generator")
 
     @property
-    def embed_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
     def feature_dim(self) -> int:
         return self.layers[-1].out_dim
 
@@ -76,28 +72,22 @@ def generate(gen: GeneratorParams, z) -> tuple[np.ndarray, list[GradTape]]:
 
 
 @dataclass
-class GeneratorLossBreakdown:
-    """Reconstruction + balanced softmax terms; j_gen is their exact sum."""
+class GeneratorLossResult:
+    """Reconstruction and softmax terms, j_gen = j_recon + lambda_balance * j_soft,
+    with the generator gradients and the synthetic features."""
 
     j_recon: float
     j_soft: float
-    lambda_balance: float
-    j_gen: float = 0.0
+    j_gen: float
+    grads: list[np.ndarray]  # in `stack_params(gen.layers)` order
+    member_features: np.ndarray
+    hardened_features: np.ndarray
 
     def __post_init__(self):
-        self.j_gen = self.j_recon + self.lambda_balance * self.j_soft
         for name in ("j_recon", "j_soft", "j_gen"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite generator loss component {name} = {value}")
-
-
-@dataclass
-class GeneratorLossResult:
-    breakdown: GeneratorLossBreakdown
-    grads: list[np.ndarray]  # in `stack_params(gen.layers)` order
-    member_features: np.ndarray
-    hardened_features: np.ndarray
 
 
 def generator_loss(
@@ -147,8 +137,8 @@ def generator_loss(
         hardened_features = np.empty((0, gen.feature_dim))
         j_soft = 0.0
 
-    breakdown = GeneratorLossBreakdown(j_recon, j_soft, lambda_balance)
-    return GeneratorLossResult(breakdown, grads, member_features, hardened_features)
+    j_gen = j_recon + lambda_balance * j_soft
+    return GeneratorLossResult(j_recon, j_soft, j_gen, grads, member_features, hardened_features)
 
 
 def classifier_accuracy(clf: DenseLayer, features, labels) -> float:

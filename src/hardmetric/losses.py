@@ -19,18 +19,6 @@ TUPLE_KINDS = ("triplet", "npair")
 
 
 @dataclass
-class LossConfig:
-    margin: float = 1.0
-    npair_n: int = 5
-
-    def __post_init__(self):
-        if self.margin < 0:
-            raise InputError(f"margin must be nonnegative, got {self.margin}")
-        if self.npair_n < 2:
-            raise InputError(f"npair_n must be at least 2, got {self.npair_n}")
-
-
-@dataclass
 class TupleBatch:
     """Training tuples as row indices into a batch of R labelled rows.
 
@@ -149,7 +137,7 @@ def _unit_diffs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, unit
 
 
-def batch_metric_loss(embeddings, tuples: TupleBatch, config: LossConfig) -> tuple[float, np.ndarray]:
+def batch_metric_loss(embeddings, tuples: TupleBatch, margin: float) -> tuple[float, np.ndarray]:
     """Mean tuple loss plus its gradient with respect to every embedding row."""
     z = as_matrix(embeddings, "embeddings")
     grad = np.zeros_like(z)
@@ -164,7 +152,7 @@ def batch_metric_loss(embeddings, tuples: TupleBatch, config: LossConfig) -> tup
     d_neg, unit_an = _unit_diffs(za[:, None, :], z[tuples.negatives])
     if tuples.kind == "triplet":
         t = tuples.size
-        losses, g_pos, g_neg = triplet_loss(d_pos, d_neg[:, 0], config.margin)
+        losses, g_pos, g_neg = triplet_loss(d_pos, d_neg[:, 0], margin)
         loss = float(losses.mean())
         g_pos, g_neg = g_pos / t, (g_neg / t)[:, None]
     else:

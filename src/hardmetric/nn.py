@@ -257,32 +257,32 @@ class GradcheckReport:
         return "\n".join(lines)
 
 
-def gradcheck(fragment, tolerance: float = 1e-4, step: float = 1e-5) -> GradcheckReport:
+def gradcheck(params, loss_fn, grads_fn, tolerance: float = 1e-4, step: float = 1e-5) -> GradcheckReport:
     """Verify a forward/backward pair against central finite differences.
 
-    `fragment` must expose three callables: params() returning a dict of live
-    parameter arrays (perturbed in place and restored), loss() returning the
-    scalar loss at the current parameters, and grads() returning analytic
-    gradients keyed like params(). Deviations are reported, never raised, so
-    deliberately broken gradients show up as a failed verdict.
+    `params` maps names to live parameter arrays (perturbed in place and
+    restored), loss_fn() returns the scalar loss at the current parameters,
+    and grads_fn() returns analytic gradients keyed like `params`. Deviations
+    are reported, never raised, so deliberately broken gradients show up as
+    a failed verdict.
     """
     if tolerance <= 0:
         raise InputError("tolerance must be positive")
-    analytic = {name: np.asarray(g, dtype=np.float64) for name, g in fragment.grads().items()}
+    analytic = {name: np.asarray(g, dtype=np.float64) for name, g in grads_fn().items()}
     deviations: dict[str, float] = {}
-    for name, param in fragment.params().items():
+    for name, param in params.items():
         ana = analytic.get(name)
         if ana is None:
-            raise InputError(f"fragment returned no gradient for parameter {name!r}")
+            raise InputError(f"grads_fn returned no gradient for parameter {name!r}")
         if ana.shape != param.shape:
             raise DimensionError(f"gradient shape {ana.shape} does not match parameter shape {param.shape}")
         worst = 0.0
         for idx in np.ndindex(param.shape):
             orig = param[idx]
             param[idx] = orig + step
-            lp = fragment.loss()
+            lp = loss_fn()
             param[idx] = orig - step
-            lm = fragment.loss()
+            lm = loss_fn()
             param[idx] = orig
             numeric = (lp - lm) / (2.0 * step)
             dev = abs(ana[idx] - numeric) / max(abs(ana[idx]), abs(numeric), REL_FLOOR)

@@ -40,14 +40,13 @@ from .embedder import (
 from .errors import InputError, NumericalError
 from .evaluation import EvalReport, evaluate_embeddings
 from .generator import (
-    GeneratorLossBreakdown,
     GeneratorParams,
     classifier_step,
     generator_loss,
     init_classifier,
     init_generator,
 )
-from .losses import LossConfig, TupleBatch, batch_metric_loss
+from .losses import TupleBatch, batch_metric_loss
 from .nn import Adam, DenseLayer, stack_params
 
 log = logging.getLogger(__name__)
@@ -96,6 +95,10 @@ class TrainConfig:
             raise InputError(f"beta must be positive, got {self.beta}")
         if self.lambda_balance < 0:
             raise InputError(f"lambda_balance must be nonnegative, got {self.lambda_balance}")
+        if self.margin < 0:
+            raise InputError(f"margin must be nonnegative, got {self.margin}")
+        if self.npair_n < 2:
+            raise InputError(f"npair_n must be at least 2, got {self.npair_n}")
         if self.batch_size < 2:
             raise InputError(f"batch_size must be at least 2, got {self.batch_size}")
         if self.epochs < 0:
@@ -108,11 +111,9 @@ class TrainConfig:
             raise InputError(f"eval_every must be nonnegative, got {self.eval_every}")
         if not self.recall_ks or min(self.recall_ks) < 1:
             raise InputError(f"recall_ks must be positive, got {self.recall_ks}")
-        # LossConfig checks margin and npair_n; not a field, so asdict leaves it out
-        self._loss_config = LossConfig(margin=self.margin, npair_n=self.npair_n)
-
-    def loss_config(self) -> LossConfig:
-        return self._loss_config
+        # `not > 0` also refuses NaN
+        if self.fixed_reference_distance is not None and not self.fixed_reference_distance > 0:
+            raise InputError(f"fixed_reference_distance must be positive, got {self.fixed_reference_distance}")
 
 
 @dataclass
@@ -190,8 +191,8 @@ def init_state(models: Models, config: TrainConfig) -> TrainState:
     )
 
 
-def mine_tuples(labels, kind: str, config: TrainConfig, rng: np.random.Generator) -> TupleBatch | None:
-    """Random tuples from one batch; None (with a warning) when infeasible.
+def mine_tuples(labels, config: TrainConfig, rng: np.random.Generator) -> TupleBatch | None:
+    """Random `config.loss_kind` tuples from one batch; None (with a warning) when infeasible.
 
     triplet: every sample whose class occurs twice in the batch anchors one
     triplet with a random positive and a random negative. npair: npair_n
@@ -199,7 +200,7 @@ def mine_tuples(labels, kind: str, config: TrainConfig, rng: np.random.Generator
     """
     labels = np.asarray(labels, dtype=np.int64)
     classes, counts = np.unique(labels, return_counts=True)
-    if kind == "triplet":
+    if config.loss_kind == "triplet":
         if len(classes) < 2:
             log.warning("batch skipped: need at least 2 classes for triplets, got %d", len(classes))
             return None
@@ -276,40 +277,29 @@ def _synthetic_tuples(aug: AugmentedTuple, member_features: np.ndarray, hardened
     return rows, TupleBatch(aug.kind, np.arange(t), t + np.arange(t), negatives, labels)
 
 
-def train_step(
-    models: Models,
-    x,
-    labels,
-    state: TrainState,
-    config: TrainConfig,
-    update_metric: bool = True,
-    update_generator: bool = True,
-    update_classifier: bool = True,
-) -> LogRow | None:
+def train_step(models: Models, x, labels, state: TrainState, config: TrainConfig) -> LogRow | None:
     """One simultaneous update of all parameter partitions on one batch.
 
-    Returns the logged row, or None when no tuples could be mined. The
-    update_* flags gate which partitions are touched; they exist for the
-    gradient-routing tests and for ablations, and default to a full step.
+    Returns the logged row, or None when no tuples could be mined. Each
+    partition is updated by its own optimizer in `state`.
     """
-    loss_cfg = config.loss_config()
-    tuples = mine_tuples(labels, config.loss_kind, config, state.rng)
+    tuples = mine_tuples(labels, config, state.rng)
     if tuples is None:
         state.skipped_batches += 1
         return None
 
     features, ext_tapes = extract(models.embedder, x)
     z, proj_tape = project(models.embedder, features)
-    j_m, grad_z_m = batch_metric_loss(z, tuples, loss_cfg)
+    j_m, grad_z_m = batch_metric_loss(z, tuples, config.margin)
     _check_finite(j_m, "metric loss over original tuples")
     lam = pulling_lambda(state.augmentor)
 
     # the plain loss is the blend at w = 1 without synthetic terms
-    w, j_syn, gen_terms, syn_proj_grads = 1.0, 0.0, GeneratorLossBreakdown(0.0, 0.0, 0.0), None
+    w, j_syn, gen_terms, syn_proj_grads = 1.0, 0.0, (0.0, 0.0, 0.0), None
     if config.synthetics:
         aug = augment_tuples(z, tuples, state.augmentor, fixed_reference=config.fixed_reference_distance)
         member_idx, hardened_emb = _member_rows(aug)
-        gen_result = generator_loss(
+        gen = generator_loss(
             models.generator,
             models.classifier,
             features[member_idx],
@@ -318,27 +308,24 @@ def train_step(
             aug.negative_labels.reshape(-1),
             config.lambda_balance,
         )
-        gen_terms = gen_result.breakdown
-        w = metric_weight(gen_terms.j_gen, config.beta)
-        syn_rows, syn_tuples = _synthetic_tuples(aug, gen_result.member_features, gen_result.hardened_features)
+        gen_terms = (gen.j_gen, gen.j_recon, gen.j_soft)
+        w = metric_weight(gen.j_gen, config.beta)
+        syn_rows, syn_tuples = _synthetic_tuples(aug, gen.member_features, gen.hardened_features)
         syn_z, syn_tape = project(models.embedder, syn_rows)
-        j_syn, grad_z_syn = batch_metric_loss(syn_z, syn_tuples, loss_cfg)
+        j_syn, grad_z_syn = batch_metric_loss(syn_z, syn_tuples, config.margin)
         _check_finite(j_syn, "metric loss over synthetic tuples")
         _, syn_proj_grads = project_backward(models.embedder, syn_tape, (1.0 - w) * grad_z_syn)
-        if update_generator:
-            state.adam_generator.step(gen_result.grads)
-        if update_classifier:
-            classifier_step(models.classifier, features, labels, state.adam_classifier)
+        state.adam_generator.step(gen.grads)
+        classifier_step(models.classifier, features, labels, state.adam_classifier)
 
-    if update_metric:
-        # original path reaches the extractor; both paths reach the projector
-        ext_grads, proj_grads = embed_backward(models.embedder, EmbedTape(ext_tapes, proj_tape), w * grad_z_m)
-        if syn_proj_grads is not None:
-            proj_grads = [g + s for g, s in zip(proj_grads, syn_proj_grads)]
-        state.adam_extractor.step(ext_grads)
-        state.adam_projector.step(proj_grads)
+    # original path reaches the extractor; both paths reach the projector
+    ext_grads, proj_grads = embed_backward(models.embedder, EmbedTape(ext_tapes, proj_tape), w * grad_z_m)
+    if syn_proj_grads is not None:
+        proj_grads = [g + s for g, s in zip(proj_grads, syn_proj_grads)]
+    state.adam_extractor.step(ext_grads)
+    state.adam_projector.step(proj_grads)
 
-    row = LogRow(state.step, state.epoch, j_m, j_syn, gen_terms.j_gen, gen_terms.j_recon, gen_terms.j_soft, w, lam)
+    row = LogRow(state.step, state.epoch, j_m, j_syn, *gen_terms, w, lam)
     state.step += 1
     state.history.append(row)
     return row

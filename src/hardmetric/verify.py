@@ -14,31 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedder import EmbedTape, embed, embed_backward, init_embedder
+from .embedder import EmbedTape, embed, embed_backward, init_embedder, pairwise_distances
 from .errors import InputError
 from .generator import generator_loss, init_classifier, init_generator
-from .losses import LossConfig, TupleBatch, batch_metric_loss
+from .losses import TupleBatch, batch_metric_loss
 from .nn import GradcheckReport, gradcheck, stack_params
 
 KINK_MARGIN = 1e-6
-
-
-class _Fragment:
-    """Adapter giving gradcheck its params()/loss()/grads() surface."""
-
-    def __init__(self, params: dict[str, np.ndarray], loss_fn, grads_fn):
-        self._params = params
-        self._loss_fn = loss_fn
-        self._grads_fn = grads_fn
-
-    def params(self) -> dict[str, np.ndarray]:
-        return self._params
-
-    def loss(self) -> float:
-        return self._loss_fn()
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return self._grads_fn()
 
 
 def _stack_names(prefix: str, layers) -> list[str]:
@@ -50,8 +32,8 @@ def _near_kink(tapes: EmbedTape) -> bool:
     return any(np.abs(t.pre).min() < KINK_MARGIN for t in tapes.extractor if t.pre.size)
 
 
-def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator, max_draws: int = 50) -> _Fragment:
-    """Random embedder + tuple-loss instance safe for finite differences."""
+def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator, max_draws: int = 50):
+    """Random embedder + tuple-loss instance safe for finite differences: `gradcheck` arguments."""
     input_dim, hidden, embed_dim = 5, (7, 6), 4
     if loss_kind == "triplet":
         n_points, n_classes = 9, 3
@@ -59,7 +41,7 @@ def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator, max_draws
         n_points, n_classes = 8, 4
     else:
         raise InputError(f"unknown loss kind {loss_kind!r}")
-    cfg = LossConfig(margin=0.3, npair_n=n_classes)
+    margin = 0.3
 
     for _ in range(max_draws):
         embedder = init_embedder(input_dim, hidden, embed_dim, rng)
@@ -82,37 +64,35 @@ def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator, max_draws
         if _near_kink(tapes):
             continue
         z = emb.embeddings
-        member_rows = np.unique(tuples.rows)
-        d = z[member_rows][:, None, :] - z[member_rows][None, :, :]
-        dist = np.sqrt((d * d).sum(-1))
-        if dist[~np.eye(len(member_rows), dtype=bool)].min() < 1e-3:
+        dist = pairwise_distances(z[np.unique(tuples.rows)])
+        if dist[~np.eye(len(dist), dtype=bool)].min() < 1e-3:
             continue
         if loss_kind == "triplet":
             dp = np.linalg.norm(z[idx[:, 0]] - z[idx[:, 1]], axis=1)
             dn = np.linalg.norm(z[idx[:, 0]] - z[idx[:, 2]], axis=1)
-            if np.abs(dp - dn + cfg.margin).min() < KINK_MARGIN:
+            if np.abs(dp - dn + margin).min() < KINK_MARGIN:
                 continue
 
-        def loss_fn(embedder=embedder, x=x, tuples=tuples, cfg=cfg) -> float:
+        def loss_fn(embedder=embedder, x=x, tuples=tuples) -> float:
             e, _ = embed(embedder, x)
-            j, _ = batch_metric_loss(e.embeddings, tuples, cfg)
+            j, _ = batch_metric_loss(e.embeddings, tuples, margin)
             return j
 
         names = _stack_names("extractor", embedder.extractor) + ["projector.weight", "projector.bias"]
 
-        def grads_fn(embedder=embedder, x=x, tuples=tuples, cfg=cfg, names=names) -> dict[str, np.ndarray]:
+        def grads_fn(embedder=embedder, x=x, tuples=tuples, names=names) -> dict[str, np.ndarray]:
             e, tape = embed(embedder, x)
-            _, gz = batch_metric_loss(e.embeddings, tuples, cfg)
+            _, gz = batch_metric_loss(e.embeddings, tuples, margin)
             ext_grads, proj_grads = embed_backward(embedder, tape, gz)
             return dict(zip(names, ext_grads + proj_grads))
 
         params = dict(zip(names, stack_params(embedder.extractor + [embedder.projector])))
-        return _Fragment(params, loss_fn, grads_fn)
+        return params, loss_fn, grads_fn
     raise InputError(f"could not draw a kink-free {loss_kind} instance in {max_draws} tries")
 
 
-def generator_objective_fragment(rng: np.random.Generator, max_draws: int = 50) -> _Fragment:
-    """Random generator-objective instance differentiated w.r.t. the generator."""
+def generator_objective_fragment(rng: np.random.Generator, max_draws: int = 50):
+    """Random generator-objective instance in the generator's parameters: `gradcheck` arguments."""
     embed_dim, feature_dim, n_classes = 4, 6, 3
     n_members, n_hardened = 6, 4
     for _ in range(max_draws):
@@ -132,12 +112,12 @@ def generator_objective_fragment(rng: np.random.Generator, max_draws: int = 50) 
         names = _stack_names("generator", gen.layers)
 
         def loss_fn(gen=gen, clf=clf, y=y, z=z, z_hard=z_hard, labels=labels) -> float:
-            return generator_loss(gen, clf, y, z, z_hard, labels, 0.5).breakdown.j_gen
+            return generator_loss(gen, clf, y, z, z_hard, labels, 0.5).j_gen
 
         def grads_fn(gen=gen, clf=clf, y=y, z=z, z_hard=z_hard, labels=labels, names=names) -> dict[str, np.ndarray]:
             return dict(zip(names, generator_loss(gen, clf, y, z, z_hard, labels, 0.5).grads))
 
-        return _Fragment(dict(zip(names, stack_params(gen.layers))), loss_fn, grads_fn)
+        return dict(zip(names, stack_params(gen.layers))), loss_fn, grads_fn
     raise InputError(f"could not draw a kink-free generator instance in {max_draws} tries")
 
 
@@ -165,6 +145,6 @@ def run_gradcheck_suite(seed: int = 0, instances: int = 20, tolerance: float = 1
     ]
     results = []
     for name, build in suites:
-        reports = [gradcheck(build(), tolerance=tolerance) for _ in range(instances)]
+        reports = [gradcheck(*build(), tolerance=tolerance) for _ in range(instances)]
         results.append(SuiteResult(name, reports))
     return results

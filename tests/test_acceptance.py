@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from frozen import freeze
 
 from hardmetric.augmentor import AugmentorState, augment_negative, augment_tuples, pulling_lambda
 from hardmetric.data import load_dataset, save_dataset, synth_gaussian_dataset, take_classes
@@ -125,7 +126,7 @@ class TestCriterion3StopGradientLedger:
         models = init_models(10, 4, config)
         state = init_state(models, config)
         before = self._bytes(models)
-        train_step(models, x, labels, state, config, update_generator=False, update_classifier=False)
+        train_step(models, x, labels, freeze(state, "generator", "classifier"), config)
         after = self._bytes(models)
         ok = ok and all(after[k] == before[k] for k in after if k.startswith(("i", "c")))
         ok = ok and after["g"] != before["g"]
@@ -133,7 +134,7 @@ class TestCriterion3StopGradientLedger:
         models = init_models(10, 4, config)
         state = init_state(models, config)
         before = self._bytes(models)
-        train_step(models, x, labels, state, config, update_metric=False, update_classifier=False)
+        train_step(models, x, labels, freeze(state, "extractor", "projector", "classifier"), config)
         after = self._bytes(models)
         ok = ok and all(after[k] == before[k] for k in after if not k.startswith("i"))
         ok = ok and any(after[k] != before[k] for k in after if k.startswith("i"))
@@ -230,7 +231,7 @@ class TestCriterion7LabelPreservation:
         real_acc = classifier_accuracy(res.models.classifier, feats, train_labels)
         # harden negatives over the full training set at the converged schedule
         emb, _ = embed(res.models.embedder, train_x, labels=train_labels)
-        tuples = mine_tuples(train_labels, "triplet", config, np.random.default_rng(99))
+        tuples = mine_tuples(train_labels, config, np.random.default_rng(99))
         aug = augment_tuples(emb.embeddings, tuples, res.state.augmentor)
         hard_feats, _ = generate(res.models.generator, aug.hardened_negatives)
         synth_acc = classifier_accuracy(res.models.classifier, hard_feats, aug.negative_labels)

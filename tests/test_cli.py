@@ -125,10 +125,13 @@ class TestExitCodes:
         ("train_fraction = 0.1\n", "at least 2 training classes"),
         ("loss_kind = triplet\nnpair_n = 1\nepochs = 0\n", "npair_n must be at least 2"),
         ("margin = -1\n", "margin must be nonnegative"),
+        ("fixed_reference_distance = 0\nepochs = 0\n", "fixed_reference_distance must be positive"),
+        ("fixed_reference_distance = -1\nsynthetics = false\n", "fixed_reference_distance must be positive"),
     ],
     ids=[
         "gen-hidden-negative", "recall-k-too-large", "npair-more-than-classes", "npair-batch-too-small",
-        "triplet-one-class", "npair-n-one-unused", "margin-negative",
+        "triplet-one-class", "npair-n-one-unused", "margin-negative", "fixed-reference-zero-unused",
+        "fixed-reference-negative-no-synthetics",
     ],
 )
 def test_config_that_cannot_run_exits_one_before_training(tmp_path, capsys, config_text, message):

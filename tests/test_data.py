@@ -45,6 +45,17 @@ class TestSynthDataset:
                 total += within.size
         assert hits / total >= 0.99
 
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (7, 1, 9), (20, 100, 512)])
+    def test_matches_the_per_class_reference(self, shape):
+        # reference: one noise draw per class, added to that class's centre
+        num_classes, per_class, dim = shape
+        ds = synth_gaussian_dataset(num_classes, per_class, dim, center_scale=4.0, noise_sigma=2.5, seed=9)
+        rng = np.random.default_rng(9)
+        centers = rng.uniform(0.0, 4.0, size=(num_classes, dim))
+        expected = np.vstack([centers[c] + rng.normal(0.0, 2.5, size=(per_class, dim)) for c in range(num_classes)])
+        assert np.array_equal(ds.samples, expected)
+        assert ds.labels.tolist() == [c for c in range(num_classes) for _ in range(per_class)]
+
     def test_bad_parameters(self):
         with pytest.raises(InputError):
             synth_gaussian_dataset(0, 5, 3)
@@ -94,6 +105,16 @@ class TestDatasetIO:
         loaded = load_dataset(path)
         assert np.array_equal(loaded.samples, ds.samples)
         assert np.array_equal(loaded.labels, ds.labels)
+
+    def test_writer_matches_the_per_value_formatter(self, tmp_path):
+        # reference: repr of each numpy value converted to float one at a time
+        row = [-0.0, 5e-324, 1e-300, 0.1, 1e16]
+        ds = Dataset(np.array([row, row[::-1]]), np.array([1, 0]))
+        save_dataset(ds, tmp_path / "data.csv")
+        expected = "label,f_0,f_1,f_2,f_3,f_4\n" + "".join(
+            f"{label}," + ",".join(repr(float(v)) for v in values) + "\n" for label, values in zip(ds.labels, ds.samples)
+        )
+        assert (tmp_path / "data.csv").read_bytes() == expected.encode("utf-8")
 
     def test_wrong_column_count_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -200,6 +221,9 @@ class TestConfigParsing:
             ("eval_every = -1", "eval_every"),
             ("margin = -1", "margin"),
             ("npair_n = 1", "npair_n"),
+            ("fixed_reference_distance = 0", "fixed_reference_distance"),
+            ("fixed_reference_distance = -1", "fixed_reference_distance"),
+            ("fixed_reference_distance = nan", "fixed_reference_distance"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, line, named):

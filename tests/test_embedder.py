@@ -4,7 +4,6 @@ import pytest
 from hardmetric.checkpoint import load_checkpoint, save_checkpoint
 from hardmetric.embedder import (
     EmbedderParams,
-    distance,
     embed,
     embed_backward,
     extract,
@@ -82,33 +81,6 @@ class TestProject:
         params = init_embedder(4, hidden_dims=(), embed_dim=4, rng=rng, normalize=True)
         emb, _ = embed(params, rng.normal(size=(6, 4)))
         assert np.abs(np.linalg.norm(emb.embeddings, axis=1) - 1.0).max() < 1e-12
-
-
-class TestDistance:
-    def test_zero_for_identical_points(self):
-        assert distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_pythagorean(self):
-        assert distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-    def test_matches_sum_of_squares_oracle(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            a, b = rng.normal(size=(2, 7))
-            expected = sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
-            assert abs(distance(a, b) - expected) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            distance([1.0], [1.0, 2.0])
-
-    def test_metric_axioms_on_random_triples(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a, b, c = rng.normal(size=(3, 6)) * 3
-            assert distance(a, b) >= 0
-            assert abs(distance(a, b) - distance(b, a)) < 1e-12
-            assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
 
 
 class TestPairwiseDistances:

@@ -241,6 +241,17 @@ class TestReportAndExport:
         parsed = np.array([[float(v) for v in line.split(",")[2:]] for line in lines[1:]])
         assert np.array_equal(parsed, z)
 
+    def test_embeddings_csv_matches_the_per_value_formatter(self, tmp_path):
+        # reference: repr of each numpy value converted to float one at a time
+        row = [-0.0, 5e-324, 1e-300, 0.1, 1e16]
+        z = np.array([row, row[::-1]])
+        ids, labels = np.array([7, 3]), np.array([1, 0])
+        export_embeddings_csv(tmp_path / "emb.csv", ids, labels, z)
+        expected = "sample_id,label,z_0,z_1,z_2,z_3,z_4\n" + "".join(
+            f"{sid},{lab}," + ",".join(repr(float(v)) for v in values) + "\n" for sid, lab, values in zip(ids, labels, z)
+        )
+        assert (tmp_path / "emb.csv").read_bytes() == expected.encode("utf-8")
+
 
 def recall_reference(z, labels, ks):
     """Recall@K from the full stable argsort of explicit-difference distances."""

@@ -69,20 +69,20 @@ class TestGeneratorLoss:
         clf.weight[0] = [100.0, 0.0, 0.0]
         y = np.array([[3.0, 0.0, 0.0]])
         result = generator_loss(gen, clf, y, y.copy(), y.copy(), [0], 0.5)
-        assert result.breakdown.j_recon == 0.0
-        assert result.breakdown.j_soft < 1e-12
-        assert result.breakdown.j_gen < 1e-12
+        assert result.j_recon == 0.0
+        assert result.j_soft < 1e-12
+        assert result.j_gen < 1e-12
 
     def test_zero_balance_reduces_to_reconstruction(self):
         gen, clf, y, z, z_hard, labels, _ = self._instance(seed=2, lambda_balance=0.0)
         result = generator_loss(gen, clf, y, z, z_hard, labels, 0.0)
-        assert result.breakdown.j_gen == result.breakdown.j_recon
-        assert result.breakdown.j_soft > 0.0
+        assert result.j_gen == result.j_recon
+        assert result.j_soft > 0.0
 
     def test_breakdown_sum_is_exact(self):
         gen, clf, y, z, z_hard, labels, lam = self._instance(seed=3)
-        b = generator_loss(gen, clf, y, z, z_hard, labels, lam).breakdown
-        assert b.j_gen == b.j_recon + b.lambda_balance * b.j_soft
+        b = generator_loss(gen, clf, y, z, z_hard, labels, lam)
+        assert b.j_gen == b.j_recon + lam * b.j_soft
 
     def test_gradients_match_finite_differences(self):
         gen, clf, y, z, z_hard, labels, lam = self._instance(seed=4)
@@ -92,9 +92,9 @@ class TestGeneratorLoss:
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp = generator_loss(gen, clf, y, z, z_hard, labels, lam).breakdown.j_gen
+                lp = generator_loss(gen, clf, y, z, z_hard, labels, lam).j_gen
                 arr[idx] = orig - h
-                lm = generator_loss(gen, clf, y, z, z_hard, labels, lam).breakdown.j_gen
+                lm = generator_loss(gen, clf, y, z, z_hard, labels, lam).j_gen
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 assert abs(grad[idx] - fd) / max(abs(grad[idx]), abs(fd), 1e-6) < 1e-4
@@ -105,7 +105,7 @@ class TestGeneratorLoss:
         clf_bytes = clf.weight.tobytes()
         clf.weight[0, 0] += 0.25
         after = generator_loss(gen, clf, y, z, z_hard, labels, lam)
-        assert after.breakdown.j_gen != before.breakdown.j_gen
+        assert after.j_gen != before.j_gen
         # only generator-layer gradients are returned at all
         assert len(before.grads) == len(stack_params(gen.layers))
         clf.weight[0, 0] -= 0.25

@@ -5,7 +5,7 @@ import pytest
 
 from hardmetric.augmentor import AugmentorState, augment_tuples
 from hardmetric.errors import DimensionError, InputError
-from hardmetric.losses import LossConfig, TupleBatch, batch_metric_loss, npair_loss, triplet_loss
+from hardmetric.losses import TupleBatch, batch_metric_loss, npair_loss, triplet_loss
 
 
 class TestTripletLoss:
@@ -84,7 +84,7 @@ class TestBatchMetricLoss:
         z = np.array([[0.0, 0.0], [0.1, 0.0], [100.0, 0.0]])
         labels = [0, 0, 1]
         tuples = triplet_batch(labels, [[0, 1, 2]])
-        loss, grad = batch_metric_loss(z, tuples, LossConfig(margin=1.0))
+        loss, grad = batch_metric_loss(z, tuples, 1.0)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros_like(z))
 
@@ -92,7 +92,7 @@ class TestBatchMetricLoss:
         rng = np.random.default_rng(1)
         z, labels = random_embedding_instance(rng)
         tuples = triplet_batch(labels, [[0, 1, 2]])
-        loss, _ = batch_metric_loss(z, tuples, LossConfig(margin=0.5))
+        loss, _ = batch_metric_loss(z, tuples, 0.5)
         d_pos = np.linalg.norm(z[0] - z[1])
         d_neg = np.linalg.norm(z[0] - z[2])
         assert abs(loss - triplet_loss(d_pos, d_neg, 0.5)[0]) < 1e-12
@@ -101,15 +101,15 @@ class TestBatchMetricLoss:
         rng = np.random.default_rng(2)
         z, labels = random_embedding_instance(rng)
         tuples = triplet_batch(labels, [[0, 1, 2], [2, 3, 4], [4, 5, 1]])
-        cfg = LossConfig(margin=1.0)
-        _, grad = batch_metric_loss(z, tuples, cfg)
+        margin = 1.0
+        _, grad = batch_metric_loss(z, tuples, margin)
         h = 1e-6
         for idx in np.ndindex(z.shape):
             orig = z[idx]
             z[idx] = orig + h
-            lp = batch_metric_loss(z, tuples, cfg)[0]
+            lp = batch_metric_loss(z, tuples, margin)[0]
             z[idx] = orig - h
-            lm = batch_metric_loss(z, tuples, cfg)[0]
+            lm = batch_metric_loss(z, tuples, margin)[0]
             z[idx] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(grad[idx] - fd) < 1e-4 * max(1.0, abs(fd))
@@ -118,15 +118,15 @@ class TestBatchMetricLoss:
         rng = np.random.default_rng(3)
         z, labels = random_embedding_instance(rng, n_classes=4)
         tuples = npair_batch(labels, 4)
-        cfg = LossConfig()
-        _, grad = batch_metric_loss(z, tuples, cfg)
+        margin = 1.0
+        _, grad = batch_metric_loss(z, tuples, margin)
         h = 1e-6
         for idx2 in np.ndindex(z.shape):
             orig = z[idx2]
             z[idx2] = orig + h
-            lp = batch_metric_loss(z, tuples, cfg)[0]
+            lp = batch_metric_loss(z, tuples, margin)[0]
             z[idx2] = orig - h
-            lm = batch_metric_loss(z, tuples, cfg)[0]
+            lm = batch_metric_loss(z, tuples, margin)[0]
             z[idx2] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(grad[idx2] - fd) < 1e-4 * max(1.0, abs(fd))
@@ -135,7 +135,7 @@ class TestBatchMetricLoss:
         z = np.zeros((3, 2))
         tuples = triplet_batch([0, 0, 1], [[0, 1, 2]])
         with pytest.raises(InputError):
-            batch_metric_loss(z[:2], tuples, LossConfig())
+            batch_metric_loss(z[:2], tuples, 1.0)
 
     @pytest.mark.parametrize("kind", ["triplet", "npair"])
     def test_invariant_under_rigid_motion(self, kind):
@@ -145,11 +145,11 @@ class TestBatchMetricLoss:
             tuples = triplet_batch(labels, [[0, 1, 2], [2, 3, 6], [4, 5, 0]])
         else:
             tuples = npair_batch(labels, 4)
-        cfg = LossConfig(margin=0.7)
-        base, _ = batch_metric_loss(z, tuples, cfg)
+        margin = 0.7
+        base, _ = batch_metric_loss(z, tuples, margin)
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         moved = z @ q.T + rng.normal(size=5)
-        rotated, _ = batch_metric_loss(moved, tuples, cfg)
+        rotated, _ = batch_metric_loss(moved, tuples, margin)
         assert abs(base - rotated) < 1e-9
 
     @pytest.mark.parametrize("kind", ["triplet", "npair"])
@@ -165,8 +165,8 @@ class TestBatchMetricLoss:
             tuples = triplet_batch(labels, rows)
         else:
             tuples = npair_batch(labels, 4)
-        cfg = LossConfig(margin=1.0)
-        base, _ = batch_metric_loss(z, tuples, cfg)
+        margin = 1.0
+        base, _ = batch_metric_loss(z, tuples, margin)
         aug = augment_tuples(z, tuples, AugmentorState(alpha=1.0, j_avg=0.8))
         assert aug.lambda_interp < 1.0
         # rebuild the tuple geometry with hardened negatives substituted
@@ -176,7 +176,7 @@ class TestBatchMetricLoss:
         negatives = 2 * t + np.arange(aug.negative_idx.size).reshape(aug.negative_idx.shape)
         labels2 = np.concatenate([aug.anchor_labels, aug.anchor_labels, aug.negative_labels.ravel()])
         hard_tuples = TupleBatch(kind, np.arange(t), t + np.arange(t), negatives, labels2)
-        hardened, _ = batch_metric_loss(stacked, hard_tuples, cfg)
+        hardened, _ = batch_metric_loss(stacked, hard_tuples, margin)
         assert hardened >= base - 1e-12
 
 

@@ -240,25 +240,29 @@ class _LinearSquaredFragment:
         return {"weight": gw, "bias": gb}
 
 
+def _gradcheck(fragment, **kwargs):
+    return gradcheck(fragment.params(), fragment.loss, fragment.grads, **kwargs)
+
+
 class TestGradcheck:
     def test_linear_model_is_near_exact(self):
         # quadratic loss: central differences are exact for any step, so a
         # larger step leaves only rounding noise
-        report = gradcheck(_LinearSquaredFragment(), step=1e-2)
+        report = _gradcheck(_LinearSquaredFragment(), step=1e-2)
         assert report.max_deviation < 1e-10
 
     def test_two_layer_relu_softmax_passes(self):
-        report = gradcheck(_TwoLayerFragment(seed=1), tolerance=1e-4)
+        report = _gradcheck(_TwoLayerFragment(seed=1), tolerance=1e-4)
         assert report.passed, report.summary()
 
     def test_corrupted_gradient_is_reported_not_raised(self):
-        report = gradcheck(_TwoLayerFragment(seed=1, corrupt=True), tolerance=1e-4)
+        report = _gradcheck(_TwoLayerFragment(seed=1, corrupt=True), tolerance=1e-4)
         assert not report.passed
         assert report.deviations["l1.weight"] > 1e-3
 
     def test_many_random_instances(self):
         for seed in range(20):
-            report = gradcheck(_TwoLayerFragment(seed=seed), tolerance=1e-4)
+            report = _gradcheck(_TwoLayerFragment(seed=seed), tolerance=1e-4)
             assert report.passed, f"seed {seed}: {report.summary()}"
 
 

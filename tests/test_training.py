@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from frozen import freeze
 
 from hardmetric.data import synth_gaussian_dataset
 from hardmetric.embedder import EmbedTape, embed, embed_backward, project, project_backward
@@ -68,13 +69,13 @@ class TestMineTuples:
     def test_single_class_batch_is_skipped(self):
         config = small_config()
         rng = np.random.default_rng(0)
-        assert mine_tuples(np.zeros(8, dtype=int), "triplet", config, rng) is None
+        assert mine_tuples(np.zeros(8, dtype=int), config, rng) is None
 
     def test_triplets_satisfy_label_constraints_exhaustively(self):
         config = small_config()
         rng = np.random.default_rng(1)
         labels = np.array([0, 0, 1, 1])
-        tuples = mine_tuples(labels, "triplet", config, rng)
+        tuples = mine_tuples(labels, config, rng)
         assert tuples is not None
         assert tuples.anchors.tolist() == [0, 1, 2, 3]
         assert tuples.negatives.shape == (4, 1)
@@ -96,7 +97,7 @@ class TestMineTuples:
                 same = np.flatnonzero((labels == lab) & (np.arange(len(labels)) != i))
                 if same.size and len(set(labels.tolist())) > 1:
                     expected.append([i, ref_rng.choice(same), ref_rng.choice(np.flatnonzero(labels != lab))])
-            tuples = mine_tuples(labels, "triplet", config, rng)
+            tuples = mine_tuples(labels, config, rng)
             if not expected:
                 assert tuples is None
                 continue
@@ -108,7 +109,7 @@ class TestMineTuples:
         config = small_config(loss_kind="npair", npair_n=4)
         rng = np.random.default_rng(2)
         labels = np.repeat(np.arange(4), 2)
-        tuples = mine_tuples(labels, "npair", config, rng)
+        tuples = mine_tuples(labels, config, rng)
         assert tuples.size == 4 and tuples.positives.shape == (4,)
         # 4 anchors, 3 negatives each, via the default cross-positive wiring
         assert tuples.negatives.shape == (4, 3)
@@ -118,7 +119,7 @@ class TestMineTuples:
         config = small_config(loss_kind="npair", npair_n=4)
         rng = np.random.default_rng(3)
         labels = np.array([0, 0, 1, 1, 2, 2, 3])  # class 3 has one sample
-        assert mine_tuples(labels, "npair", config, rng) is None
+        assert mine_tuples(labels, config, rng) is None
 
 
 class TestMetricWeight:
@@ -172,7 +173,7 @@ class TestTrainStep:
         models = init_models(x.shape[1], 3, config)
         state = init_state(models, config)
         before = model_bytes(models)
-        train_step(models, x, labels, state, config, update_generator=False, update_classifier=False)
+        train_step(models, x, labels, freeze(state, "generator", "classifier"), config)
         after = model_bytes(models)
         for key in after:
             if key.startswith(("i.", "c.")):
@@ -187,7 +188,7 @@ class TestTrainStep:
         models = init_models(x.shape[1], 3, config)
         state = init_state(models, config)
         before = model_bytes(models)
-        train_step(models, x, labels, state, config, update_metric=False, update_classifier=False)
+        train_step(models, x, labels, freeze(state, "extractor", "projector", "classifier"), config)
         after = model_bytes(models)
         for key in after:
             if key.startswith("i."):
@@ -202,7 +203,7 @@ class TestTrainStep:
         models = init_models(x.shape[1], 3, config)
         state = init_state(models, config)
         before = model_bytes(models)
-        train_step(models, x, labels, state, config, update_metric=False, update_generator=False)
+        train_step(models, x, labels, freeze(state, "extractor", "projector", "generator"), config)
         after = model_bytes(models)
         for key in after:
             if key.startswith("c."):
@@ -218,7 +219,7 @@ class TestTrainStep:
         config = small_config(batch_size=6)
         models = init_models(x.shape[1], 3, config)
         state = init_state(models, config)
-        tuples = mine_tuples(labels, "triplet", config, state.rng)
+        tuples = mine_tuples(labels, config, state.rng)
         from hardmetric.augmentor import augment_tuples
         from hardmetric.embedder import extract
         from hardmetric.training import _member_rows, _synthetic_tuples
@@ -234,19 +235,18 @@ class TestTrainStep:
         )
         w = 0.7  # frozen blend weight
         syn_rows, syn_tuples = _synthetic_tuples(aug, gen_result.member_features, gen_result.hardened_features)
-        loss_cfg = config.loss_config()
 
         def objective():
             e, _ = embed(models.embedder, x)
-            j_m, _ = batch_metric_loss(e.embeddings, tuples, loss_cfg)
+            j_m, _ = batch_metric_loss(e.embeddings, tuples, config.margin)
             se, _ = project(models.embedder, syn_rows)
-            j_s, _ = batch_metric_loss(se, syn_tuples, loss_cfg)
+            j_s, _ = batch_metric_loss(se, syn_tuples, config.margin)
             return w * j_m + (1 - w) * j_s
 
-        j_m, gz_m = batch_metric_loss(emb, tuples, loss_cfg)
+        j_m, gz_m = batch_metric_loss(emb, tuples, config.margin)
         ext_grads, proj_grads = embed_backward(models.embedder, EmbedTape(ext_tapes, proj_tape), w * gz_m)
         syn_emb, syn_tape = project(models.embedder, syn_rows)
-        j_s, gz_s = batch_metric_loss(syn_emb, syn_tuples, loss_cfg)
+        j_s, gz_s = batch_metric_loss(syn_emb, syn_tuples, config.margin)
         _, syn_proj = project_backward(models.embedder, syn_tape, (1 - w) * gz_s)
         analytic = {
             "f.w": ext_grads[0],
@@ -411,7 +411,7 @@ class TestGradientScopeProbe:
 
             feats, _ = extract(models.embedder, x)
             emb, _ = project(models.embedder, feats)
-            tuples = mine_tuples(labels, "triplet", config, np.random.default_rng(0))
+            tuples = mine_tuples(labels, config, np.random.default_rng(0))
             aug = augment_tuples(emb, tuples, state.augmentor)
             member_idx, hardened = _member_rows(aug)
             result = generator_loss(
@@ -419,7 +419,7 @@ class TestGradientScopeProbe:
                 feats[member_idx], emb[member_idx],
                 hardened, aug.negative_labels.reshape(-1), config.lambda_balance,
             )
-            return result.breakdown.j_gen
+            return result.j_gen
 
         before = current_j_gen()
         models.embedder.projector.weight[0, 0] += 0.5
@@ -427,7 +427,7 @@ class TestGradientScopeProbe:
         assert after != before
         models.embedder.projector.weight[0, 0] -= 0.5
         proj_bytes = models.embedder.projector.weight.tobytes()
-        train_step(models, x, labels, state, config, update_metric=False, update_classifier=False)
+        train_step(models, x, labels, freeze(state, "extractor", "projector", "classifier"), config)
         assert models.embedder.projector.weight.tobytes() == proj_bytes
 
 
@@ -447,7 +447,7 @@ class TestAlphaZeroDegeneracy:
 
         feats, _ = extract(models.embedder, x)
         emb, _ = project(models.embedder, feats)
-        tuples = mine_tuples(labels, "triplet", config, np.random.default_rng(1))
+        tuples = mine_tuples(labels, config, np.random.default_rng(1))
         aug = augment_tuples(emb, tuples, state.augmentor)
         assert np.array_equal(aug.hardened_negatives, emb[aug.negative_idx])
         member_idx, hardened = _member_rows(aug)
@@ -455,11 +455,11 @@ class TestAlphaZeroDegeneracy:
         hard_feats, _ = generate(models.generator, hardened)
         syn_rows, syn_tuples = _synthetic_tuples(aug, member_feats, hard_feats)
         syn_emb, _ = project(models.embedder, syn_rows)
-        j_syn, _ = batch_metric_loss(syn_emb, syn_tuples, config.loss_config())
+        j_syn, _ = batch_metric_loss(syn_emb, syn_tuples, config.margin)
         # oracle: re-embed the reconstructions of the raw tuple members directly
         recon, _ = generate(models.generator, emb)
         recon_emb, _ = project(models.embedder, recon)
-        j_direct, _ = batch_metric_loss(recon_emb, tuples, config.loss_config())
+        j_direct, _ = batch_metric_loss(recon_emb, tuples, config.margin)
         assert abs(j_syn - j_direct) < 1e-12
 
 

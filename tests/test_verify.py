@@ -7,17 +7,17 @@ from hardmetric.verify import embedder_metric_fragment, generator_objective_frag
 class TestFragments:
     def test_triplet_fragment_passes_gradcheck(self):
         rng = np.random.default_rng(0)
-        report = gradcheck(embedder_metric_fragment("triplet", rng))
+        report = gradcheck(*embedder_metric_fragment("triplet", rng))
         assert report.passed, report.summary()
 
     def test_npair_fragment_passes_gradcheck(self):
         rng = np.random.default_rng(1)
-        report = gradcheck(embedder_metric_fragment("npair", rng))
+        report = gradcheck(*embedder_metric_fragment("npair", rng))
         assert report.passed, report.summary()
 
     def test_generator_fragment_passes_gradcheck(self):
         rng = np.random.default_rng(2)
-        report = gradcheck(generator_objective_fragment(rng))
+        report = gradcheck(*generator_objective_fragment(rng))
         assert report.passed, report.summary()
 
 
