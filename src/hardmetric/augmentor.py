@@ -37,7 +37,7 @@ class AugmentorState:
     j_avg: float | None = None
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise InputError(f"alpha must be nonnegative, got {self.alpha}")
         if self.j_avg is not None and not (self.j_avg >= 0):
             raise InputError(f"j_avg must be nonnegative when set, got {self.j_avg}")

@@ -77,6 +77,8 @@ def _cmd_synth_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise InputError(f"--out-dir {args.out_dir} exists and is not a directory")
     dataset = load_dataset(args.data)
     config = load_config(args.config)
     result = run_training(dataset, config, out_dir=args.out_dir)
@@ -143,7 +145,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DatasetParseError, DimensionError, InputError, FileNotFoundError) as exc:
+    except (ConfigError, DatasetParseError, DimensionError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except NumericalError as exc:

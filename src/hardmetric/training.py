@@ -87,16 +87,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_kind not in ("triplet", "npair"):
             raise InputError(f"loss_kind must be 'triplet' or 'npair', got {self.loss_kind!r}")
-        if self.learning_rate <= 0 or self.fc_lr_multiplier <= 0:
-            raise InputError("learning rates must be positive")
-        if self.alpha < 0:
-            raise InputError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.beta <= 0:
-            raise InputError(f"beta must be positive, got {self.beta}")
-        if self.lambda_balance < 0:
-            raise InputError(f"lambda_balance must be nonnegative, got {self.lambda_balance}")
-        if self.margin < 0:
-            raise InputError(f"margin must be nonnegative, got {self.margin}")
+        # `not x >= 0` and `not x > 0` also refuse NaN
+        for name in ("learning_rate", "fc_lr_multiplier", "beta"):
+            if not getattr(self, name) > 0:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("alpha", "lambda_balance", "margin"):
+            if not getattr(self, name) >= 0:
+                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.npair_n < 2:
             raise InputError(f"npair_n must be at least 2, got {self.npair_n}")
         if self.batch_size < 2:
@@ -111,7 +108,6 @@ class TrainConfig:
             raise InputError(f"eval_every must be nonnegative, got {self.eval_every}")
         if not self.recall_ks or min(self.recall_ks) < 1:
             raise InputError(f"recall_ks must be positive, got {self.recall_ks}")
-        # `not > 0` also refuses NaN
         if self.fixed_reference_distance is not None and not self.fixed_reference_distance > 0:
             raise InputError(f"fixed_reference_distance must be positive, got {self.fixed_reference_distance}")
 
@@ -236,7 +232,7 @@ def metric_weight(j_gen: float, beta: float) -> float:
     A struggling generator (large j_gen) pushes the weight toward 1 so the
     synthetic loss barely counts; j_gen = 0 maps to 0.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise InputError(f"beta must be positive, got {beta}")
     if j_gen <= 0.0:
         return 0.0

@@ -116,6 +116,33 @@ class TestExitCodes:
 
 
 @pytest.mark.parametrize(
+    "case", ["data-is-a-directory", "synth-out-is-a-directory", "out-dir-is-a-file", "data-not-utf8", "config-not-utf8", "label-beyond-int64"]
+)
+def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset, train_config, capsys, case):
+    data, config, out_dir = small_dataset, train_config, tmp_path / "run"
+    if case == "data-is-a-directory":
+        data = tmp_path
+    elif case == "out-dir-is-a-file":
+        out_dir.write_text("not a directory\n")
+    elif case == "data-not-utf8":
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(small_dataset.read_bytes().replace(b"\n1,", b"\n1,\xe9", 1))
+    elif case == "config-not-utf8":
+        config.write_bytes(b"# r\xe9glage\n" + train_config.read_bytes())
+    elif case == "label-beyond-int64":
+        data = tmp_path / "huge.csv"
+        data.write_text("label,f_0\n0,1.0\n99999999999999999999,2.0\n")
+    argv = ["train", "--data", str(data), "--config", str(config), "--out-dir", str(out_dir)]
+    if case == "synth-out-is-a-directory":
+        argv = ["synth-data", "--classes", "2", "--per-class", "2", "--dim", "2", "--out", str(tmp_path)]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert case != "out-dir-is-a-file" or "not a directory" in err
+
+
+@pytest.mark.parametrize(
     "config_text, message",
     [
         ("generator_hidden_dim = -1\n", "generator_hidden_dim"),

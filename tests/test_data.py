@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hardmetric import data
 from hardmetric.config import parse_config_text
 from hardmetric.data import (
     Dataset,
@@ -162,6 +163,117 @@ class TestDatasetIO:
             Dataset(np.zeros((2, 3)), [0, 2])
 
 
+HEADER = "label,f_0,f_1\n"
+# decimals that are hard to round: the largest subnormal, the smallest normal
+# and their neighbours, halfway cases, the float64 limits and a 401-digit mantissa
+HARD_DECIMALS = [
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "2.2250738585072014e-308",
+    "4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "1.7976931348623157e308", "1.7976931348623158e308", "9007199254740993", "9007199254740992.5",
+    "0.1", "1e23", "8.98846567431158e307", "5e-324", "7.2057594037927933e16",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203124",
+    "9007199254740993" + "0" * 384 + "1e-400",
+]
+
+
+def _random_decimals():
+    values = np.random.default_rng(5).standard_normal(60) * 10.0 ** np.arange(-30, 30)
+    return [f"{v:.{digits}e}" for v in values for digits in (14, 16, 24)]
+
+
+def _rows(values):
+    return "".join(f"{i % 2},{a},{b}\n" for i, (a, b) in enumerate(zip(values[::2], values[1::2])))
+
+
+def _edge(label="1", value="2.5"):
+    return HEADER + "0,0.5,1.5\n" + f"{label},{value},-1.0\n"
+
+
+# each file either loads identically through both readers or fails identically
+EDGE_FILES = {
+    "label-3.0": _edge(label="3.0"),
+    "label-3e0": _edge(label="3e0"),
+    "label-underscore": _edge(label="1_0"),
+    "label-fullwidth-3": _edge(label="\uff13"),
+    "label-fullwidth-1": _edge(label="\uff11"),
+    "label-beyond-int64": _edge(label="99999999999999999999"),
+    "label-int64-max": _edge(label="9223372036854775807"),
+    "label-negative": _edge(label="-1"),
+    "label-signed": _edge(label="+1"),
+    "value-underscore": _edge(value="1_000"),
+    "value-hex": _edge(value="0x10"),
+    "value-nan-payload": _edge(value="nan(123)"),
+    "value-arabic-indic": _edge(value="\u0661"),
+    "value-overflow": _edge(value="1e400"),
+    "value-nan": _edge(value="nan"),
+    "value-blank": _edge(value=" "),
+    "value-empty": _edge(value=""),
+    "value-padded": _edge(value="\t 2.5\u00a0"),
+    "value-negative-zero": _edge(value="-0.0"),
+    "trailing-comma": HEADER + "0,0.5,1.5,\n",
+    "short-row": HEADER + "0,0.5,1.5\n1,2.5\n",
+    "whitespace-only-line": HEADER + "0,0.5,1.5\n  \t\n1,2.5,-1.0\n",
+    "blank-line": HEADER + "0,0.5,1.5\n\n1,2.5,-1.0\n",
+    "no-final-newline": HEADER + "0,0.5,1.5\n1,2.5,-1.0",
+    "crlf": (HEADER + "0,0.5,1.5\n1,2.5,-1.0\n").replace("\n", "\r\n"),
+    "cr": (HEADER + "0,0.5,1.5\n1,2.5,-1.0\n").replace("\n", "\r"),
+    "header-only": HEADER,
+    "header-without-newline": HEADER.rstrip("\n"),
+    "empty": "",
+    "unknown-header": "label,f_1,f_0\n0,0.5,1.5\n",
+    "header-with-space": "label,f_0,f_1 \n0,0.5,1.5\n",
+    "sparse-labels": HEADER + "0,0.5,1.5\n2,2.5,-1.0\n",
+    # `str.splitlines` breaks lines here, the C reader does not
+    "form-feed-in-row": HEADER + "0,0.5\x0c,1.5\n",
+    "vertical-tab-in-row": HEADER + "0,0.5,1.5\n1,2.5\x0b,-1.0\n",
+    "vertical-tab-ends-row": HEADER + "0,0.5,1.5\x0b\n1,2.5,-1.0\n",
+    "line-separator-splits-row": HEADER + "0,0.5,1.5\u20281,2.5,-1.0\n",
+    "form-feed-in-header": "label,f_0\x0c,f_1\n0,0.5,1.5\n",
+    "hard-rounding": HEADER + _rows(HARD_DECIMALS),
+    "random-14-16-24-digits": HEADER + _rows(_random_decimals()),
+}
+
+
+def _outcome(load, path):
+    try:
+        ds = load(path)
+    except DatasetParseError as exc:
+        return "refused", str(exc), exc.line
+    return "loaded", ds.samples.dtype, ds.labels.dtype, ds.samples.view(np.int64).tolist(), ds.labels.tolist()
+
+
+class TestCReaderAgreesWithTheLineParser:
+    @pytest.mark.parametrize("name", list(EDGE_FILES))
+    def test_same_arrays_or_same_error(self, tmp_path, name):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(EDGE_FILES[name].encode("utf-8"))
+        assert _outcome(load_dataset, path) == _outcome(data._load_lines, path)
+
+    def test_valid_edges_load(self, tmp_path):
+        # the table must hold both outcomes, or it shows nothing
+        path = tmp_path / "edge.csv"
+        loaded = []
+        for name, text in EDGE_FILES.items():
+            path.write_bytes(text.encode("utf-8"))
+            loaded.append(_outcome(load_dataset, path)[0] == "loaded")
+        assert 10 <= sum(loaded) <= len(loaded) - 10
+
+    def test_large_file_takes_the_c_reader(self, tmp_path, monkeypatch):
+        ds = synth_gaussian_dataset(40, 50, 512, seed=4)
+        path = tmp_path / "large.csv"
+        save_dataset(ds, path)
+
+        def refuse(path):
+            raise AssertionError("fell back to the line parser")
+
+        monkeypatch.setattr(data, "_load_lines", refuse)
+        loaded = load_dataset(path)
+        assert np.array_equal(loaded.samples.view(np.int64), ds.samples.view(np.int64))
+        assert np.array_equal(loaded.labels, ds.labels) and loaded.labels.dtype == np.int64
+        assert loaded.samples.flags.c_contiguous and loaded.labels.flags.c_contiguous
+
+
 class TestConfigParsing:
     def test_full_config_round_trip(self):
         text = """
@@ -224,6 +336,12 @@ class TestConfigParsing:
             ("fixed_reference_distance = 0", "fixed_reference_distance"),
             ("fixed_reference_distance = -1", "fixed_reference_distance"),
             ("fixed_reference_distance = nan", "fixed_reference_distance"),
+            ("alpha = nan", "alpha"),
+            ("beta = nan", "beta"),
+            ("lambda_balance = nan", "lambda_balance"),
+            ("margin = nan", "margin"),
+            ("learning_rate = nan", "learning_rate"),
+            ("fc_lr_multiplier = nan", "fc_lr_multiplier"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, line, named):
