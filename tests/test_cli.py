@@ -116,9 +116,17 @@ class TestExitCodes:
 
 
 @pytest.mark.parametrize(
-    "case", ["data-is-a-directory", "synth-out-is-a-directory", "out-dir-is-a-file", "data-not-utf8", "config-not-utf8", "label-beyond-int64"]
+    "case, message",
+    [
+        ("data-is-a-directory", "Is a directory"),
+        ("synth-out-is-a-directory", "Is a directory"),
+        ("out-dir-is-a-file", "exists and is not a directory"),
+        ("data-not-utf8", "latin1.csv is not UTF-8 text"),
+        ("config-not-utf8", "run.cfg is not UTF-8 text"),
+        ("label-beyond-int64", "line 3: label 99999999999999999999 does not fit in 64 bits"),
+    ],
 )
-def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset, train_config, capsys, case):
+def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset, train_config, capsys, case, message):
     data, config, out_dir = small_dataset, train_config, tmp_path / "run"
     if case == "data-is-a-directory":
         data = tmp_path
@@ -138,8 +146,7 @@ def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset
     capsys.readouterr()
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    assert case != "out-dir-is-a-file" or "not a directory" in err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -164,8 +164,8 @@ class TestDatasetIO:
 
 
 HEADER = "label,f_0,f_1\n"
-# decimals that are hard to round: the largest subnormal, the smallest normal
-# and their neighbours, halfway cases, the float64 limits and a 401-digit mantissa
+# decimals that are hard to round: the smallest normal and subnormal and their
+# neighbours, halfway cases, the float64 limits and a 401-digit mantissa
 HARD_DECIMALS = [
     "2.2250738585072011e-308", "2.2250738585072012e-308", "2.2250738585072014e-308",
     "4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
@@ -224,9 +224,8 @@ EDGE_FILES = {
     "unknown-header": "label,f_1,f_0\n0,0.5,1.5\n",
     "header-with-space": "label,f_0,f_1 \n0,0.5,1.5\n",
     "sparse-labels": HEADER + "0,0.5,1.5\n2,2.5,-1.0\n",
-    # `str.splitlines` breaks lines here, the C reader does not
-    "form-feed-in-row": HEADER + "0,0.5\x0c,1.5\n",
-    "vertical-tab-in-row": HEADER + "0,0.5,1.5\n1,2.5\x0b,-1.0\n",
+    # `str.splitlines` breaks lines at these, the C reader does not
+    **{f"separator-{ord(c):x}-in-row": HEADER + f"0,0.5{c},1.5\n" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"},
     "vertical-tab-ends-row": HEADER + "0,0.5,1.5\x0b\n1,2.5,-1.0\n",
     "line-separator-splits-row": HEADER + "0,0.5,1.5\u20281,2.5,-1.0\n",
     "form-feed-in-header": "label,f_0\x0c,f_1\n0,0.5,1.5\n",
@@ -250,7 +249,7 @@ class TestCReaderAgreesWithTheLineParser:
         path.write_bytes(EDGE_FILES[name].encode("utf-8"))
         assert _outcome(load_dataset, path) == _outcome(data._load_lines, path)
 
-    def test_valid_edges_load(self, tmp_path):
+    def test_table_holds_both_outcomes(self, tmp_path):
         # the table must hold both outcomes, or it shows nothing
         path = tmp_path / "edge.csv"
         loaded = []
