@@ -20,16 +20,11 @@ from .embedder import (
     project,
 )
 from .evaluation import EvalReport, evaluate_embeddings, kmeans, nmi, pairwise_f1, recall_at_k
-from .generator import (
-    GeneratorParams,
-    classifier_step,
-    generate,
-    generator_loss,
-    init_classifier,
-    init_generator,
-)
+from .generator import classifier_step, generator_loss, init_generator
 from .losses import TupleBatch, batch_metric_loss, npair_loss, triplet_loss
-from .nn import Adam, DenseLayer, dense_backward, dense_forward, gradcheck, init_dense, softmax_xent, squared_error
+from .nn import (
+    Adam, DenseLayer, dense_backward, dense_forward, gradcheck, init_dense, softmax_xent, squared_error, stack_forward,
+)
 from .training import Models, TrainConfig, TrainState, metric_weight, mine_tuples, run_training, train_step
 
 __version__ = "0.1.0"

@@ -17,8 +17,7 @@ import numpy as np
 
 from .embedder import EmbedderParams
 from .errors import InputError
-from .generator import GeneratorParams
-from .nn import DenseLayer
+from .nn import DenseLayer, check_chain
 
 FORMAT_VERSION = 1
 
@@ -26,7 +25,7 @@ FORMAT_VERSION = 1
 @dataclass
 class CheckpointBundle:
     embedder: EmbedderParams
-    generator: GeneratorParams | None
+    generator: list[DenseLayer] | None
     classifier: DenseLayer | None
     meta: dict
 
@@ -40,7 +39,7 @@ def _layer_entries(prefix: str, layer: DenseLayer, arrays: dict, meta_layers: li
 def save_checkpoint(
     path,
     embedder: EmbedderParams,
-    generator: GeneratorParams | None = None,
+    generator: list[DenseLayer] | None = None,
     classifier: DenseLayer | None = None,
     meta: dict | None = None,
 ) -> None:
@@ -50,14 +49,14 @@ def save_checkpoint(
         _layer_entries(f"embedder/extractor/{i}", layer, arrays, layers)
     _layer_entries("embedder/projector", embedder.projector, arrays, layers)
     if generator is not None:
-        for i, layer in enumerate(generator.layers):
+        for i, layer in enumerate(generator):
             _layer_entries(f"generator/{i}", layer, arrays, layers)
     if classifier is not None:
         _layer_entries("classifier", classifier, arrays, layers)
     doc = {
         "layers": layers,
         "num_extractor_layers": len(embedder.extractor),
-        "num_generator_layers": len(generator.layers) if generator is not None else 0,
+        "num_generator_layers": len(generator) if generator is not None else 0,
         "has_classifier": classifier is not None,
         "normalize_embeddings": embedder.normalize,
         "meta": meta or {},
@@ -97,8 +96,7 @@ def _read_bundle(npz) -> CheckpointBundle:
 
     extractor = [layer(f"embedder/extractor/{i}") for i in range(doc["num_extractor_layers"])]
     embedder = EmbedderParams(extractor, layer("embedder/projector"), doc["normalize_embeddings"])
-    generator = None
-    if doc["num_generator_layers"]:
-        generator = GeneratorParams([layer(f"generator/{i}") for i in range(doc["num_generator_layers"])])
+    generator = [layer(f"generator/{i}") for i in range(doc["num_generator_layers"])]
+    check_chain(generator, "generator")  # the one place generator layers come from outside the program
     classifier = layer("classifier") if doc["has_classifier"] else None
-    return CheckpointBundle(embedder, generator, classifier, doc["meta"])
+    return CheckpointBundle(embedder, generator or None, classifier, doc["meta"])

@@ -77,8 +77,11 @@ def _cmd_synth_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
-        raise InputError(f"--out-dir {args.out_dir} exists and is not a directory")
+    existing = os.path.abspath(args.out_dir)
+    while not os.path.exists(existing):  # "/" exists, so this ends
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise InputError(f"--out-dir {args.out_dir}: {existing} exists and is not a directory")
     dataset = load_dataset(args.data)
     config = load_config(args.config)
     result = run_training(dataset, config, out_dir=args.out_dir)

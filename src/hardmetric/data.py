@@ -66,8 +66,11 @@ def synth_gaussian_dataset(
     """
     if num_classes <= 0 or per_class <= 0 or input_dim <= 0:
         raise InputError("num_classes, per_class, and input_dim must be positive")
-    if noise_sigma < 0:
-        raise InputError(f"noise_sigma must be nonnegative, got {noise_sigma}")
+    for name, value in (("center_scale", center_scale), ("noise_sigma", noise_sigma)):
+        if not (math.isfinite(value) and value >= 0):
+            raise InputError(f"{name} must be finite and nonnegative, got {value}")
+    if not seed >= 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, center_scale, size=(num_classes, input_dim))
     # one draw fills the rows class by class, as one draw per class would
@@ -97,6 +100,8 @@ def split_zero_shot(dataset: Dataset, train_fraction: float, seed: int) -> ZeroS
     """
     if not (0.0 < train_fraction < 1.0):
         raise InputError(f"train_fraction must lie strictly in (0, 1), got {train_fraction}")
+    if not seed >= 0:
+        raise InputError(f"split seed must be nonnegative, got {seed}")
     c = dataset.num_classes
     if c < 2:
         raise InputError("zero-shot split needs at least two classes")
@@ -166,10 +171,8 @@ def _load_lines(path) -> Dataset:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
         raise DatasetParseError("no header")
-    header = lines[0].split(",")
-    dim = len(header) - 1
-    expected = ["label"] + [f"f_{i}" for i in range(dim)]
-    if header != expected or dim < 1:
+    dim = lines[0].count(",")
+    if dim < 1 or lines[0] != _header(dim):
         raise DatasetParseError(f"unknown header {lines[0]!r}", line=1)
     samples = []
     labels = []

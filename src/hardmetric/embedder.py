@@ -46,20 +46,11 @@ class EmbedderParams:
     def __post_init__(self):
         check_chain(self.extractor + [self.projector], "embedder")
 
-    @property
-    def feature_dim(self) -> int:
-        return self.projector.in_dim
-
 
 def init_embedder(
-    input_dim: int,
-    hidden_dims: tuple[int, ...] = (256, 256),
-    embed_dim: int = 64,
-    rng: np.random.Generator | None = None,
-    normalize: bool = False,
+    input_dim: int, hidden_dims: tuple[int, ...], embed_dim: int, rng: np.random.Generator, normalize: bool = False
 ) -> EmbedderParams:
     """ReLU extractor stack (input -> hidden dims) plus a linear projector."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     layers = []
     prev = input_dim
     for dim in hidden_dims:

@@ -29,6 +29,7 @@ _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 # a Gram entry or explicit squared distance is at most 2(|a|^2 + |b|^2): finite below this
 _MAX_SQUARED_NORM = np.finfo(np.float64).max / 16
 _BLOCK = 1 << 22  # float64 elements per temporary of the explicit-difference kernel
+KMEANS_MAX_ITER = 300
 
 
 def _squared_norms(points: np.ndarray) -> np.ndarray:
@@ -78,10 +79,10 @@ def _pair_sqdist(a, rows_a, b, rows_b) -> np.ndarray:
     return out
 
 
-def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
+def kmeans(points, k: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm with distance-weighted seeding, deterministic per seed.
 
-    Iterates to an assignment fixpoint or max_iter. Ties in assignment break
+    Iterates to an assignment fixpoint or KMEANS_MAX_ITER. Ties in assignment break
     toward the lowest center index; a cluster that empties is reseeded at
     the point currently farthest from its own center. Assignments are those
     of explicit-difference squared distances: the Gram argmin stands where
@@ -94,6 +95,8 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
         raise InputError(f"k must be positive, got {k}")
     if k > n:
         raise InputError(f"k = {k} exceeds number of points {n}")
+    if not seed >= 0:
+        raise InputError(f"k-means seed must be nonnegative, got {seed}")
     sq = _squared_norms(pts)
     rng = np.random.default_rng(seed)
 
@@ -110,7 +113,7 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
         d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
 
     assign = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         g, slack = _gram_sqdist(pts, sq, centers, np.einsum("ij,ij->i", centers, centers))
         new_assign = g.argmin(axis=1)
         if k > 1:

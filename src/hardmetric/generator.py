@@ -17,58 +17,18 @@ import numpy as np
 
 from .errors import DimensionError, InputError, NumericalError
 from .nn import (
-    DenseLayer,
-    GradTape,
-    as_matrix,
-    check_chain,
-    dense_backward,
-    dense_forward,
-    init_dense,
-    softmax_xent,
-    squared_error,
-    stack_backward,
+    DenseLayer, as_matrix, dense_backward, dense_forward, init_dense, softmax_xent, squared_error, stack_backward,
     stack_forward,
 )
 
 
-@dataclass
-class GeneratorParams:
-    """Two dense layers with increasing output dims: relu hidden, identity out."""
-
-    layers: list[DenseLayer]
-
-    def __post_init__(self):
-        check_chain(self.layers, "generator")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.layers[-1].out_dim
-
-
 def init_generator(
-    embed_dim: int,
-    feature_dim: int,
-    hidden_dim: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> GeneratorParams:
-    """Default hidden width is 2 * embed_dim, keeping the dims increasing."""
-    rng = rng if rng is not None else np.random.default_rng(0)
+    embed_dim: int, feature_dim: int, hidden_dim: int | None = None, *, rng: np.random.Generator
+) -> list[DenseLayer]:
+    """Two dense layers with increasing output dims: relu hidden, identity out.
+    Default hidden width is 2 * embed_dim, keeping the dims increasing."""
     hidden = hidden_dim if hidden_dim is not None else 2 * embed_dim
-    return GeneratorParams(
-        [init_dense(embed_dim, hidden, "relu", rng), init_dense(hidden, feature_dim, "identity", rng)]
-    )
-
-
-def init_classifier(feature_dim: int, num_classes: int, rng: np.random.Generator | None = None) -> DenseLayer:
-    """Single linear layer from feature space to training-class logits."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return init_dense(feature_dim, num_classes, "identity", rng)
-
-
-def generate(gen: GeneratorParams, z) -> tuple[np.ndarray, list[GradTape]]:
-    """Map (possibly hardened) embeddings back to feature space; tapes for
-    `stack_backward` over `gen.layers`."""
-    return stack_forward(gen.layers, z)
+    return [init_dense(embed_dim, hidden, "relu", rng), init_dense(hidden, feature_dim, "identity", rng)]
 
 
 @dataclass
@@ -79,7 +39,7 @@ class GeneratorLossResult:
     j_recon: float
     j_soft: float
     j_gen: float
-    grads: list[np.ndarray]  # in `stack_params(gen.layers)` order
+    grads: list[np.ndarray]  # in `stack_params(gen)` order
     member_features: np.ndarray
     hardened_features: np.ndarray
 
@@ -91,7 +51,7 @@ class GeneratorLossResult:
 
 
 def generator_loss(
-    gen: GeneratorParams,
+    gen: list[DenseLayer],
     clf: DenseLayer,
     real_features,
     member_embeddings,
@@ -103,9 +63,9 @@ def generator_loss(
 
     j_recon is the batch-mean squared reconstruction error of the unaltered
     members; j_soft is the softmax loss of the hardened synthetics against
-    their original labels under the (frozen) classifier. The embeddings are
-    treated as constants and the classifier's own gradients are discarded:
-    the decoder adapts to the encoder, never the other way around.
+    their original labels under the (frozen) classifier, which must be an
+    identity-activation head. The embeddings and the classifier are constants
+    here: the decoder adapts to the encoder, never the other way around.
 
     Returns the synthetic features as well so callers do not need a second
     forward pass to build the synthetic tuple.
@@ -118,23 +78,24 @@ def generator_loss(
         )
     if lambda_balance < 0:
         raise InputError(f"lambda_balance must be nonnegative, got {lambda_balance}")
+    if clf.activation != "identity":
+        raise InputError(f"the frozen classifier head must be linear ('identity'), got {clf.activation!r}")
 
-    member_features, member_tapes = generate(gen, member_embeddings)
+    member_features, member_tapes = stack_forward(gen, member_embeddings)
     j_recon, (_, grad_member_features) = squared_error(real_features, member_features)
     # the input gradients are dropped on purpose: embeddings are constants here
-    _, grads = stack_backward(gen.layers, member_tapes, grad_member_features)
+    _, grads = stack_backward(gen, member_tapes, grad_member_features)
 
     hardened_embeddings = np.asarray(hardened_embeddings, dtype=np.float64)
     if hardened_embeddings.size:
-        hardened_features, hardened_tapes = generate(gen, hardened_embeddings)
-        logits, clf_tape = dense_forward(clf, hardened_features)
+        hardened_features, hardened_tapes = stack_forward(gen, hardened_embeddings)
+        logits, _ = dense_forward(clf, hardened_features)
         j_soft, grad_logits = softmax_xent(logits, hardened_labels)
-        # classifier weight/bias grads are dropped: frozen path
-        grad_hardened, _, _ = dense_backward(clf, clf_tape, grad_logits)
-        _, soft_grads = stack_backward(gen.layers, hardened_tapes, lambda_balance * grad_hardened)
+        # the input gradient of a linear head alone: the classifier is frozen here
+        _, soft_grads = stack_backward(gen, hardened_tapes, lambda_balance * (grad_logits @ clf.weight))
         grads = [a + b for a, b in zip(grads, soft_grads)]
     else:
-        hardened_features = np.empty((0, gen.feature_dim))
+        hardened_features = np.empty((0, gen[-1].out_dim))
         j_soft = 0.0
 
     j_gen = j_recon + lambda_balance * j_soft

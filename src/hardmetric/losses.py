@@ -143,9 +143,9 @@ def batch_metric_loss(embeddings, tuples: TupleBatch, margin: float) -> tuple[fl
     grad = np.zeros_like(z)
     if tuples.size == 0:
         return 0.0, grad
-    last = tuples.rows.max()
-    if last >= z.shape[0]:
-        raise InputError(f"tuple indices must lie in [0, {z.shape[0]}), got up to {last}")
+    rows = tuples.rows
+    if rows.max() >= z.shape[0]:
+        raise InputError(f"tuple indices must lie in [0, {z.shape[0]}), got up to {rows.max()}")
 
     za = z[tuples.anchors]
     d_pos, unit_ap = _unit_diffs(za, z[tuples.positives])
@@ -159,7 +159,6 @@ def batch_metric_loss(embeddings, tuples: TupleBatch, margin: float) -> tuple[fl
         loss, g_pos, g_neg = npair_loss(d_pos, d_neg)
     wp = g_pos[:, None] * unit_ap
     wn = g_neg[..., None] * unit_an
-    np.add.at(grad, tuples.anchors, wp + wn.sum(axis=1))
-    np.add.at(grad, tuples.positives, -wp)
-    np.add.at(grad, tuples.negatives.ravel(), -wn.reshape(-1, z.shape[1]))
+    # one scatter in `rows` order adds in the order of three separate ones
+    np.add.at(grad, rows, np.concatenate([wp + wn.sum(axis=1), -wp, -wn.reshape(-1, z.shape[1])]))
     return loss, grad

@@ -202,15 +202,16 @@ def squared_error(a, b) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
 class Adam:
     """Adaptive moment optimizer bound to a fixed list of parameter arrays.
 
-    step() applies one update in place. Decay rates 0.9/0.999, epsilon 1e-8.
+    step() applies one update in place.
     """
 
-    def __init__(self, params, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, learning_rate: float):
         self.params = list(params)
         self.learning_rate = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
@@ -220,16 +221,16 @@ class Adam:
         if len(grads) != len(self.params):
             raise InputError(f"got {len(grads)} gradients for {len(self.params)} parameters")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             if g.shape != p.shape:
                 raise DimensionError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 @dataclass

@@ -39,15 +39,9 @@ from .embedder import (
 )
 from .errors import InputError, NumericalError
 from .evaluation import EvalReport, evaluate_embeddings
-from .generator import (
-    GeneratorParams,
-    classifier_step,
-    generator_loss,
-    init_classifier,
-    init_generator,
-)
+from .generator import classifier_step, generator_loss, init_generator
 from .losses import TupleBatch, batch_metric_loss
-from .nn import Adam, DenseLayer, stack_params
+from .nn import Adam, DenseLayer, init_dense, stack_params
 
 log = logging.getLogger(__name__)
 
@@ -91,7 +85,7 @@ class TrainConfig:
         for name in ("learning_rate", "fc_lr_multiplier", "beta"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("alpha", "lambda_balance", "margin"):
+        for name in ("alpha", "lambda_balance", "margin", "seed", "split_seed"):
             if not getattr(self, name) >= 0:
                 raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.npair_n < 2:
@@ -117,7 +111,7 @@ class Models:
     """The four parameter partitions; generator/classifier absent for baselines."""
 
     embedder: EmbedderParams
-    generator: GeneratorParams | None = None
+    generator: list[DenseLayer] | None = None
     classifier: DenseLayer | None = None
 
 
@@ -132,10 +126,9 @@ def init_models(input_dim: int, num_train_classes: int, config: TrainConfig) -> 
     )
     if not config.synthetics:
         return Models(embedder)
-    generator = init_generator(
-        config.embed_dim, embedder.feature_dim, hidden_dim=config.generator_hidden_dim, rng=rng
-    )
-    classifier = init_classifier(embedder.feature_dim, num_train_classes, rng=rng)
+    feature_dim = embedder.projector.in_dim
+    generator = init_generator(config.embed_dim, feature_dim, hidden_dim=config.generator_hidden_dim, rng=rng)
+    classifier = init_dense(feature_dim, num_train_classes, "identity", rng)
     return Models(embedder, generator, classifier)
 
 
@@ -182,7 +175,7 @@ def init_state(models: Models, config: TrainConfig) -> TrainState:
         rng=np.random.default_rng(config.seed),
         adam_extractor=Adam(stack_params(models.embedder.extractor), config.learning_rate),
         adam_projector=Adam(stack_params([models.embedder.projector]), fc_rate),
-        adam_generator=Adam(stack_params(models.generator.layers), fc_rate) if models.generator else None,
+        adam_generator=Adam(stack_params(models.generator), fc_rate) if models.generator else None,
         adam_classifier=Adam(stack_params([models.classifier]), fc_rate) if models.classifier else None,
     )
 
@@ -383,6 +376,12 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
     test_x, test_labels = take_classes(dataset, split.test_classes)
     _check_runnable(config, len(split.train_classes), len(test_labels))
     train_labels, label_map = _remap_labels(train_labels_orig)
+    if config.synthetics and config.normalize_embeddings and (config.fixed_reference_distance or 0.0) >= 2.0:
+        log.warning(
+            "fixed_reference_distance = %g with normalize_embeddings: unit embeddings are never more than 2 apart, "
+            "so no negative is hardened",
+            config.fixed_reference_distance,
+        )
 
     models = init_models(dataset.input_dim, len(split.train_classes), config)
     state = init_state(models, config)
@@ -402,7 +401,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
         log.info(
             "epoch %d: j_m=%.4f lambda=%.4f steps=%d",
             epoch,
-            float(np.mean([r.j_m for r in epoch_rows])) if epoch_rows else float("nan"),
+            state.augmentor.j_avg if epoch_rows else float("nan"),
             pulling_lambda(state.augmentor),
             len(epoch_rows),
         )

@@ -16,11 +16,12 @@ import numpy as np
 
 from .embedder import EmbedTape, embed, embed_backward, init_embedder, pairwise_distances
 from .errors import InputError
-from .generator import generator_loss, init_classifier, init_generator
+from .generator import generator_loss, init_generator
 from .losses import TupleBatch, batch_metric_loss
-from .nn import GradcheckReport, gradcheck, stack_params
+from .nn import GradcheckReport, gradcheck, init_dense, stack_params
 
 KINK_MARGIN = 1e-6
+MAX_DRAWS = 50  # random instances tried before a fragment gives up
 
 
 def _stack_names(prefix: str, layers) -> list[str]:
@@ -32,7 +33,7 @@ def _near_kink(tapes: EmbedTape) -> bool:
     return any(np.abs(t.pre).min() < KINK_MARGIN for t in tapes.extractor if t.pre.size)
 
 
-def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator, max_draws: int = 50):
+def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator):
     """Random embedder + tuple-loss instance safe for finite differences: `gradcheck` arguments."""
     input_dim, hidden, embed_dim = 5, (7, 6), 4
     if loss_kind == "triplet":
@@ -43,7 +44,7 @@ def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator, max_draws
         raise InputError(f"unknown loss kind {loss_kind!r}")
     margin = 0.3
 
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         embedder = init_embedder(input_dim, hidden, embed_dim, rng)
         x = rng.normal(0.0, 1.0, size=(n_points, input_dim))
         labels = np.arange(n_points) % n_classes
@@ -88,28 +89,28 @@ def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator, max_draws
 
         params = dict(zip(names, stack_params(embedder.extractor + [embedder.projector])))
         return params, loss_fn, grads_fn
-    raise InputError(f"could not draw a kink-free {loss_kind} instance in {max_draws} tries")
+    raise InputError(f"could not draw a kink-free {loss_kind} instance in {MAX_DRAWS} tries")
 
 
-def generator_objective_fragment(rng: np.random.Generator, max_draws: int = 50):
+def generator_objective_fragment(rng: np.random.Generator):
     """Random generator-objective instance in the generator's parameters: `gradcheck` arguments."""
     embed_dim, feature_dim, n_classes = 4, 6, 3
     n_members, n_hardened = 6, 4
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         gen = init_generator(embed_dim, feature_dim, hidden_dim=5, rng=rng)
-        clf = init_classifier(feature_dim, n_classes, rng=rng)
+        clf = init_dense(feature_dim, n_classes, "identity", rng)
         clf.weight[:] = rng.normal(0.0, 0.5, size=clf.weight.shape)
         y = rng.normal(0.0, 1.0, size=(n_members, feature_dim))
         z = rng.normal(0.0, 1.0, size=(n_members, embed_dim))
         z_hard = rng.normal(0.0, 1.0, size=(n_hardened, embed_dim))
         labels = rng.integers(0, n_classes, size=n_hardened)
 
-        pre1 = z @ gen.layers[0].weight.T + gen.layers[0].bias
-        pre2 = z_hard @ gen.layers[0].weight.T + gen.layers[0].bias
+        pre1 = z @ gen[0].weight.T + gen[0].bias
+        pre2 = z_hard @ gen[0].weight.T + gen[0].bias
         if min(np.abs(pre1).min(), np.abs(pre2).min()) < KINK_MARGIN:
             continue
 
-        names = _stack_names("generator", gen.layers)
+        names = _stack_names("generator", gen)
 
         def loss_fn(gen=gen, clf=clf, y=y, z=z, z_hard=z_hard, labels=labels) -> float:
             return generator_loss(gen, clf, y, z, z_hard, labels, 0.5).j_gen
@@ -117,8 +118,8 @@ def generator_objective_fragment(rng: np.random.Generator, max_draws: int = 50):
         def grads_fn(gen=gen, clf=clf, y=y, z=z, z_hard=z_hard, labels=labels, names=names) -> dict[str, np.ndarray]:
             return dict(zip(names, generator_loss(gen, clf, y, z, z_hard, labels, 0.5).grads))
 
-        return dict(zip(names, stack_params(gen.layers))), loss_fn, grads_fn
-    raise InputError(f"could not draw a kink-free generator instance in {max_draws} tries")
+        return dict(zip(names, stack_params(gen))), loss_fn, grads_fn
+    raise InputError(f"could not draw a kink-free generator instance in {MAX_DRAWS} tries")
 
 
 @dataclass
@@ -137,6 +138,8 @@ class SuiteResult:
 
 def run_gradcheck_suite(seed: int = 0, instances: int = 20, tolerance: float = 1e-4) -> list[SuiteResult]:
     """Gradcheck the three pipeline objectives on `instances` random draws each."""
+    if not seed >= 0 or instances < 1:
+        raise InputError(f"gradcheck needs a nonnegative seed and at least one instance, got {seed} and {instances}")
     rng = np.random.default_rng(seed)
     suites = [
         ("embedder + triplet loss", lambda: embedder_metric_fragment("triplet", rng)),

@@ -22,7 +22,8 @@ from hardmetric.data import load_dataset, save_dataset, synth_gaussian_dataset, 
 from hardmetric.embedder import embed, extract
 from hardmetric.errors import DatasetParseError
 from hardmetric.evaluation import kmeans, nmi, pairwise_f1, recall_at_k
-from hardmetric.generator import classifier_accuracy, generate
+from hardmetric.generator import classifier_accuracy
+from hardmetric.nn import stack_forward
 from hardmetric.training import (
     TrainConfig,
     init_models,
@@ -111,7 +112,7 @@ class TestCriterion3StopGradientLedger:
         for i, layer in enumerate(models.embedder.extractor):
             out[f"f{i}"] = layer.weight.tobytes() + layer.bias.tobytes()
         out["g"] = models.embedder.projector.weight.tobytes() + models.embedder.projector.bias.tobytes()
-        for i, layer in enumerate(models.generator.layers):
+        for i, layer in enumerate(models.generator):
             out[f"i{i}"] = layer.weight.tobytes() + layer.bias.tobytes()
         out["c"] = models.classifier.weight.tobytes() + models.classifier.bias.tobytes()
         return out
@@ -233,7 +234,7 @@ class TestCriterion7LabelPreservation:
         emb, _ = embed(res.models.embedder, train_x, labels=train_labels)
         tuples = mine_tuples(train_labels, config, np.random.default_rng(99))
         aug = augment_tuples(emb.embeddings, tuples, res.state.augmentor)
-        hard_feats, _ = generate(res.models.generator, aug.hardened_negatives)
+        hard_feats, _ = stack_forward(res.models.generator, aug.hardened_negatives)
         synth_acc = classifier_accuracy(res.models.classifier, hard_feats, aug.negative_labels)
         ok = synth_acc >= 0.8 * real_acc
         verdict(

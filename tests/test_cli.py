@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hardmetric.cli import main
@@ -121,6 +122,7 @@ class TestExitCodes:
         ("data-is-a-directory", "Is a directory"),
         ("synth-out-is-a-directory", "Is a directory"),
         ("out-dir-is-a-file", "exists and is not a directory"),
+        ("out-dir-below-a-file", "afile exists and is not a directory"),
         ("data-not-utf8", "latin1.csv is not UTF-8 text"),
         ("config-not-utf8", "run.cfg is not UTF-8 text"),
         ("label-beyond-int64", "line 3: label 99999999999999999999 does not fit in 64 bits"),
@@ -132,6 +134,9 @@ def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset
         data = tmp_path
     elif case == "out-dir-is-a-file":
         out_dir.write_text("not a directory\n")
+    elif case == "out-dir-below-a-file":
+        (tmp_path / "afile").write_text("not a directory\n")
+        out_dir = tmp_path / "afile" / "run"
     elif case == "data-not-utf8":
         data = tmp_path / "latin1.csv"
         data.write_bytes(small_dataset.read_bytes().replace(b"\n1,", b"\n1,\xe9", 1))
@@ -161,11 +166,13 @@ def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset
         ("margin = -1\n", "margin must be nonnegative"),
         ("fixed_reference_distance = 0\nepochs = 0\n", "fixed_reference_distance must be positive"),
         ("fixed_reference_distance = -1\nsynthetics = false\n", "fixed_reference_distance must be positive"),
+        ("seed = -1\n", "seed must be nonnegative, got -1"),
+        ("split_seed = -1\n", "split_seed must be nonnegative, got -1"),
     ],
     ids=[
         "gen-hidden-negative", "recall-k-too-large", "npair-more-than-classes", "npair-batch-too-small",
         "triplet-one-class", "npair-n-one-unused", "margin-negative", "fixed-reference-zero-unused",
-        "fixed-reference-negative-no-synthetics",
+        "fixed-reference-negative-no-synthetics", "seed-negative", "split-seed-negative",
     ],
 )
 def test_config_that_cannot_run_exits_one_before_training(tmp_path, capsys, config_text, message):
@@ -180,6 +187,45 @@ def test_config_that_cannot_run_exits_one_before_training(tmp_path, capsys, conf
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth-data", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["synth-data", "--center-scale", "nan"], "center_scale must be finite and nonnegative, got nan"),
+        (["synth-data", "--center-scale", "inf"], "center_scale must be finite and nonnegative, got inf"),
+        (["synth-data", "--center-scale", "-1"], "center_scale must be finite and nonnegative, got -1.0"),
+        (["synth-data", "--sigma", "nan"], "noise_sigma must be finite and nonnegative, got nan"),
+        (["synth-data", "--sigma", "inf"], "noise_sigma must be finite and nonnegative, got inf"),
+        (["eval", "--kmeans-seed", "-1"], "k-means seed must be nonnegative, got -1"),
+        (["eval", "--split-seed", "-1"], "split seed must be nonnegative, got -1"),
+        (["gradcheck", "--seed", "-1"], "nonnegative seed and at least one instance, got -1 and 20"),
+        (["gradcheck", "--instances", "0"], "nonnegative seed and at least one instance, got 0 and 0"),
+    ],
+    ids=[
+        "synth-seed-negative", "center-scale-nan", "center-scale-inf", "center-scale-negative", "sigma-nan",
+        "sigma-inf", "eval-kmeans-seed-negative", "eval-split-seed-negative", "gradcheck-seed-negative",
+        "gradcheck-no-instances",
+    ],
+)
+def test_bad_seed_or_scale_exits_one_with_a_message(tmp_path, small_dataset, capsys, argv, message):
+    from hardmetric.checkpoint import save_checkpoint
+    from hardmetric.embedder import init_embedder
+
+    command, *options = argv
+    out = tmp_path / "out"
+    if command == "synth-data":
+        options += ["--classes", "2", "--per-class", "2", "--dim", "2", "--out", str(out)]
+    elif command == "eval":
+        checkpoint = tmp_path / "bare.npz"
+        save_checkpoint(checkpoint, init_embedder(5, (4,), 2, np.random.default_rng(0)), meta={"config": {"split_seed": 0}})
+        options += ["--checkpoint", str(checkpoint), "--data", str(small_dataset), "--out-dir", str(out)]
+    capsys.readouterr()
+    assert run_cli(command, *options) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.fixture()
@@ -218,7 +264,7 @@ class TestEvalSplit:
         from hardmetric.embedder import init_embedder
 
         path = tmp_path / "bare.npz"
-        save_checkpoint(path, init_embedder(5, (4,), 2))
+        save_checkpoint(path, init_embedder(5, (4,), 2, np.random.default_rng(0)))
         argv = ["eval", "--checkpoint", str(path), "--data", str(small_dataset), "--out-dir", str(tmp_path / "eval")]
         assert run_cli(*argv) == 1
         assert "--split-seed" in capsys.readouterr().err
@@ -250,20 +296,29 @@ def _damage(path, name):
             arrays["meta_json"] = np.asarray('{"layers": [')
         elif name == "meta_not_a_document":
             arrays["meta_json"] = np.asarray("[1, 2]")
+        elif name == "generator_does_not_chain":
+            # one input column fewer than the hidden layer's outputs
+            arrays["generator/1/weight"] = arrays["generator/1/weight"][:, 1:]
         np.savez(out, **arrays)
     return out
 
 
 @pytest.mark.parametrize(
     "name",
-    ["text", "empty", "truncated", "single_array", "missing_array", "missing_meta", "garbled_meta", "meta_not_a_document"],
+    [
+        "text", "empty", "truncated", "single_array", "missing_array", "missing_meta", "garbled_meta",
+        "meta_not_a_document", "generator_does_not_chain",
+    ],
 )
 def test_unreadable_checkpoint_exits_one_with_a_message(tmp_path, small_dataset, capsys, name):
     from hardmetric.checkpoint import save_checkpoint
     from hardmetric.embedder import init_embedder
+    from hardmetric.generator import init_generator
 
     good = tmp_path / "good.npz"
-    save_checkpoint(good, init_embedder(5, (4,), 2), meta={"config": {"split_seed": 0}})
+    rng = np.random.default_rng(0)
+    embedder = init_embedder(5, (4,), 2, rng)
+    save_checkpoint(good, embedder, init_generator(2, 4, rng=rng), meta={"config": {"split_seed": 0}})
     bad = _damage(good, name)
     code = run_cli("eval", "--checkpoint", str(bad), "--data", str(small_dataset), "--out-dir", str(tmp_path / "eval"))
     assert code == 1
@@ -275,7 +330,7 @@ def test_eval_of_a_checkpoint_with_a_nan_weight_exits_two(tmp_path, small_datase
     from hardmetric.checkpoint import save_checkpoint
     from hardmetric.embedder import init_embedder
 
-    params = init_embedder(5, (4,), 2)
+    params = init_embedder(5, (4,), 2, np.random.default_rng(0))
     params.projector.weight[1, 2] = float("nan")
     path = tmp_path / "nan.npz"
     save_checkpoint(path, params, meta={"config": {"split_seed": 0}})

@@ -13,7 +13,7 @@ from hardmetric.embedder import (
     project_backward,
 )
 from hardmetric.errors import DimensionError, InputError
-from hardmetric.generator import init_classifier, init_generator
+from hardmetric.generator import init_generator
 from hardmetric.nn import DenseLayer, init_dense, stack_backward
 
 
@@ -157,7 +157,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(10)
         embedder = init_embedder(6, hidden_dims=(8, 7), embed_dim=4, rng=rng)
         generator = init_generator(4, 7, rng=rng)
-        classifier = init_classifier(7, 5, rng=rng)
+        classifier = init_dense(7, 5, "identity", rng)
         path = tmp_path / "model.npz"
         save_checkpoint(path, embedder, generator, classifier, meta={"note": "test"})
         bundle = load_checkpoint(path)
@@ -166,7 +166,7 @@ class TestCheckpoint:
             assert np.array_equal(orig.bias, loaded.bias)
             assert orig.activation == loaded.activation
         assert np.array_equal(embedder.projector.weight, bundle.embedder.projector.weight)
-        assert np.array_equal(generator.layers[1].bias, bundle.generator.layers[1].bias)
+        assert np.array_equal(generator[1].bias, bundle.generator[1].bias)
         assert np.array_equal(classifier.weight, bundle.classifier.weight)
         assert bundle.meta["note"] == "test"
 

@@ -48,7 +48,7 @@ def model_bytes(models: Models) -> dict[str, bytes]:
     out["g.w"] = models.embedder.projector.weight.tobytes()
     out["g.b"] = models.embedder.projector.bias.tobytes()
     if models.generator:
-        for i, layer in enumerate(models.generator.layers):
+        for i, layer in enumerate(models.generator):
             out[f"i.{i}.w"] = layer.weight.tobytes()
             out[f"i.{i}.b"] = layer.bias.tobytes()
     if models.classifier:
@@ -307,6 +307,15 @@ class TestRunTraining:
         assert len(result.state.history) == 12
         assert result.state.skipped_batches == 3
 
+    @pytest.mark.parametrize("reference, warns", [(2.0, True), (0.5, False)])
+    def test_unreachable_fixed_reference_on_the_unit_sphere_warns(self, caplog, reference, warns):
+        ds = synth_gaussian_dataset(6, 8, 5, seed=1)
+        config = small_config(epochs=1, normalize_embeddings=True, fixed_reference_distance=reference)
+        with caplog.at_level("WARNING", logger="hardmetric.training"):
+            run_training(ds, config)
+        warnings = [r.getMessage() for r in caplog.records if "never more than 2 apart" in r.getMessage()]
+        assert len(warnings) == (1 if warns else 0)
+
     def test_alpha_zero_keeps_lambda_at_one_and_tuples_unhardened(self):
         ds = synth_gaussian_dataset(6, 8, 5, seed=1)
         config = small_config(alpha=0.0, epochs=3, batch_size=12)
@@ -442,7 +451,7 @@ class TestAlphaZeroDegeneracy:
         state = init_state(models, config)
         from hardmetric.augmentor import augment_tuples
         from hardmetric.embedder import extract
-        from hardmetric.generator import generate
+        from hardmetric.nn import stack_forward
         from hardmetric.training import _member_rows, _synthetic_tuples
 
         feats, _ = extract(models.embedder, x)
@@ -451,13 +460,13 @@ class TestAlphaZeroDegeneracy:
         aug = augment_tuples(emb, tuples, state.augmentor)
         assert np.array_equal(aug.hardened_negatives, emb[aug.negative_idx])
         member_idx, hardened = _member_rows(aug)
-        member_feats, _ = generate(models.generator, emb[member_idx])
-        hard_feats, _ = generate(models.generator, hardened)
+        member_feats, _ = stack_forward(models.generator, emb[member_idx])
+        hard_feats, _ = stack_forward(models.generator, hardened)
         syn_rows, syn_tuples = _synthetic_tuples(aug, member_feats, hard_feats)
         syn_emb, _ = project(models.embedder, syn_rows)
         j_syn, _ = batch_metric_loss(syn_emb, syn_tuples, config.margin)
         # oracle: re-embed the reconstructions of the raw tuple members directly
-        recon, _ = generate(models.generator, emb)
+        recon, _ = stack_forward(models.generator, emb)
         recon_emb, _ = project(models.embedder, recon)
         j_direct, _ = batch_metric_loss(recon_emb, tuples, config.margin)
         assert abs(j_syn - j_direct) < 1e-12
