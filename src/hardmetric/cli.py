@@ -76,14 +76,19 @@ def _cmd_synth_data(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    existing = os.path.abspath(args.out_dir)
+def _check_out_dir(out_dir) -> None:
+    """Refuse an --out-dir that cannot be created, before anything is loaded."""
+    existing = os.path.abspath(out_dir)
     while not os.path.exists(existing):  # "/" exists, so this ends
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
-        raise InputError(f"--out-dir {args.out_dir}: {existing} exists and is not a directory")
-    dataset = load_dataset(args.data)
+        raise InputError(f"--out-dir {out_dir}: {existing} exists and is not a directory")
+
+
+def _cmd_train(args) -> int:
+    _check_out_dir(args.out_dir)
     config = load_config(args.config)
+    dataset = load_dataset(args.data)
     result = run_training(dataset, config, out_dir=args.out_dir)
     print(f"trained {config.epochs} epochs ({result.state.step} steps) in {result.elapsed_seconds:.1f}s")
     report = result.final_report
@@ -94,12 +99,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    bundle = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
     try:
         ks = tuple(int(part) for part in args.ks.split(",") if part.strip())
     except ValueError:
         raise InputError(f"--ks must be a comma list of integers, got {args.ks!r}") from None
+    _check_out_dir(args.out_dir)
+    bundle = load_checkpoint(args.checkpoint)
+    dataset = load_dataset(args.data)
     recorded = bundle.meta.get("config", {})
     split_seed = args.split_seed if args.split_seed is not None else recorded.get("split_seed")
     if split_seed is None:

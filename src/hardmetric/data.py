@@ -7,8 +7,12 @@ shortest round-trip decimals, so save/load is lossless for 64-bit floats.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import math
+import os
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +134,52 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write(f"{label}," + ",".join(map(repr, row)) + "\n")
 
 
+_SIDECAR_VERSION = 1
+
+
 def load_dataset(path) -> Dataset:
+    """Read a dataset CSV, or its sidecar `<path>.parsed.npz` when that holds the parse of the same bytes.
+
+    The sidecar is keyed by the SHA-256 of the file, and its arrays pass the checks a parse
+    makes. A FIFO or a terminal can be read only once, so only a regular file has a sidecar.
+    """
+    if not os.path.isfile(path):  # the parse names a missing file or a directory
+        return _parse_csv(path)
+    sidecar, digest = f"{os.fspath(path)}.parsed.npz", _sha256(path)
+    try:
+        # numpy leaves a file it opened open when the zip is damaged, so open it here
+        with open(sidecar, "rb") as raw, np.load(raw, allow_pickle=False) as npz, open(path, encoding="utf-8") as fh:
+            if (npz["version"].tolist(), npz["digest"].tolist()) == (_SIDECAR_VERSION, digest):
+                samples, labels = npz["samples"], npz["labels"]
+                if (samples.dtype == np.float64 and samples.ndim == 2 and samples.shape[1] == fh.readline().count(",")
+                        and labels.dtype == np.int64 and np.isfinite(samples).all()):
+                    return Dataset(np.ascontiguousarray(samples), np.ascontiguousarray(labels))
+    except (OSError, ValueError, KeyError, TypeError, EOFError, RuntimeError, zipfile.BadZipFile):  # missing, damaged, refused
+        pass
+    dataset = _parse_csv(path)
+    if _sha256(path) == digest:  # else the file changed during the parse
+        tmp = f"{sidecar}.{os.urandom(8).hex()}.tmp"
+        try:
+            with open(tmp, "xb") as fh:
+                np.savez(fh, version=_SIDECAR_VERSION, digest=digest, samples=dataset.samples, labels=dataset.labels)
+            os.replace(tmp, sidecar)
+        except OSError:  # a read-only directory or a full disk: the next load parses again
+            pass
+        finally:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+    return dataset
+
+
+def _sha256(path) -> str:
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            sha.update(chunk)
+    return sha.hexdigest()
+
+
+def _parse_csv(path) -> Dataset:
     """Read a dataset CSV with numpy's C reader, or with `_load_lines` where it refuses.
 
     The C reader accepts a subset of the line parser's input, with the same values; any

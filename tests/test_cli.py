@@ -116,6 +116,16 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+def _bare_checkpoint(tmp_path):
+    """An untrained checkpoint for the 5-dimensional `small_dataset`, recording split seed 0."""
+    from hardmetric.checkpoint import save_checkpoint
+    from hardmetric.embedder import init_embedder
+
+    checkpoint = tmp_path / "bare.npz"
+    save_checkpoint(checkpoint, init_embedder(5, (4,), 2, np.random.default_rng(0)), meta={"config": {"split_seed": 0}})
+    return checkpoint
+
+
 @pytest.mark.parametrize(
     "case, message",
     [
@@ -123,6 +133,7 @@ class TestExitCodes:
         ("synth-out-is-a-directory", "Is a directory"),
         ("out-dir-is-a-file", "exists and is not a directory"),
         ("out-dir-below-a-file", "afile exists and is not a directory"),
+        ("eval-out-dir-below-a-file", "afile exists and is not a directory"),
         ("data-not-utf8", "latin1.csv is not UTF-8 text"),
         ("config-not-utf8", "run.cfg is not UTF-8 text"),
         ("label-beyond-int64", "line 3: label 99999999999999999999 does not fit in 64 bits"),
@@ -134,7 +145,7 @@ def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset
         data = tmp_path
     elif case == "out-dir-is-a-file":
         out_dir.write_text("not a directory\n")
-    elif case == "out-dir-below-a-file":
+    elif case.endswith("out-dir-below-a-file"):
         (tmp_path / "afile").write_text("not a directory\n")
         out_dir = tmp_path / "afile" / "run"
     elif case == "data-not-utf8":
@@ -148,6 +159,8 @@ def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset
     argv = ["train", "--data", str(data), "--config", str(config), "--out-dir", str(out_dir)]
     if case == "synth-out-is-a-directory":
         argv = ["synth-data", "--classes", "2", "--per-class", "2", "--dim", "2", "--out", str(tmp_path)]
+    elif case.startswith("eval"):
+        argv = ["eval", "--checkpoint", str(_bare_checkpoint(tmp_path)), "--data", str(data), "--out-dir", str(out_dir)]
     capsys.readouterr()
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
@@ -210,22 +223,46 @@ def test_config_that_cannot_run_exits_one_before_training(tmp_path, capsys, conf
     ],
 )
 def test_bad_seed_or_scale_exits_one_with_a_message(tmp_path, small_dataset, capsys, argv, message):
-    from hardmetric.checkpoint import save_checkpoint
-    from hardmetric.embedder import init_embedder
-
     command, *options = argv
     out = tmp_path / "out"
     if command == "synth-data":
         options += ["--classes", "2", "--per-class", "2", "--dim", "2", "--out", str(out)]
     elif command == "eval":
-        checkpoint = tmp_path / "bare.npz"
-        save_checkpoint(checkpoint, init_embedder(5, (4,), 2, np.random.default_rng(0)), meta={"config": {"split_seed": 0}})
-        options += ["--checkpoint", str(checkpoint), "--data", str(small_dataset), "--out-dir", str(out)]
+        options += ["--checkpoint", str(_bare_checkpoint(tmp_path)), "--data", str(small_dataset), "--out-dir", str(out)]
     capsys.readouterr()
     assert run_cli(command, *options) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--config", "{tmp}/bad.cfg", "--out-dir", "{tmp}/run"], "unknown config key"),
+        (["train", "--config", "{tmp}/run.cfg", "--out-dir", "{tmp}/afile/run"], "afile exists and is not a directory"),
+        (["eval", "--ks", "1,two", "--out-dir", "{tmp}/eval"], "--ks must be a comma list of integers, got '1,two'"),
+        (["eval", "--out-dir", "{tmp}/afile/eval"], "afile exists and is not a directory"),
+    ],
+    ids=["train-unknown-config-key", "train-out-dir-below-a-file", "eval-ks-not-integers", "eval-out-dir-below-a-file"],
+)
+def test_bad_argument_exits_one_before_the_dataset_is_read(tmp_path, small_dataset, train_config, monkeypatch, capsys, argv, message):
+    from hardmetric import cli
+
+    def refuse(path):
+        raise AssertionError("read the dataset")
+
+    (tmp_path / "bad.cfg").write_text("learning_rat = 0.1\n")
+    (tmp_path / "afile").write_text("not a directory\n")
+    command, *options = [arg.format(tmp=tmp_path) for arg in argv]
+    if command == "eval":
+        options += ["--checkpoint", str(_bare_checkpoint(tmp_path))]
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    capsys.readouterr()
+    assert run_cli(command, "--data", str(small_dataset), *options) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
 
 
 @pytest.fixture()

@@ -1,3 +1,7 @@
+import io
+import os
+import struct
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -271,6 +275,172 @@ class TestCReaderAgreesWithTheLineParser:
         assert np.array_equal(loaded.samples.view(np.int64), ds.samples.view(np.int64))
         assert np.array_equal(loaded.labels, ds.labels) and loaded.labels.dtype == np.int64
         assert loaded.samples.flags.c_contiguous and loaded.labels.flags.c_contiguous
+
+
+def _sidecar(path) -> Path:
+    return Path(f"{path}.parsed.npz")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("parsed the CSV")
+
+
+def _parse_refused(monkeypatch):
+    monkeypatch.setattr(np, "loadtxt", _refuse)
+    monkeypatch.setattr(data, "_load_lines", _refuse)
+
+
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def _zip_method(path, method):
+    raw = bytearray(_sidecar(path).read_bytes())
+    at = raw.find(b"PK\x01\x02")  # a central directory entry; its compression method is at offset 10
+    while at >= 0:
+        struct.pack_into("<H", raw, at + 10, method)
+        at = raw.find(b"PK\x01\x02", at + 1)
+    _sidecar(path).write_bytes(bytes(raw))
+
+
+def _sidecar_arrays(path) -> dict:
+    with np.load(_sidecar(path)) as npz:
+        return {key: (npz[key].dtype.str, npz[key].shape, npz[key].tobytes()) for key in npz}
+
+
+def _rewrite_sidecar(path, **arrays):
+    with np.load(_sidecar(path)) as npz:
+        np.savez(_sidecar(path), **{**npz, **arrays})
+
+
+# each entry damages the sidecar of a two-row CSV in one way
+DAMAGED_SIDECARS = {
+    "truncated": lambda path: _sidecar(path).write_bytes(_sidecar(path).read_bytes()[:300]),
+    "not-a-zip": lambda path: _sidecar(path).write_bytes(b"label,f_0,f_1\n"),
+    "npy-not-npz": lambda path: _sidecar(path).write_bytes(_npy(np.zeros((2, 2)))),
+    "empty": lambda path: _sidecar(path).write_bytes(b""),
+    "unknown-zip-method": lambda path: _zip_method(path, 99),
+    "missing-key": lambda path: np.savez(_sidecar(path), version=1, samples=np.zeros((2, 2))),
+    "wrong-digest": lambda path: _rewrite_sidecar(path, digest="0" * 64),
+    "wrong-version": lambda path: _rewrite_sidecar(path, version=2),
+    "nan-in-samples": lambda path: _rewrite_sidecar(path, samples=np.array([[0.5, 1.5], [np.nan, -1.0]])),
+    "narrower-than-header": lambda path: _rewrite_sidecar(path, samples=np.array([[0.5], [2.5]])),
+    "float32-samples": lambda path: _rewrite_sidecar(path, samples=np.array([[0.5, 1.5], [2.5, -1.0]], np.float32)),
+    "int32-labels": lambda path: _rewrite_sidecar(path, labels=np.array([0, 1], np.int32)),
+    "non-dense-labels": lambda path: _rewrite_sidecar(path, labels=np.array([0, 2])),
+    "labels-too-short": lambda path: _rewrite_sidecar(path, labels=np.array([0])),
+    "object-labels": lambda path: _rewrite_sidecar(path, labels=np.array([0, 1], dtype=object)),
+}
+
+
+class TestParsedSidecar:
+    """`load_dataset` keeps a regular file's parse in `<csv>.parsed.npz`, keyed by the bytes."""
+
+    def test_second_load_reads_the_sidecar_bitwise(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        save_dataset(Dataset(np.array([[-0.0, 5e-324, 0.1], [1e308, -2.5, 3.0]]), [1, 0]), path)
+        first = load_dataset(path)
+        assert _sidecar(path).is_file()
+        _parse_refused(monkeypatch)
+        second = load_dataset(path)
+        assert second.samples.dtype == np.float64 and second.labels.dtype == np.int64
+        assert second.samples.flags.c_contiguous and second.labels.flags.c_contiguous
+        assert np.array_equal(second.samples.view(np.int64), first.samples.view(np.int64))
+        assert np.array_equal(second.labels, first.labels)
+
+    def test_edit_in_place_with_the_same_size_and_mtime_is_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text(_edge())
+        assert load_dataset(path).samples[1, 0] == 2.5
+        before = os.stat(path)
+        path.write_text(_edge(value="3.5"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+        assert load_dataset(path).samples[1, 0] == 3.5
+        _parse_refused(monkeypatch)
+        assert load_dataset(path).samples[1, 0] == 3.5
+
+    @pytest.mark.filterwarnings("error")  # a file left open on a damaged zip warns
+    @pytest.mark.parametrize("damage", list(DAMAGED_SIDECARS))
+    def test_damaged_sidecar_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch, damage):
+        path = tmp_path / "data.csv"
+        path.write_text(_edge())
+        parsed = _outcome(load_dataset, path)
+        written = _sidecar_arrays(path)
+        DAMAGED_SIDECARS[damage](path)
+        assert _outcome(load_dataset, path) == parsed
+        assert _sidecar_arrays(path) == written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.csv.parsed.npz"]
+        _parse_refused(monkeypatch)
+        assert _outcome(load_dataset, path) == parsed
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text(_edge())
+
+        def fail(src, dst):
+            raise OSError(30, "Read-only file system")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert _outcome(load_dataset, path) == _outcome(data._load_lines, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+    def test_sidecar_that_is_a_directory_is_left_alone(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(_edge())
+        _sidecar(path).mkdir()
+        for _ in range(2):
+            assert _outcome(load_dataset, path) == _outcome(data._load_lines, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.csv.parsed.npz"]
+        assert _sidecar(path).is_dir() and not any(_sidecar(path).iterdir())
+
+    def test_refused_file_gets_no_sidecar(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(_edge(value="nan"))
+        with pytest.raises(DatasetParseError, match="non-finite"):
+            load_dataset(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+    def test_file_that_changes_during_the_parse_gets_no_sidecar(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text(_edge())
+        parse = data._parse_csv
+
+        def parse_then_edit(p):
+            dataset = parse(p)
+            path.write_text(_edge(value="3.5"))
+            return dataset
+
+        monkeypatch.setattr(data, "_parse_csv", parse_then_edit)
+        assert load_dataset(path).samples[1, 0] == 2.5
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_fifo_is_read_once_without_a_sidecar(self, tmp_path):
+        path = tmp_path / "data.fifo"
+        os.mkfifo(path)
+        loaded = []
+        writer = threading.Thread(target=path.write_text, args=(_edge(),), daemon=True)
+        reader = threading.Thread(target=lambda: loaded.append(load_dataset(path)), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=10)
+        writer.join(timeout=10)
+        assert not reader.is_alive() and not writer.is_alive(), "load_dataset hung on a FIFO"
+        assert loaded[0].samples.tolist() == [[0.5, 1.5], [2.5, -1.0]]
+        assert [p.name for p in tmp_path.iterdir()] == ["data.fifo"]
+
+    def test_edge_table_loads_the_same_twice_at_one_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "edge.csv"
+        for name, text in EDGE_FILES.items():
+            path.write_bytes(text.encode("utf-8"))
+            first = _outcome(load_dataset, path)
+            with monkeypatch.context() as patch:
+                if first[0] == "loaded":  # the second load reads the sidecar
+                    _parse_refused(patch)
+                assert _outcome(load_dataset, path) == first, name
 
 
 class TestConfigParsing:
