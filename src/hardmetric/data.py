@@ -8,7 +8,6 @@ shortest round-trip decimals, so save/load is lossless for 64-bit floats.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import math
 import os
 import warnings
@@ -147,7 +146,7 @@ def load_dataset(path) -> Dataset:
         return _parse_csv(path)
     sidecar, digest = f"{os.fspath(path)}.parsed.npz", _sha256(path)
     try:
-        # numpy leaves a file it opened open when the zip is damaged, so open it here
+        # np.load leaks its own handle when the zip is damaged, so the sidecar is opened here
         with open(sidecar, "rb") as raw, np.load(raw, allow_pickle=False) as npz, open(path, encoding="utf-8") as fh:
             if (npz["version"].tolist(), npz["digest"].tolist()) == (_SIDECAR_VERSION, digest):
                 samples, labels = npz["samples"], npz["labels"]
@@ -172,6 +171,7 @@ def load_dataset(path) -> Dataset:
 
 
 def _sha256(path) -> str:
+    import hashlib  # loading OpenSSL takes about 5 ms, which programs that read no CSV need not pay
     sha = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
