@@ -103,6 +103,8 @@ def _cmd_eval(args) -> int:
         ks = tuple(int(part) for part in args.ks.split(",") if part.strip())
     except ValueError:
         raise InputError(f"--ks must be a comma list of integers, got {args.ks!r}") from None
+    if not ks or min(ks) < 1:
+        raise InputError(f"--ks must name at least one K, each at least 1, got {args.ks!r}")
     _check_out_dir(args.out_dir)
     bundle = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)

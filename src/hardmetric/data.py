@@ -8,6 +8,7 @@ shortest round-trip decimals, so save/load is lossless for 64-bit floats.
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
 import warnings
@@ -183,26 +184,28 @@ def _parse_csv(path) -> Dataset:
     """Read a dataset CSV with numpy's C reader, or with `_load_lines` where it refuses.
 
     The C reader accepts a subset of the line parser's input, with the same values; any
-    refusal, warning or failed check re-reads the file with the one parser that words faults.
+    refusal, warning or failed check re-reads the text with the one parser that words faults.
+    The file is opened once: a FIFO or a terminal cannot be reopened, so its text is kept.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy warns on a file without rows
-            header = fh.readline().removesuffix("\n")
-            dim = header.count(",")
-            if dim >= 1 and header == _header(dim):
-                table = np.loadtxt(
-                    _unsplit_lines(fh), delimiter=",", comments=None, ndmin=1,
-                    dtype=[("label", np.int64), ("f", np.float64, (dim,))],
-                )
-                # contiguous, as `_load_lines` returns them
-                samples, labels = np.ascontiguousarray(table["f"]), np.ascontiguousarray(table["label"])
-                if np.isfinite(samples).all():  # `Dataset` refuses negative labels
-                    return Dataset(samples, labels)
-    except (ValueError, Warning):  # numpy's refusals and warnings, and failed checks
-        pass
-    try:
-        return _load_lines(path)
+        with open(path, "r", encoding="utf-8") as raw:
+            fh = raw if raw.seekable() else io.StringIO(raw.read())
+            # numpy's refusals and warnings, and failed checks, fall through to the line parser
+            with contextlib.suppress(ValueError, Warning), warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy warns on a file without rows
+                header = fh.readline().removesuffix("\n")
+                dim = header.count(",")
+                if dim >= 1 and header == _header(dim):
+                    table = np.loadtxt(
+                        _unsplit_lines(fh), delimiter=",", comments=None, ndmin=1,
+                        dtype=[("label", np.int64), ("f", np.float64, (dim,))],
+                    )
+                    # contiguous, as `_load_lines` returns them
+                    samples, labels = np.ascontiguousarray(table["f"]), np.ascontiguousarray(table["label"])
+                    if np.isfinite(samples).all():  # `Dataset` refuses negative labels
+                        return Dataset(samples, labels)
+            fh.seek(0)
+            return _load_lines(fh)
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"{path} is not UTF-8 text: {exc}") from None
 
@@ -215,9 +218,9 @@ def _unsplit_lines(fh):
         yield line
 
 
-def _load_lines(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _load_lines(fh) -> Dataset:
+    """Parse the text of an open file line by line, naming the line of any fault."""
+    lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
         raise DatasetParseError("no header")
     dim = lines[0].count(",")

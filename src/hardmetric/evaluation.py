@@ -8,10 +8,11 @@ index).
 
 Ranking and clustering are defined on explicit-difference distances,
 sqrt(sum((a - b)**2)), the arithmetic of `embedder.pairwise_distances`.
-They are computed from one matrix product, |a|^2 - 2a.b + |b|^2, which is
-off by at most a known rounding bound; only the pairs that bound cannot
-order are recomputed from explicit differences, so every result is
-bitwise the one the explicit definition gives.
+They are computed as |a|^2 - 2a.b + |b|^2 from matrix products over row
+blocks of bounded size, which is off by at most a known rounding bound;
+only the pairs that bound cannot order are recomputed from explicit
+differences, so every result is bitwise the one the explicit definition
+gives. No (n, n) or (n, k) matrix is ever held.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 # a Gram entry or explicit squared distance is at most 2(|a|^2 + |b|^2): finite below this
 _MAX_SQUARED_NORM = np.finfo(np.float64).max / 16
-_BLOCK = 1 << 22  # float64 elements per temporary of the explicit-difference kernel
+_BLOCK = 1 << 16  # float64 elements per temporary: a block of Gram rows or of explicit differences
 KMEANS_MAX_ITER = 300
 
 
@@ -41,10 +42,12 @@ def _squared_norms(points: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _gram_sqdist(a, sq_a, b, sq_b) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances |a|^2 - 2a.b + |b|^2 from one matrix product, and a
-    per-row slack s such that, for every pair, |Gram - explicit| <= s / 2 and
-    two explicit squared distances with equal square roots differ by <= s / 2.
+def _gram_blocks(a, sq_a, b, sq_b):
+    """Yields (start, stop, g, slack) over row blocks of at most _BLOCK entries:
+    g = |a|^2 - 2a.b + |b|^2 for rows start:stop of a against all of b, from
+    one matrix product, and a per-row slack s such that, for every pair,
+    |Gram - explicit| <= s / 2 and two explicit squared distances with equal
+    square roots differ by <= s / 2. The slack takes max|b|^2 over all of b.
 
     Why 4(d+2) eps S, with S = |a_i|^2 + max|b|^2 and u = eps/2: a d-term dot
     product or squared norm is off by at most d u times the sum of its term
@@ -60,12 +63,14 @@ def _gram_sqdist(a, sq_a, b, sq_b) -> tuple[np.ndarray, np.ndarray]:
     s / 2 for a collapsed square root, a k-means row s for two gaps, and the
     rest covers second-order rounding terms.
     """
-    g = a @ b.T
-    g *= -2.0
-    g += sq_a[:, None]
-    g += sq_b
-    slack = 4 * (a.shape[1] + 2) * (_EPS * (sq_a + sq_b.max()) + _SUBNORMAL)
-    return g, slack
+    step, top = max(1, _BLOCK // len(b)), sq_b.max()
+    for start in range(0, len(a), step):
+        stop = min(start + step, len(a))
+        g = a[start:stop] @ b.T
+        g *= -2.0
+        g += sq_a[start:stop, None]
+        g += sq_b
+        yield start, stop, g, 4 * (a.shape[1] + 2) * (_EPS * (sq_a[start:stop] + top) + _SUBNORMAL)
 
 
 def _pair_sqdist(a, rows_a, b, rows_b) -> np.ndarray:
@@ -114,14 +119,15 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
 
     assign = None
     for _ in range(KMEANS_MAX_ITER):
-        g, slack = _gram_sqdist(pts, sq, centers, np.einsum("ij,ij->i", centers, centers))
-        new_assign = g.argmin(axis=1)
-        if k > 1:
-            best_two = np.partition(g, 1, axis=1)
-            close = np.flatnonzero(best_two[:, 1] - best_two[:, 0] <= 2.0 * slack)
-            if close.size:
-                exact = _pair_sqdist(pts, np.repeat(close, k), centers, np.tile(np.arange(k), close.size))
-                new_assign[close] = exact.reshape(-1, k).argmin(axis=1)
+        new_assign = np.empty(n, dtype=np.intp)
+        for start, stop, g, slack in _gram_blocks(pts, sq, centers, np.einsum("ij,ij->i", centers, centers)):
+            new_assign[start:stop] = g.argmin(axis=1)
+            if k > 1:
+                best_two = np.partition(g, 1, axis=1)
+                close = start + np.flatnonzero(best_two[:, 1] - best_two[:, 0] <= 2.0 * slack)
+                if close.size:
+                    exact = _pair_sqdist(pts, np.repeat(close, k), centers, np.tile(np.arange(k), close.size))
+                    new_assign[close] = exact.reshape(-1, k).argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -201,6 +207,16 @@ def pairwise_f1(assignment, labels) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _checked_ks(ks, n: int) -> list[int]:
+    """The K values in ascending order; each must be positive and below the number of points."""
+    ks = sorted(int(k) for k in ks)
+    if not ks or ks[0] < 1:
+        raise InputError(f"K values must be positive, got {ks}")
+    if ks[-1] >= n:
+        raise InputError(f"K = {ks[-1]} must be smaller than the number of points {n}")
+    return ks
+
+
 def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
     """Fraction of queries with a same-label point among their K nearest.
 
@@ -214,26 +230,25 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
     n = z.shape[0]
     if labels.shape != (n,):
         raise InputError(f"labels shape {labels.shape} does not match {n} points")
-    ks = sorted(int(k) for k in ks)
-    if not ks or ks[0] < 1:
-        raise InputError(f"K values must be positive, got {ks}")
-    if ks[-1] >= n:
-        raise InputError(f"K = {ks[-1]} must be smaller than the number of points {n}")
+    ks = _checked_ks(ks, n)
     sq = _squared_norms(z)
-    g, slack = _gram_sqdist(z, sq, z, sq)
-    np.fill_diagonal(g, np.inf)
-    kth = np.partition(g, ks[-1] - 1, axis=1)[:, ks[-1] - 1]
-    # holds every point that ranks among the K nearest by explicit distance, and its ties
-    query, cand = np.nonzero(g <= (kth + 2.0 * slack)[:, None])
-    dist = np.sqrt(_pair_sqdist(z, query, z, cand))
-    order = np.lexsort((cand, dist, query))
-    query, cand = query[order], cand[order]
-    rank = np.arange(query.size) - np.searchsorted(query, query)
-    hit = labels[cand] == labels[query]
     first_hit = np.full(n, n)
-    rows, at = np.unique(query[hit], return_index=True)
-    first_hit[rows] = rank[hit][at]
+    for start, stop, g, slack in _gram_blocks(z, sq, z, sq):
+        own = np.arange(stop - start)
+        g[own, start + own] = np.inf
+        kth = np.partition(g, ks[-1] - 1, axis=1)[:, ks[-1] - 1]
+        # holds every point that ranks among the K nearest by explicit distance, and its ties
+        query, cand = np.nonzero(g <= (kth + 2.0 * slack)[:, None])
+        query += start
+        dist = np.sqrt(_pair_sqdist(z, query, z, cand))
+        order = np.lexsort((cand, dist, query))
+        query, cand = query[order], cand[order]
+        rank = np.arange(query.size) - np.searchsorted(query, query)
+        hit = labels[cand] == labels[query]
+        rows, at = np.unique(query[hit], return_index=True)
+        first_hit[rows] = rank[hit][at]
     return {k: float((first_hit < k).mean()) for k in ks}
+
 
 
 @dataclass
@@ -261,6 +276,7 @@ def evaluate_embeddings(embeddings, labels, ks=(1, 2, 4, 8), kmeans_seed: int = 
     z = as_matrix(embeddings, "embeddings")
     labels = np.asarray(labels)
     classes = np.unique(labels)
+    ks = _checked_ks(ks, z.shape[0])  # before the clustering, which a bad K would waste
     assignment = kmeans(z, len(classes), seed=kmeans_seed)
     return EvalReport(
         nmi=nmi(assignment, labels),

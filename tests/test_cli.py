@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -243,8 +245,13 @@ def test_bad_seed_or_scale_exits_one_with_a_message(tmp_path, small_dataset, cap
         (["train", "--config", "{tmp}/run.cfg", "--out-dir", "{tmp}/afile/run"], "afile exists and is not a directory"),
         (["eval", "--ks", "1,two", "--out-dir", "{tmp}/eval"], "--ks must be a comma list of integers, got '1,two'"),
         (["eval", "--out-dir", "{tmp}/afile/eval"], "afile exists and is not a directory"),
+        (["eval", "--ks", "0", "--out-dir", "{tmp}/eval"], "--ks must name at least one K, each at least 1, got '0'"),
+        (["eval", "--ks", "", "--out-dir", "{tmp}/eval"], "--ks must name at least one K, each at least 1, got ''"),
     ],
-    ids=["train-unknown-config-key", "train-out-dir-below-a-file", "eval-ks-not-integers", "eval-out-dir-below-a-file"],
+    ids=[
+        "train-unknown-config-key", "train-out-dir-below-a-file", "eval-ks-not-integers", "eval-out-dir-below-a-file",
+        "eval-ks-zero", "eval-ks-empty",
+    ],
 )
 def test_bad_argument_exits_one_before_the_dataset_is_read(tmp_path, small_dataset, train_config, monkeypatch, capsys, argv, message):
     from hardmetric import cli
@@ -263,6 +270,37 @@ def test_bad_argument_exits_one_before_the_dataset_is_read(tmp_path, small_datas
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
+
+
+def test_k_beyond_the_test_points_exits_one_before_clustering(tmp_path, small_dataset, monkeypatch, capsys):
+    from hardmetric import evaluation
+
+    clustered = []
+    monkeypatch.setattr(evaluation, "kmeans", lambda *args, **kwargs: clustered.append(args))
+    capsys.readouterr()
+    # split seed 0 leaves 3 test classes of 8 points
+    argv = ["--checkpoint", str(_bare_checkpoint(tmp_path)), "--data", str(small_dataset), "--out-dir", str(tmp_path / "eval")]
+    assert run_cli("eval", "--ks", "1,60", *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "K = 60 must be smaller than the number of points 24" in err
+    assert clustered == [] and not (tmp_path / "eval").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_train_on_a_fifo_the_c_reader_refuses_exits_one(tmp_path, train_config, capsys):
+    path = tmp_path / "bad.fifo"
+    os.mkfifo(path)
+    codes = []
+    writer = threading.Thread(target=path.write_text, args=("label,f_0\n0,1.0\n1,abc\n",), daemon=True)
+    argv = ["train", "--data", str(path), "--config", str(train_config), "--out-dir", str(tmp_path / "run")]
+    reader = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    capsys.readouterr()
+    writer.start()
+    reader.start()
+    reader.join(timeout=10)
+    writer.join(timeout=10)
+    assert not reader.is_alive() and not writer.is_alive(), "train hung on a FIFO"
+    assert codes == [1] and "line 3" in capsys.readouterr().err
 
 
 @pytest.fixture()

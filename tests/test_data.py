@@ -238,6 +238,12 @@ EDGE_FILES = {
 }
 
 
+def _line_parser(path):
+    """The line parser on the file's text: the reference every load must match."""
+    with open(path, encoding="utf-8") as fh:
+        return data._load_lines(fh)
+
+
 def _outcome(load, path):
     try:
         ds = load(path)
@@ -251,7 +257,7 @@ class TestCReaderAgreesWithTheLineParser:
     def test_same_arrays_or_same_error(self, tmp_path, name):
         path = tmp_path / "edge.csv"
         path.write_bytes(EDGE_FILES[name].encode("utf-8"))
-        assert _outcome(load_dataset, path) == _outcome(data._load_lines, path)
+        assert _outcome(load_dataset, path) == _outcome(_line_parser, path)
 
     def test_table_holds_both_outcomes(self, tmp_path):
         # the table must hold both outcomes, or it shows nothing
@@ -384,7 +390,7 @@ class TestParsedSidecar:
             raise OSError(30, "Read-only file system")
 
         monkeypatch.setattr(os, "replace", fail)
-        assert _outcome(load_dataset, path) == _outcome(data._load_lines, path)
+        assert _outcome(load_dataset, path) == _outcome(_line_parser, path)
         assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
     def test_sidecar_that_is_a_directory_is_left_alone(self, tmp_path):
@@ -392,7 +398,7 @@ class TestParsedSidecar:
         path.write_text(_edge())
         _sidecar(path).mkdir()
         for _ in range(2):
-            assert _outcome(load_dataset, path) == _outcome(data._load_lines, path)
+            assert _outcome(load_dataset, path) == _outcome(_line_parser, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.csv.parsed.npz"]
         assert _sidecar(path).is_dir() and not any(_sidecar(path).iterdir())
 
@@ -431,6 +437,26 @@ class TestParsedSidecar:
         assert not reader.is_alive() and not writer.is_alive(), "load_dataset hung on a FIFO"
         assert loaded[0].samples.tolist() == [[0.5, 1.5], [2.5, -1.0]]
         assert [p.name for p in tmp_path.iterdir()] == ["data.fifo"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_fifo_the_c_reader_refuses_is_parsed_from_the_same_read(self, tmp_path):
+        path = tmp_path / "bad.fifo"
+        os.mkfifo(path)
+        raised = []
+
+        def load():
+            with pytest.raises(DatasetParseError) as info:
+                load_dataset(path)
+            raised.append(info.value)
+
+        writer = threading.Thread(target=path.write_text, args=("label,f_0\n0,1.0\n1,abc\n",), daemon=True)
+        reader = threading.Thread(target=load, daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=10)
+        writer.join(timeout=10)
+        assert not reader.is_alive() and not writer.is_alive(), "load_dataset hung on a FIFO"
+        assert raised[0].line == 3 and "abc" in str(raised[0])
 
     def test_edge_table_loads_the_same_twice_at_one_path(self, tmp_path, monkeypatch):
         path = tmp_path / "edge.csv"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,95 @@ def test_kmeans_reseed_of_an_emptied_cluster_matches_the_reference(monkeypatch, 
     assert np.array_equal(kmeans(pts, k, seed), kmeans_reference(pts, k, seed))
     reseeds = [rows for rows, _ in spy.calls if np.array_equal(rows, np.arange(len(pts)))]
     assert reseeds, "no cluster emptied"
+
+
+class _BlockSpy:
+    """Forces `rows` Gram rows per block and records the rows of every block served."""
+
+    def __init__(self, monkeypatch, rows):
+        self.rows, self.sizes = rows, []
+        self._monkeypatch, self._inner = monkeypatch, evaluation._gram_blocks
+        monkeypatch.setattr(evaluation, "_gram_blocks", self)
+
+    def width(self, columns):
+        self._monkeypatch.setattr(evaluation, "_BLOCK", self.rows * columns)
+
+    def __call__(self, a, sq_a, b, sq_b):
+        for block in self._inner(a, sq_a, b, sq_b):
+            self.sizes.append(block[1] - block[0])
+            yield block
+
+    def assert_blocked(self, n):
+        # every block holds `rows` rows but the short last one of each pass
+        assert set(self.sizes) <= {self.rows, n % self.rows} and self.sizes.count(self.rows) >= n // self.rows
+
+
+@pytest.mark.parametrize("rows", [1, 13], ids=["one-row-blocks", "13-row-blocks"])
+@pytest.mark.parametrize("case", list(_exactness_cases()))
+class TestGramExactnessAcrossBlocks:
+    def test_recall_equals_the_explicit_argsort(self, case, rows, monkeypatch):
+        z, labels = _exactness_cases()[case]
+        assert len(z) % 13, "13-row blocks must leave a short last block"
+        blocks, spy = _BlockSpy(monkeypatch, rows), _PairSpy(monkeypatch)
+        blocks.width(len(z))
+        ks = [1, 2, 4, 8]
+        assert recall_at_k(z, labels, ks) == recall_reference(z, labels, ks)
+        blocks.assert_blocked(len(z))
+        if case in ("tie-heavy-grid", "duplicated-points"):
+            assert sum(len(query) for query, _ in spy.calls) > len(z) * max(ks)
+
+    def test_kmeans_equals_the_explicit_assignment(self, case, rows, monkeypatch):
+        z, labels = _exactness_cases()[case]
+        blocks, spy = _BlockSpy(monkeypatch, rows), _PairSpy(monkeypatch)
+        k = len(np.unique(labels))
+        for seed in range(3):
+            for clusters in (k, 2 * k):
+                blocks.width(clusters)
+                assert np.array_equal(kmeans(z, clusters, seed), kmeans_reference(z, clusters, seed))
+        blocks.assert_blocked(len(z))
+        fallback = [query for query, _ in spy.calls if not np.array_equal(query, np.arange(len(z)))]
+        if case == "tie-heavy-grid":
+            assert fallback, "no row took the explicit-difference assignment"
+
+
+@pytest.mark.parametrize("rows", [1, 5], ids=["one-row-blocks", "5-row-blocks"])
+@pytest.mark.parametrize(
+    "pts, k, seed",
+    [
+        (np.repeat(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), 4, axis=0), 4, 0),
+        (np.array([[8.7], [7.2], [4.5], [4.6], [4.0], [4.0], [1.4], [7.3]]), 3, 0),
+    ],
+    ids=["duplicate-centre", "stolen-members"],
+)
+def test_kmeans_reseed_across_blocks_matches_the_reference(monkeypatch, pts, k, seed, rows):
+    assert len(pts) % 5, "5-row blocks must leave a short last block"
+    blocks, spy = _BlockSpy(monkeypatch, rows), _PairSpy(monkeypatch)
+    blocks.width(k)
+    assert np.array_equal(kmeans(pts, k, seed), kmeans_reference(pts, k, seed))
+    blocks.assert_blocked(len(pts))
+    assert any(np.array_equal(query, np.arange(len(pts))) for query, _ in spy.calls), "no cluster emptied"
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# a full (n, n) or (n, k) float64 matrix alone would break these bounds
+def test_recall_memory_stays_bounded_at_dataset_size():
+    z = np.random.default_rng(14).normal(size=(5924, 64))  # the size of the CUB-200-2011 test set: 281 MB for (n, n)
+    assert _traced_peak(lambda: recall_at_k(z, np.arange(5924) % 100, [1, 2, 4, 8])) < 16 * 2**20
+
+
+def test_kmeans_memory_stays_bounded_with_many_clusters():
+    # 1,000 tight, far-apart groups of 3 (24 MB for (n, k)): seeding takes one point of each, Lloyd stops at once
+    rng = np.random.default_rng(15)
+    pts = np.repeat(rng.uniform(0.0, 1e3, size=(1000, 8)), 3, axis=0) + rng.normal(scale=1e-3, size=(3000, 8))
+    assert _traced_peak(lambda: kmeans(pts, 1000, seed=0)) < 16 * 2**20
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "overflow"])
