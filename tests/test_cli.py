@@ -292,8 +292,8 @@ def test_train_on_a_fifo_the_c_reader_refuses_exits_one(tmp_path, train_config, 
     os.mkfifo(path)
     codes = []
     writer = threading.Thread(target=path.write_text, args=("label,f_0\n0,1.0\n1,abc\n",), daemon=True)
-    argv = ["train", "--data", str(path), "--config", str(train_config), "--out-dir", str(tmp_path / "run")]
-    reader = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    argv = ["--data", str(path), "--config", str(train_config), "--out-dir", str(tmp_path / "run")]
+    reader = threading.Thread(target=lambda: codes.append(run_cli("train", *argv)), daemon=True)
     capsys.readouterr()
     writer.start()
     reader.start()

@@ -361,7 +361,7 @@ class TestGramExactness:
             assert fallback, "no row took the explicit-difference assignment"
 
 
-@pytest.mark.parametrize(
+_RESEED_CASES = pytest.mark.parametrize(
     "pts, k, seed",
     [
         # three distinct locations, four clusters: seeding runs out of distance
@@ -372,6 +372,9 @@ class TestGramExactness:
     ],
     ids=["duplicate-centre", "stolen-members"],
 )
+
+
+@_RESEED_CASES
 def test_kmeans_reseed_of_an_emptied_cluster_matches_the_reference(monkeypatch, pts, k, seed):
     spy = _PairSpy(monkeypatch)
     assert np.array_equal(kmeans(pts, k, seed), kmeans_reference(pts, k, seed))
@@ -429,14 +432,7 @@ class TestGramExactnessAcrossBlocks:
 
 
 @pytest.mark.parametrize("rows", [1, 5], ids=["one-row-blocks", "5-row-blocks"])
-@pytest.mark.parametrize(
-    "pts, k, seed",
-    [
-        (np.repeat(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), 4, axis=0), 4, 0),
-        (np.array([[8.7], [7.2], [4.5], [4.6], [4.0], [4.0], [1.4], [7.3]]), 3, 0),
-    ],
-    ids=["duplicate-centre", "stolen-members"],
-)
+@_RESEED_CASES
 def test_kmeans_reseed_across_blocks_matches_the_reference(monkeypatch, pts, k, seed, rows):
     assert len(pts) % 5, "5-row blocks must leave a short last block"
     blocks, spy = _BlockSpy(monkeypatch, rows), _PairSpy(monkeypatch)
