@@ -1,5 +1,5 @@
-"""Unified parameter checkpoint: embedder, and optionally generator and
-classifier, in one versioned .npz container.
+"""The parameter partitions of a model (`Models`: embedder, and optionally
+generator and classifier) and their checkpoint, one versioned .npz container.
 
 Layout (format version 1): a `format_version` scalar, a `meta_json` string
 with layer shapes/activations and arbitrary run metadata, and one float64
@@ -23,11 +23,12 @@ FORMAT_VERSION = 1
 
 
 @dataclass
-class CheckpointBundle:
+class Models:
+    """The four parameter partitions; generator/classifier absent for baselines."""
+
     embedder: EmbedderParams
-    generator: list[DenseLayer] | None
-    classifier: DenseLayer | None
-    meta: dict
+    generator: list[DenseLayer] | None = None
+    classifier: DenseLayer | None = None
 
 
 def _layer_entries(prefix: str, layer: DenseLayer, arrays: dict, meta_layers: list) -> None:
@@ -36,13 +37,8 @@ def _layer_entries(prefix: str, layer: DenseLayer, arrays: dict, meta_layers: li
     meta_layers.append({"prefix": prefix, "activation": layer.activation})
 
 
-def save_checkpoint(
-    path,
-    embedder: EmbedderParams,
-    generator: list[DenseLayer] | None = None,
-    classifier: DenseLayer | None = None,
-    meta: dict | None = None,
-) -> None:
+def save_checkpoint(path, models: Models, meta: dict | None = None) -> None:
+    embedder, generator, classifier = models.embedder, models.generator, models.classifier
     arrays: dict[str, np.ndarray] = {}
     layers: list[dict] = []
     for i, layer in enumerate(embedder.extractor):
@@ -66,8 +62,8 @@ def save_checkpoint(
     np.savez(path, **arrays)
 
 
-def load_checkpoint(path) -> CheckpointBundle:
-    """Read a checkpoint; a file that is not a readable one raises InputError."""
+def load_checkpoint(path) -> tuple[Models, dict]:
+    """Read a checkpoint as (models, meta); a file that is not a readable one raises InputError."""
     with open(path, "rb") as fh:  # np.load leaks its own handle when the zip is damaged
         try:
             archive = np.load(fh, allow_pickle=False)
@@ -77,12 +73,12 @@ def load_checkpoint(path) -> CheckpointBundle:
             raise InputError(f"{path} is not a checkpoint archive (.npz)")
         try:
             with archive as npz:
-                return _read_bundle(npz)
+                return _read_models(npz)
         except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
             raise InputError(f"{path} is a damaged checkpoint: {exc}") from None
 
 
-def _read_bundle(npz) -> CheckpointBundle:
+def _read_models(npz) -> tuple[Models, dict]:
     if "format_version" not in npz:
         raise InputError("missing format_version")
     version = int(npz["format_version"])
@@ -99,4 +95,4 @@ def _read_bundle(npz) -> CheckpointBundle:
     generator = [layer(f"generator/{i}") for i in range(doc["num_generator_layers"])]
     check_chain(generator, "generator")  # the one place generator layers come from outside the program
     classifier = layer("classifier") if doc["has_classifier"] else None
-    return CheckpointBundle(embedder, generator or None, classifier, doc["meta"])
+    return Models(embedder, generator or None, classifier), doc["meta"]

@@ -15,10 +15,12 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .config import load_config
-from .data import load_dataset, save_dataset, split_zero_shot, synth_gaussian_dataset, take_classes
+from .data import (
+    check_split_seed, check_train_fraction, load_dataset, save_dataset, split_zero_shot, synth_gaussian_dataset, take_classes,
+)
 from .embedder import embed
 from .errors import ConfigError, DatasetParseError, DimensionError, InputError, NumericalError
-from .evaluation import evaluate_embeddings, export_embeddings_csv, save_metrics_json
+from .evaluation import check_kmeans_seed, evaluate_embeddings, export_embeddings_csv, save_metrics_json
 from .training import run_training
 from .verify import run_gradcheck_suite
 
@@ -105,20 +107,25 @@ def _cmd_eval(args) -> int:
         raise InputError(f"--ks must be a comma list of integers, got {args.ks!r}") from None
     if not ks or min(ks) < 1:
         raise InputError(f"--ks must name at least one K, each at least 1, got {args.ks!r}")
+    check_kmeans_seed(args.kmeans_seed)
+    if args.split_seed is not None:
+        check_split_seed(args.split_seed)
+    if args.train_fraction is not None:
+        check_train_fraction(args.train_fraction)
     _check_out_dir(args.out_dir)
-    bundle = load_checkpoint(args.checkpoint)
+    models, meta = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    recorded = bundle.meta.get("config", {})
+    recorded = meta.get("config", {})
     split_seed = args.split_seed if args.split_seed is not None else recorded.get("split_seed")
     if split_seed is None:
         raise InputError(f"{args.checkpoint} records no class split; pass --split-seed")
     fraction = args.train_fraction if args.train_fraction is not None else recorded.get("train_fraction", 0.5)
     split = split_zero_shot(dataset, fraction, split_seed)
-    seen = np.intersect1d(split.test_classes, bundle.meta.get("train_classes", []))
+    seen = np.intersect1d(split.test_classes, meta.get("train_classes", []))
     if seen.size:
         raise InputError(f"classes {seen.tolist()} would be evaluated but were training classes of {args.checkpoint}")
     test_x, test_labels = take_classes(dataset, split.test_classes)
-    emb, _ = embed(bundle.embedder, test_x, labels=test_labels)
+    emb, _ = embed(models.embedder, test_x, labels=test_labels)
     report = evaluate_embeddings(emb.embeddings, test_labels, ks=ks, kmeans_seed=args.kmeans_seed)
     os.makedirs(args.out_dir, exist_ok=True)
     metrics_path = os.path.join(args.out_dir, "metrics.json")

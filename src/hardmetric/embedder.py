@@ -67,12 +67,6 @@ class ProjectTape:
     unit: np.ndarray | None = None
 
 
-@dataclass
-class EmbedTape:
-    extractor: list[GradTape]
-    project: ProjectTape
-
-
 def extract(params: EmbedderParams, x) -> tuple[np.ndarray, list[GradTape]]:
     """Run the feature extractor stack; tapes are kept for the backward pass."""
     return stack_forward(params.extractor, x)
@@ -101,20 +95,20 @@ def project_backward(
     return stack_backward([params.projector], [tape.dense], g)
 
 
-def embed(params: EmbedderParams, x, labels=None) -> tuple[EmbeddingBatch, EmbedTape]:
-    """extract followed by project, returning one combined tape."""
+def embed(params: EmbedderParams, x, labels=None) -> tuple[EmbeddingBatch, tuple[list[GradTape], ProjectTape]]:
+    """extract followed by project; returns the batch and (extractor_tapes, projector_tape)."""
     feats, ext_tapes = extract(params, x)
-    z, ptape = project(params, feats)
-    return EmbeddingBatch(z, labels), EmbedTape(ext_tapes, ptape)
+    z, proj_tape = project(params, feats)
+    return EmbeddingBatch(z, labels), (ext_tapes, proj_tape)
 
 
 def embed_backward(
-    params: EmbedderParams, tape: EmbedTape, grad_embeddings: np.ndarray
+    params: EmbedderParams, extractor_tapes: list[GradTape], projector_tape: ProjectTape, grad_embeddings: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Backward through projector and extractor stack: (extractor_grads, projector_grads),
     each in `stack_params` order."""
-    g, proj_grads = project_backward(params, tape.project, grad_embeddings)
-    _, ext_grads = stack_backward(params.extractor, tape.extractor, g)
+    g, proj_grads = project_backward(params, projector_tape, grad_embeddings)
+    _, ext_grads = stack_backward(params.extractor, extractor_tapes, g)
     return ext_grads, proj_grads
 
 

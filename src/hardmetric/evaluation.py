@@ -84,6 +84,11 @@ def _pair_sqdist(a, rows_a, b, rows_b) -> np.ndarray:
     return out
 
 
+def check_kmeans_seed(seed: int) -> None:
+    if not seed >= 0:
+        raise InputError(f"k-means seed must be nonnegative, got {seed}")
+
+
 def kmeans(points, k: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm with distance-weighted seeding, deterministic per seed.
 
@@ -100,8 +105,7 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
         raise InputError(f"k must be positive, got {k}")
     if k > n:
         raise InputError(f"k = {k} exceeds number of points {n}")
-    if not seed >= 0:
-        raise InputError(f"k-means seed must be nonnegative, got {seed}")
+    check_kmeans_seed(seed)
     sq = _squared_norms(pts)
     rng = np.random.default_rng(seed)
 
@@ -135,9 +139,12 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
         if not counts.all():
             # the globally worst-fit point, measured against the centers before this update
             worst = int(_pair_sqdist(pts, np.arange(n), centers, assign).argmax())
+        # each cluster's rows, ascending, as one contiguous slice of a stable sort
+        members = pts[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
         for c in range(k):
             if counts[c]:
-                centers[c] = pts[assign == c].mean(axis=0)
+                centers[c] = members[ends[c] - counts[c] : ends[c]].mean(axis=0)
             else:
                 centers[c] = pts[worst]
     return assign
@@ -207,6 +214,13 @@ def pairwise_f1(assignment, labels) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _checked_labels(labels, n: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise InputError(f"labels shape {labels.shape} does not match {n} points")
+    return labels
+
+
 def _checked_ks(ks, n: int) -> list[int]:
     """The K values in ascending order; each must be positive and below the number of points."""
     ks = sorted(int(k) for k in ks)
@@ -226,10 +240,8 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
     query, the points that can rank among the K nearest or tie with them.
     """
     z = as_matrix(embeddings, "embeddings")
-    labels = np.asarray(labels)
     n = z.shape[0]
-    if labels.shape != (n,):
-        raise InputError(f"labels shape {labels.shape} does not match {n} points")
+    labels = _checked_labels(labels, n)
     ks = _checked_ks(ks, n)
     sq = _squared_norms(z)
     first_hit = np.full(n, n)
@@ -274,9 +286,10 @@ class EvalReport:
 def evaluate_embeddings(embeddings, labels, ks=(1, 2, 4, 8), kmeans_seed: int = 0) -> EvalReport:
     """Cluster into as many groups as there are true classes, then score."""
     z = as_matrix(embeddings, "embeddings")
-    labels = np.asarray(labels)
+    # both checks come before the clustering, which bad labels or a bad K would waste
+    labels = _checked_labels(labels, z.shape[0])
+    ks = _checked_ks(ks, z.shape[0])
     classes = np.unique(labels)
-    ks = _checked_ks(ks, z.shape[0])  # before the clustering, which a bad K would waste
     assignment = kmeans(z, len(classes), seed=kmeans_seed)
     return EvalReport(
         nmi=nmi(assignment, labels),

@@ -24,12 +24,10 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from . import checkpoint as ckpt
 from .augmentor import AugmentorState, AugmentedTuple, augment_tuples, pulling_lambda
-from .data import Dataset, ZeroShotSplit, split_zero_shot, take_classes
+from .checkpoint import Models, save_checkpoint
+from .data import Dataset, ZeroShotSplit, check_train_fraction, split_zero_shot, take_classes
 from .embedder import (
-    EmbedderParams,
-    EmbedTape,
     embed,
     embed_backward,
     extract,
@@ -41,7 +39,7 @@ from .errors import InputError, NumericalError
 from .evaluation import EvalReport, evaluate_embeddings
 from .generator import classifier_step, generator_loss, init_generator
 from .losses import TupleBatch, batch_metric_loss
-from .nn import Adam, DenseLayer, init_dense, stack_params
+from .nn import Adam, init_dense, stack_params
 
 log = logging.getLogger(__name__)
 
@@ -88,6 +86,7 @@ class TrainConfig:
         for name in ("alpha", "lambda_balance", "margin", "seed", "split_seed"):
             if not getattr(self, name) >= 0:
                 raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        check_train_fraction(self.train_fraction)
         if self.npair_n < 2:
             raise InputError(f"npair_n must be at least 2, got {self.npair_n}")
         if self.batch_size < 2:
@@ -104,15 +103,6 @@ class TrainConfig:
             raise InputError(f"recall_ks must be positive, got {self.recall_ks}")
         if self.fixed_reference_distance is not None and not self.fixed_reference_distance > 0:
             raise InputError(f"fixed_reference_distance must be positive, got {self.fixed_reference_distance}")
-
-
-@dataclass
-class Models:
-    """The four parameter partitions; generator/classifier absent for baselines."""
-
-    embedder: EmbedderParams
-    generator: list[DenseLayer] | None = None
-    classifier: DenseLayer | None = None
 
 
 def init_models(input_dim: int, num_train_classes: int, config: TrainConfig) -> Models:
@@ -308,7 +298,7 @@ def train_step(models: Models, x, labels, state: TrainState, config: TrainConfig
         classifier_step(models.classifier, features, labels, state.adam_classifier)
 
     # original path reaches the extractor; both paths reach the projector
-    ext_grads, proj_grads = embed_backward(models.embedder, EmbedTape(ext_tapes, proj_tape), w * grad_z_m)
+    ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, w * grad_z_m)
     if syn_proj_grads is not None:
         proj_grads = [g + s for g, s in zip(proj_grads, syn_proj_grads)]
     state.adam_extractor.step(ext_grads)
@@ -462,10 +452,5 @@ def write_artifacts(result: TrainResult, out_dir, dataset: Dataset) -> None:
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    ckpt.save_checkpoint(
-        os.path.join(out_dir, "checkpoint.npz"),
-        result.models.embedder,
-        result.models.generator,
-        result.models.classifier,
-        meta={"config": asdict(result.config), "train_classes": result.split.train_classes.tolist()},
-    )
+    meta = {"config": asdict(result.config), "train_classes": result.split.train_classes.tolist()}
+    save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), result.models, meta)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedder import EmbedTape, embed, embed_backward, init_embedder, pairwise_distances
+from .embedder import embed, embed_backward, init_embedder, pairwise_distances
 from .errors import InputError
 from .generator import generator_loss, init_generator
 from .losses import TupleBatch, batch_metric_loss
@@ -27,10 +27,6 @@ MAX_DRAWS = 50  # random instances tried before a fragment gives up
 def _stack_names(prefix: str, layers) -> list[str]:
     """Parameter names in `stack_params` order: prefix.0.weight, prefix.0.bias, ..."""
     return [f"{prefix}.{i}.{part}" for i in range(len(layers)) for part in ("weight", "bias")]
-
-
-def _near_kink(tapes: EmbedTape) -> bool:
-    return any(np.abs(t.pre).min() < KINK_MARGIN for t in tapes.extractor if t.pre.size)
 
 
 def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator):
@@ -49,20 +45,15 @@ def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator):
         x = rng.normal(0.0, 1.0, size=(n_points, input_dim))
         labels = np.arange(n_points) % n_classes
         if loss_kind == "triplet":
-            idx = np.asarray(
-                [(i, (i + n_classes) % n_points, (i + 1) % n_points) for i in range(n_points)]
-            )
-            # keep only label-consistent triplets
-            idx = np.asarray(
-                [row for row in idx if labels[row[0]] == labels[row[1]] and labels[row[0]] != labels[row[2]]]
-            )
+            # anchor i, positive i + 3 and negative i + 1 (mod 9): every row is label-consistent, as 3 divides 9
+            idx = (np.arange(n_points)[:, None] + [0, n_classes, 1]) % n_points
             tuples = TupleBatch("triplet", idx[:, 0], idx[:, 1], idx[:, 2], labels)
         else:
             labels = np.repeat(np.arange(n_classes), 2)
             tuples = TupleBatch.npair(2 * np.arange(n_classes), 2 * np.arange(n_classes) + 1, labels)
 
-        emb, tapes = embed(embedder, x)
-        if _near_kink(tapes):
+        emb, (ext_tapes, _) = embed(embedder, x)
+        if any(np.abs(t.pre).min() < KINK_MARGIN for t in ext_tapes if t.pre.size):
             continue
         z = emb.embeddings
         dist = pairwise_distances(z[np.unique(tuples.rows)])
@@ -82,9 +73,9 @@ def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator):
         names = _stack_names("extractor", embedder.extractor) + ["projector.weight", "projector.bias"]
 
         def grads_fn(embedder=embedder, x=x, tuples=tuples, names=names) -> dict[str, np.ndarray]:
-            e, tape = embed(embedder, x)
+            e, (ext_tapes, proj_tape) = embed(embedder, x)
             _, gz = batch_metric_loss(e.embeddings, tuples, margin)
-            ext_grads, proj_grads = embed_backward(embedder, tape, gz)
+            ext_grads, proj_grads = embed_backward(embedder, ext_tapes, proj_tape, gz)
             return dict(zip(names, ext_grads + proj_grads))
 
         params = dict(zip(names, stack_params(embedder.extractor + [embedder.projector])))

@@ -120,11 +120,11 @@ class TestExitCodes:
 
 def _bare_checkpoint(tmp_path):
     """An untrained checkpoint for the 5-dimensional `small_dataset`, recording split seed 0."""
-    from hardmetric.checkpoint import save_checkpoint
+    from hardmetric.checkpoint import Models, save_checkpoint
     from hardmetric.embedder import init_embedder
 
     checkpoint = tmp_path / "bare.npz"
-    save_checkpoint(checkpoint, init_embedder(5, (4,), 2, np.random.default_rng(0)), meta={"config": {"split_seed": 0}})
+    save_checkpoint(checkpoint, Models(init_embedder(5, (4,), 2, np.random.default_rng(0))), meta={"config": {"split_seed": 0}})
     return checkpoint
 
 
@@ -247,24 +247,32 @@ def test_bad_seed_or_scale_exits_one_with_a_message(tmp_path, small_dataset, cap
         (["eval", "--out-dir", "{tmp}/afile/eval"], "afile exists and is not a directory"),
         (["eval", "--ks", "0", "--out-dir", "{tmp}/eval"], "--ks must name at least one K, each at least 1, got '0'"),
         (["eval", "--ks", "", "--out-dir", "{tmp}/eval"], "--ks must name at least one K, each at least 1, got ''"),
+        (["train", "--config", "{tmp}/fraction.cfg", "--out-dir", "{tmp}/run"], "train_fraction must lie strictly in (0, 1), got 1.5"),
+        (["eval", "--kmeans-seed", "-1", "--out-dir", "{tmp}/eval"], "k-means seed must be nonnegative, got -1"),
+        (["eval", "--split-seed", "-1", "--out-dir", "{tmp}/eval"], "split seed must be nonnegative, got -1"),
+        (["eval", "--train-fraction", "1.5", "--out-dir", "{tmp}/eval"], "train_fraction must lie strictly in (0, 1), got 1.5"),
+        (["eval", "--train-fraction", "nan", "--out-dir", "{tmp}/eval"], "train_fraction must lie strictly in (0, 1), got nan"),
     ],
     ids=[
         "train-unknown-config-key", "train-out-dir-below-a-file", "eval-ks-not-integers", "eval-out-dir-below-a-file",
-        "eval-ks-zero", "eval-ks-empty",
+        "eval-ks-zero", "eval-ks-empty", "train-fraction-outside-0-1", "eval-kmeans-seed-negative",
+        "eval-split-seed-negative", "eval-train-fraction-outside-0-1", "eval-train-fraction-nan",
     ],
 )
 def test_bad_argument_exits_one_before_the_dataset_is_read(tmp_path, small_dataset, train_config, monkeypatch, capsys, argv, message):
     from hardmetric import cli
 
     def refuse(path):
-        raise AssertionError("read the dataset")
+        raise AssertionError(f"read {path}")
 
     (tmp_path / "bad.cfg").write_text("learning_rat = 0.1\n")
+    (tmp_path / "fraction.cfg").write_text("train_fraction = 1.5\n")
     (tmp_path / "afile").write_text("not a directory\n")
     command, *options = [arg.format(tmp=tmp_path) for arg in argv]
     if command == "eval":
         options += ["--checkpoint", str(_bare_checkpoint(tmp_path))]
     monkeypatch.setattr(cli, "load_dataset", refuse)
+    monkeypatch.setattr(cli, "load_checkpoint", refuse)
     capsys.readouterr()
     assert run_cli(command, "--data", str(small_dataset), *options) == 1
     err = capsys.readouterr().err
@@ -335,11 +343,11 @@ class TestEvalSplit:
         assert not (tmp_path / "eval").exists()
 
     def test_checkpoint_without_a_split_needs_a_seed(self, tmp_path, small_dataset, capsys):
-        from hardmetric.checkpoint import save_checkpoint
+        from hardmetric.checkpoint import Models, save_checkpoint
         from hardmetric.embedder import init_embedder
 
         path = tmp_path / "bare.npz"
-        save_checkpoint(path, init_embedder(5, (4,), 2, np.random.default_rng(0)))
+        save_checkpoint(path, Models(init_embedder(5, (4,), 2, np.random.default_rng(0))))
         argv = ["eval", "--checkpoint", str(path), "--data", str(small_dataset), "--out-dir", str(tmp_path / "eval")]
         assert run_cli(*argv) == 1
         assert "--split-seed" in capsys.readouterr().err
@@ -386,14 +394,14 @@ def _damage(path, name):
     ],
 )
 def test_unreadable_checkpoint_exits_one_with_a_message(tmp_path, small_dataset, capsys, name):
-    from hardmetric.checkpoint import save_checkpoint
+    from hardmetric.checkpoint import Models, save_checkpoint
     from hardmetric.embedder import init_embedder
     from hardmetric.generator import init_generator
 
     good = tmp_path / "good.npz"
     rng = np.random.default_rng(0)
     embedder = init_embedder(5, (4,), 2, rng)
-    save_checkpoint(good, embedder, init_generator(2, 4, rng=rng), meta={"config": {"split_seed": 0}})
+    save_checkpoint(good, Models(embedder, init_generator(2, 4, rng=rng)), meta={"config": {"split_seed": 0}})
     bad = _damage(good, name)
     code = run_cli("eval", "--checkpoint", str(bad), "--data", str(small_dataset), "--out-dir", str(tmp_path / "eval"))
     assert code == 1
@@ -402,13 +410,13 @@ def test_unreadable_checkpoint_exits_one_with_a_message(tmp_path, small_dataset,
 
 
 def test_eval_of_a_checkpoint_with_a_nan_weight_exits_two(tmp_path, small_dataset, capsys):
-    from hardmetric.checkpoint import save_checkpoint
+    from hardmetric.checkpoint import Models, save_checkpoint
     from hardmetric.embedder import init_embedder
 
     params = init_embedder(5, (4,), 2, np.random.default_rng(0))
     params.projector.weight[1, 2] = float("nan")
     path = tmp_path / "nan.npz"
-    save_checkpoint(path, params, meta={"config": {"split_seed": 0}})
+    save_checkpoint(path, Models(params), meta={"config": {"split_seed": 0}})
     eval_dir = tmp_path / "eval"
     code = run_cli("eval", "--checkpoint", str(path), "--data", str(small_dataset), "--out-dir", str(eval_dir))
     assert code == 2

@@ -82,6 +82,11 @@ class TestZeroShotSplit:
             with pytest.raises(InputError):
                 split_zero_shot(ds, bad, seed=0)
 
+    def test_negative_seed_rejected(self):
+        ds = synth_gaussian_dataset(4, 2, 3, seed=0)
+        with pytest.raises(InputError, match="split seed must be nonnegative, got -1"):
+            split_zero_shot(ds, 0.5, seed=-1)
+
     def test_fraction_that_leaves_no_test_classes(self):
         ds = synth_gaussian_dataset(4, 2, 3, seed=0)
         with pytest.raises(InputError):
@@ -165,6 +170,17 @@ class TestDatasetIO:
     def test_dataset_requires_dense_labels(self):
         with pytest.raises(InputError):
             Dataset(np.zeros((2, 3)), [0, 2])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_dataset_requires_finite_samples(self, value):
+        samples = np.zeros((2, 3))
+        samples[1, 2] = value
+        with pytest.raises(InputError, match="samples must be finite"):
+            Dataset(samples, [0, 1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_dataset_accepts_finite_samples_whose_sum_overflows(self):
+        assert Dataset(np.full((2, 1), 1e308), [0, 1]).num_samples == 2
 
 
 HEADER = "label,f_0,f_1\n"
@@ -537,6 +553,9 @@ class TestConfigParsing:
             ("margin = nan", "margin"),
             ("learning_rate = nan", "learning_rate"),
             ("fc_lr_multiplier = nan", "fc_lr_multiplier"),
+            ("train_fraction = 1.5", "train_fraction"),
+            ("train_fraction = 0", "train_fraction"),
+            ("train_fraction = nan", "train_fraction"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, line, named):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hardmetric.checkpoint import load_checkpoint, save_checkpoint
+from hardmetric.checkpoint import Models, load_checkpoint, save_checkpoint
 from hardmetric.embedder import (
     EmbedderParams,
     embed,
@@ -116,15 +116,15 @@ class TestEmbedBackward:
     def test_gradient_reaches_all_partitions(self):
         rng = np.random.default_rng(8)
         params = init_embedder(4, hidden_dims=(5,), embed_dim=3, rng=rng)
-        emb, tape = embed(params, rng.normal(size=(6, 4)))
-        ext_grads, proj_grads = embed_backward(params, tape, np.ones_like(emb.embeddings))
+        emb, (ext_tapes, proj_tape) = embed(params, rng.normal(size=(6, 4)))
+        ext_grads, proj_grads = embed_backward(params, ext_tapes, proj_tape, np.ones_like(emb.embeddings))
         assert len(ext_grads) == 2 * len(params.extractor)
         assert ext_grads[0].shape == params.extractor[0].weight.shape
         assert proj_grads[0].shape == params.projector.weight.shape
         # the input gradient, which embed_backward drops, from the same chain by hand
-        _, tape = embed(params, rng.normal(size=(6, 4)))
-        g, _ = project_backward(params, tape.project, np.ones_like(emb.embeddings))
-        input_grad, _ = stack_backward(params.extractor, tape.extractor, g)
+        _, (ext_tapes, proj_tape) = embed(params, rng.normal(size=(6, 4)))
+        g, _ = project_backward(params, proj_tape, np.ones_like(emb.embeddings))
+        input_grad, _ = stack_backward(params.extractor, ext_tapes, g)
         assert input_grad.shape == (6, 4)
 
     def test_normalized_projection_gradient_matches_fd(self):
@@ -137,8 +137,8 @@ class TestEmbedBackward:
             e, _ = embed(params, x)
             return ((e.embeddings - target) ** 2).sum()
 
-        emb, tape = embed(params, x)
-        _, proj_grads = embed_backward(params, tape, 2 * (emb.embeddings - target))
+        emb, (ext_tapes, proj_tape) = embed(params, x)
+        _, proj_grads = embed_backward(params, ext_tapes, proj_tape, 2 * (emb.embeddings - target))
         w = params.projector.weight
         h = 1e-6
         for idx in [(0, 0), (1, 2), (2, 1)]:
@@ -159,23 +159,23 @@ class TestCheckpoint:
         generator = init_generator(4, 7, rng=rng)
         classifier = init_dense(7, 5, "identity", rng)
         path = tmp_path / "model.npz"
-        save_checkpoint(path, embedder, generator, classifier, meta={"note": "test"})
-        bundle = load_checkpoint(path)
-        for orig, loaded in zip(embedder.extractor, bundle.embedder.extractor):
+        save_checkpoint(path, Models(embedder, generator, classifier), meta={"note": "test"})
+        models, meta = load_checkpoint(path)
+        for orig, loaded in zip(embedder.extractor, models.embedder.extractor):
             assert np.array_equal(orig.weight, loaded.weight)
             assert np.array_equal(orig.bias, loaded.bias)
             assert orig.activation == loaded.activation
-        assert np.array_equal(embedder.projector.weight, bundle.embedder.projector.weight)
-        assert np.array_equal(generator[1].bias, bundle.generator[1].bias)
-        assert np.array_equal(classifier.weight, bundle.classifier.weight)
-        assert bundle.meta["note"] == "test"
+        assert np.array_equal(embedder.projector.weight, models.embedder.projector.weight)
+        assert np.array_equal(generator[1].bias, models.generator[1].bias)
+        assert np.array_equal(classifier.weight, models.classifier.weight)
+        assert meta["note"] == "test"
 
     def test_embedder_only_checkpoint(self, tmp_path):
         embedder = init_embedder(3, hidden_dims=(4,), embed_dim=2, rng=np.random.default_rng(0))
         path = tmp_path / "embedder.npz"
-        save_checkpoint(path, embedder)
-        bundle = load_checkpoint(path)
-        assert bundle.generator is None and bundle.classifier is None
+        save_checkpoint(path, Models(embedder))
+        models, _ = load_checkpoint(path)
+        assert models.generator is None and models.classifier is None
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"

@@ -94,6 +94,10 @@ class TestKmeans:
         pts = rng.normal(size=(30, 4))
         assert np.array_equal(kmeans(pts, 5, seed=7), kmeans(pts, 5, seed=7))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="k-means seed must be nonnegative, got -1"):
+            kmeans(np.zeros((3, 2)), 2, seed=-1)
+
     def test_bad_k_rejected(self):
         with pytest.raises(InputError):
             kmeans(np.zeros((3, 2)), 0, seed=0)
@@ -429,6 +433,22 @@ class TestGramExactnessAcrossBlocks:
         fallback = [query for query, _ in spy.calls if not np.array_equal(query, np.arange(len(z)))]
         if case == "tie-heavy-grid":
             assert fallback, "no row took the explicit-difference assignment"
+
+
+def test_kmeans_with_k_close_to_n_matches_the_reference():
+    # 60 points on a 0.1 grid in 50 clusters; with kmeans seed 0, a centre summed in another row order moves an assignment
+    pts = np.round(np.random.default_rng(107).normal(size=(60, 2)), 1)
+    for seed in range(3):
+        assert np.array_equal(kmeans(pts, 50, seed), kmeans_reference(pts, 50, seed))
+
+
+def test_labels_of_another_length_are_refused_before_clustering(monkeypatch):
+    clustered = []
+    monkeypatch.setattr(evaluation, "kmeans", lambda *args, **kwargs: clustered.append(args))
+    z = np.random.default_rng(16).normal(size=(20, 3))
+    with pytest.raises(InputError, match=r"labels shape \(19,\) does not match 20 points"):
+        evaluate_embeddings(z, np.arange(19) % 4, ks=(1, 2))
+    assert clustered == []
 
 
 @pytest.mark.parametrize("rows", [1, 5], ids=["one-row-blocks", "5-row-blocks"])

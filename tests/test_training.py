@@ -5,7 +5,7 @@ import pytest
 from frozen import freeze
 
 from hardmetric.data import synth_gaussian_dataset
-from hardmetric.embedder import EmbedTape, embed, embed_backward, project, project_backward
+from hardmetric.embedder import embed, embed_backward, project, project_backward
 from hardmetric.errors import InputError
 from hardmetric.generator import generator_loss
 from hardmetric.losses import batch_metric_loss
@@ -244,7 +244,7 @@ class TestTrainStep:
             return w * j_m + (1 - w) * j_s
 
         j_m, gz_m = batch_metric_loss(emb, tuples, config.margin)
-        ext_grads, proj_grads = embed_backward(models.embedder, EmbedTape(ext_tapes, proj_tape), w * gz_m)
+        ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, w * gz_m)
         syn_emb, syn_tape = project(models.embedder, syn_rows)
         j_s, gz_s = batch_metric_loss(syn_emb, syn_tuples, config.margin)
         _, syn_proj = project_backward(models.embedder, syn_tape, (1 - w) * gz_s)
