@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, check_nonnegative, check_positive
 from .losses import TupleBatch
 
 # Lower bound for the interpolation coefficient: keeps the hardened negative
@@ -37,10 +37,9 @@ class AugmentorState:
     j_avg: float | None = None
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise InputError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.j_avg is not None and not (self.j_avg >= 0):
-            raise InputError(f"j_avg must be nonnegative when set, got {self.j_avg}")
+        check_nonnegative("alpha", self.alpha)
+        if self.j_avg is not None:
+            check_nonnegative("j_avg", self.j_avg)
 
 
 def pulling_lambda(state: AugmentorState) -> float:
@@ -82,8 +81,7 @@ def augment_negative(z, z_neg, d_plus: float, lambda_interp: float) -> np.ndarra
     z_neg = np.asarray(z_neg, dtype=np.float64)
     if z.shape != z_neg.shape or z.ndim != 1:
         raise DimensionError(f"expected two 1-D vectors of equal length, got {z.shape} and {z_neg.shape}")
-    if d_plus <= 0:
-        raise InputError(f"reference distance must be positive, got {d_plus}")
+    check_positive("reference distance", d_plus)
     if not (0.0 < lambda_interp <= 1.0):
         raise InputError(f"lambda_interp must lie in (0, 1], got {lambda_interp}")
     return _harden(z, z_neg, d_plus, lambda_interp)
@@ -131,8 +129,8 @@ def augment_tuples(
     only; gradients never flow through the returned arrays.
     """
     z = np.asarray(embeddings, dtype=np.float64)
-    if fixed_reference is not None and fixed_reference <= 0:
-        raise InputError(f"fixed reference distance must be positive, got {fixed_reference}")
+    if fixed_reference is not None:
+        check_positive("fixed reference distance", fixed_reference)
     lam = pulling_lambda(state)
     anchors, positives, negatives = tuples.anchors, tuples.positives, tuples.negatives
     if fixed_reference is None:

@@ -15,12 +15,10 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .config import load_config
-from .data import (
-    check_split_seed, check_train_fraction, load_dataset, save_dataset, split_zero_shot, synth_gaussian_dataset, take_classes,
-)
+from .data import check_train_fraction, load_dataset, save_dataset, split_zero_shot, synth_gaussian_dataset, take_classes
 from .embedder import embed
-from .errors import ConfigError, DatasetParseError, DimensionError, InputError, NumericalError
-from .evaluation import check_kmeans_seed, evaluate_embeddings, export_embeddings_csv, save_metrics_json
+from .errors import ConfigError, DatasetParseError, DimensionError, InputError, NumericalError, check_nonnegative
+from .evaluation import check_ks, evaluate_embeddings, export_embeddings_csv, save_metrics_json
 from .training import run_training
 from .verify import run_gradcheck_suite
 
@@ -105,11 +103,10 @@ def _cmd_eval(args) -> int:
         ks = tuple(int(part) for part in args.ks.split(",") if part.strip())
     except ValueError:
         raise InputError(f"--ks must be a comma list of integers, got {args.ks!r}") from None
-    if not ks or min(ks) < 1:
-        raise InputError(f"--ks must name at least one K, each at least 1, got {args.ks!r}")
-    check_kmeans_seed(args.kmeans_seed)
+    check_ks("--ks", ks)
+    check_nonnegative("k-means seed", args.kmeans_seed)
     if args.split_seed is not None:
-        check_split_seed(args.split_seed)
+        check_nonnegative("split seed", args.split_seed)
     if args.train_fraction is not None:
         check_train_fraction(args.train_fraction)
     _check_out_dir(args.out_dir)

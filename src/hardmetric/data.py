@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetParseError, InputError
+from .errors import DatasetParseError, InputError, check_nonnegative, check_positive
 from .nn import as_matrix
 
 
@@ -35,7 +35,11 @@ class Dataset:
             finite = np.isfinite(self.samples.sum()) or np.isfinite(self.samples).all()
         if not finite:
             raise InputError("samples must be finite")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # a NaN or out-of-range label casts with a warning; the comparison refuses it
+            self.labels = labels.astype(np.int64, copy=False)
+        if self.labels is not labels and not np.array_equal(self.labels, labels):
+            raise InputError("labels must be integers that fit in 64 bits")
         if self.labels.shape != (self.samples.shape[0],):
             raise InputError(
                 f"labels shape {self.labels.shape} does not match {self.samples.shape[0]} samples"
@@ -73,13 +77,12 @@ def synth_gaussian_dataset(
     its class center plus N(0, noise_sigma^2) noise. Fully determined by the
     seed.
     """
-    if num_classes <= 0 or per_class <= 0 or input_dim <= 0:
-        raise InputError("num_classes, per_class, and input_dim must be positive")
+    for name, value in (("num_classes", num_classes), ("per_class", per_class), ("input_dim", input_dim)):
+        check_positive(name, value)
     for name, value in (("center_scale", center_scale), ("noise_sigma", noise_sigma)):
         if not (math.isfinite(value) and value >= 0):
             raise InputError(f"{name} must be finite and nonnegative, got {value}")
-    if not seed >= 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
+    check_nonnegative("seed", seed)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, center_scale, size=(num_classes, input_dim))
     # one draw fills the rows class by class, as one draw per class would
@@ -107,18 +110,13 @@ def check_train_fraction(train_fraction: float) -> None:
         raise InputError(f"train_fraction must lie strictly in (0, 1), got {train_fraction}")
 
 
-def check_split_seed(seed: int) -> None:
-    if not seed >= 0:
-        raise InputError(f"split seed must be nonnegative, got {seed}")
-
-
 def split_zero_shot(dataset: Dataset, train_fraction: float, seed: int) -> ZeroShotSplit:
     """Shuffle classes with the seed, then cut: ceil(C * fraction) go to train.
 
     The fraction must leave at least one class on each side.
     """
     check_train_fraction(train_fraction)
-    check_split_seed(seed)
+    check_nonnegative("split seed", seed)
     c = dataset.num_classes
     if c < 2:
         raise InputError("zero-shot split needs at least two classes")

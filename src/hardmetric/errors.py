@@ -1,4 +1,4 @@
-"""Shared exception types with a stable mapping to CLI exit codes.
+"""Shared exception types with a stable mapping to CLI exit codes, and the sign rules.
 
 Usage, config, and parse problems exit the CLI with code 1; numerical
 failures (non-finite losses, gradient check failures) exit with code 2.
@@ -31,3 +31,13 @@ class DatasetParseError(ValueError):
 
 class NumericalError(RuntimeError):
     """A loss or gradient went non-finite; the message names the component."""
+
+
+def check_positive(name: str, value) -> None:
+    if not value > 0:  # NaN fails too
+        raise InputError(f"{name} must be positive, got {value}")
+
+
+def check_nonnegative(name: str, value) -> None:
+    if not value >= 0:  # NaN fails too
+        raise InputError(f"{name} must be nonnegative, got {value}")

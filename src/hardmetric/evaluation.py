@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_nonnegative, check_positive
 from .nn import as_matrix
 
 _EPS = np.finfo(np.float64).eps
@@ -84,11 +84,6 @@ def _pair_sqdist(a, rows_a, b, rows_b) -> np.ndarray:
     return out
 
 
-def check_kmeans_seed(seed: int) -> None:
-    if not seed >= 0:
-        raise InputError(f"k-means seed must be nonnegative, got {seed}")
-
-
 def kmeans(points, k: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm with distance-weighted seeding, deterministic per seed.
 
@@ -101,11 +96,10 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     """
     pts = as_matrix(points, "points")
     n = pts.shape[0]
-    if k <= 0:
-        raise InputError(f"k must be positive, got {k}")
+    check_positive("k", k)
     if k > n:
         raise InputError(f"k = {k} exceeds number of points {n}")
-    check_kmeans_seed(seed)
+    check_nonnegative("k-means seed", seed)
     sq = _squared_norms(pts)
     rng = np.random.default_rng(seed)
 
@@ -150,7 +144,13 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     return assign
 
 
-def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _contingency(assignment, labels, fewest: int) -> np.ndarray:
+    """Cluster-by-label counts of at least `fewest` points; the assignment and the labels must pair up."""
+    a, b = np.asarray(assignment), np.asarray(labels)
+    if a.shape != b.shape or a.ndim != 1:
+        raise InputError(f"length mismatch: {a.shape} vs {b.shape}")
+    if a.shape[0] < fewest:
+        raise InputError(f"{a.shape[0]} points to score, at least {fewest} needed")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
@@ -164,15 +164,8 @@ def nmi(assignment, labels) -> float:
     Natural logs (the ratio is log-base invariant). Zero mutual information
     maps to 0; the degenerate case of two constant partitions maps to 1.
     """
-    assignment = np.asarray(assignment)
-    labels = np.asarray(labels)
-    if assignment.shape != labels.shape or assignment.ndim != 1:
-        raise InputError(f"length mismatch: {assignment.shape} vs {labels.shape}")
-    n = assignment.shape[0]
-    if n == 0:
-        raise InputError("nmi needs at least one point")
-    table = _contingency(assignment, labels)
-    pij = table / n
+    table = _contingency(assignment, labels, 1)
+    pij = table / table.sum()
     pi = pij.sum(axis=1)
     pj = pij.sum(axis=0)
     nz = pij > 0
@@ -193,13 +186,7 @@ def pairwise_f1(assignment, labels) -> float:
     recall     = |same cluster and same label| / |same label|,
     with the 0/0 cases defined as 0.
     """
-    assignment = np.asarray(assignment)
-    labels = np.asarray(labels)
-    if assignment.shape != labels.shape or assignment.ndim != 1:
-        raise InputError(f"length mismatch: {assignment.shape} vs {labels.shape}")
-    if assignment.shape[0] < 2:
-        raise InputError("pairwise_f1 needs at least two points")
-    table = _contingency(assignment, labels)
+    table = _contingency(assignment, labels, 2)
 
     def pairs(counts: np.ndarray) -> int:
         return int((counts * (counts - 1) // 2).sum())
@@ -221,13 +208,14 @@ def _checked_labels(labels, n: int) -> np.ndarray:
     return labels
 
 
-def _checked_ks(ks, n: int) -> list[int]:
-    """The K values in ascending order; each must be positive and below the number of points."""
+def check_ks(name: str, ks, n: int | None = None) -> list[int]:
+    """The K values of `name` in ascending order: at least one, each positive and, given n points, below n."""
     ks = sorted(int(k) for k in ks)
-    if not ks or ks[0] < 1:
-        raise InputError(f"K values must be positive, got {ks}")
-    if ks[-1] >= n:
-        raise InputError(f"K = {ks[-1]} must be smaller than the number of points {n}")
+    if not ks:
+        raise InputError(f"{name} must name at least one K")
+    check_positive(name, ks[0])
+    if n is not None and ks[-1] >= n:
+        raise InputError(f"{name}: K = {ks[-1]} must be smaller than the number of points {n}")
     return ks
 
 
@@ -242,7 +230,7 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
     z = as_matrix(embeddings, "embeddings")
     n = z.shape[0]
     labels = _checked_labels(labels, n)
-    ks = _checked_ks(ks, n)
+    ks = check_ks("ks", ks, n)
     sq = _squared_norms(z)
     first_hit = np.full(n, n)
     for start, stop, g, slack in _gram_blocks(z, sq, z, sq):
@@ -260,7 +248,6 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
         rows, at = np.unique(query[hit], return_index=True)
         first_hit[rows] = rank[hit][at]
     return {k: float((first_hit < k).mean()) for k in ks}
-
 
 
 @dataclass
@@ -288,7 +275,7 @@ def evaluate_embeddings(embeddings, labels, ks=(1, 2, 4, 8), kmeans_seed: int = 
     z = as_matrix(embeddings, "embeddings")
     # both checks come before the clustering, which bad labels or a bad K would waste
     labels = _checked_labels(labels, z.shape[0])
-    ks = _checked_ks(ks, z.shape[0])
+    ks = check_ks("ks", ks, z.shape[0])
     classes = np.unique(labels)
     assignment = kmeans(z, len(classes), seed=kmeans_seed)
     return EvalReport(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError, NumericalError
+from .errors import DimensionError, InputError, NumericalError, check_nonnegative
 from .nn import (
     DenseLayer, as_matrix, dense_backward, dense_forward, init_dense, softmax_xent, squared_error, stack_backward,
     stack_forward,
@@ -76,8 +76,7 @@ def generator_loss(
         raise DimensionError(
             f"{real_features.shape[0]} feature rows vs {member_embeddings.shape[0]} embedding rows"
         )
-    if lambda_balance < 0:
-        raise InputError(f"lambda_balance must be nonnegative, got {lambda_balance}")
+    check_nonnegative("lambda_balance", lambda_balance)
     if clf.activation != "identity":
         raise InputError(f"the frozen classifier head must be linear ('identity'), got {clf.activation!r}")
 

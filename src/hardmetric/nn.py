@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError, TapeReuseError
+from .errors import DimensionError, InputError, TapeReuseError, check_positive
 
 ACTIVATIONS = ("identity", "relu")
 
@@ -267,8 +267,7 @@ def gradcheck(params, loss_fn, grads_fn, tolerance: float = 1e-4, step: float = 
     are reported, never raised, so deliberately broken gradients show up as
     a failed verdict.
     """
-    if tolerance <= 0:
-        raise InputError("tolerance must be positive")
+    check_positive("tolerance", tolerance)
     analytic = {name: np.asarray(g, dtype=np.float64) for name, g in grads_fn().items()}
     deviations: dict[str, float] = {}
     for name, param in params.items():

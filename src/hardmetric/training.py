@@ -35,8 +35,8 @@ from .embedder import (
     project,
     project_backward,
 )
-from .errors import InputError, NumericalError
-from .evaluation import EvalReport, evaluate_embeddings
+from .errors import InputError, NumericalError, check_nonnegative, check_positive
+from .evaluation import EvalReport, check_ks, evaluate_embeddings
 from .generator import classifier_step, generator_loss, init_generator
 from .losses import TupleBatch, batch_metric_loss
 from .nn import Adam, init_dense, stack_params
@@ -79,30 +79,21 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_kind not in ("triplet", "npair"):
             raise InputError(f"loss_kind must be 'triplet' or 'npair', got {self.loss_kind!r}")
-        # `not x >= 0` and `not x > 0` also refuse NaN
-        for name in ("learning_rate", "fc_lr_multiplier", "beta"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("alpha", "lambda_balance", "margin", "seed", "split_seed"):
-            if not getattr(self, name) >= 0:
-                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("learning_rate", "fc_lr_multiplier", "beta", "embed_dim"):
+            check_positive(name, getattr(self, name))
+        for name in ("alpha", "lambda_balance", "margin", "seed", "split_seed", "epochs", "eval_every"):
+            check_nonnegative(name, getattr(self, name))
+        for name in ("generator_hidden_dim", "fixed_reference_distance"):
+            if getattr(self, name) is not None:
+                check_positive(name, getattr(self, name))
+        for width in self.hidden_dims:
+            check_positive("hidden_dims", width)
         check_train_fraction(self.train_fraction)
         if self.npair_n < 2:
             raise InputError(f"npair_n must be at least 2, got {self.npair_n}")
         if self.batch_size < 2:
             raise InputError(f"batch_size must be at least 2, got {self.batch_size}")
-        if self.epochs < 0:
-            raise InputError(f"epochs must be nonnegative, got {self.epochs}")
-        if self.embed_dim <= 0 or any(d <= 0 for d in self.hidden_dims):
-            raise InputError("layer dimensions must be positive")
-        if self.generator_hidden_dim is not None and self.generator_hidden_dim <= 0:
-            raise InputError(f"generator_hidden_dim must be positive, got {self.generator_hidden_dim}")
-        if self.eval_every < 0:
-            raise InputError(f"eval_every must be nonnegative, got {self.eval_every}")
-        if not self.recall_ks or min(self.recall_ks) < 1:
-            raise InputError(f"recall_ks must be positive, got {self.recall_ks}")
-        if self.fixed_reference_distance is not None and not self.fixed_reference_distance > 0:
-            raise InputError(f"fixed_reference_distance must be positive, got {self.fixed_reference_distance}")
+        check_ks("recall_ks", self.recall_ks)
 
 
 def init_models(input_dim: int, num_train_classes: int, config: TrainConfig) -> Models:
@@ -170,6 +161,18 @@ def init_state(models: Models, config: TrainConfig) -> TrainState:
     )
 
 
+def _why_no_tuple(class_counts: np.ndarray, config: TrainConfig) -> str | None:
+    """Why no `config.loss_kind` tuple can be drawn from samples with these
+    per-class counts, or None when one can."""
+    paired = int((class_counts >= 2).sum())
+    if config.loss_kind == "npair":
+        n = config.npair_n
+        return None if paired >= n else f"npair_n = {n} needs {n} classes with two samples, got {paired}"
+    if len(class_counts) < 2:
+        return f"triplets need at least 2 classes, got {len(class_counts)}"
+    return None if paired else "no class has two samples"
+
+
 def mine_tuples(labels, config: TrainConfig, rng: np.random.Generator) -> TupleBatch | None:
     """Random `config.loss_kind` tuples from one batch; None (with a warning) when infeasible.
 
@@ -179,32 +182,21 @@ def mine_tuples(labels, config: TrainConfig, rng: np.random.Generator) -> TupleB
     """
     labels = np.asarray(labels, dtype=np.int64)
     classes, counts = np.unique(labels, return_counts=True)
+    reason = _why_no_tuple(counts, config)
+    if reason is not None:
+        log.warning("batch skipped: %s", reason)
+        return None
     if config.loss_kind == "triplet":
-        if len(classes) < 2:
-            log.warning("batch skipped: need at least 2 classes for triplets, got %d", len(classes))
-            return None
         same = labels[:, None] == labels[None, :]
         np.fill_diagonal(same, False)
         anchors = np.flatnonzero(same.any(axis=1))
-        if not anchors.size:
-            log.warning("batch skipped: no class has two samples")
-            return None
         # anchor by anchor, one draw among its other same-class rows, then
         # one among its other-class rows; draw k picks the pool's k-th row
         pools = np.stack([same[anchors], labels[None, :] != labels[anchors, None]], axis=1)
         draws = rng.integers(0, pools.sum(axis=2))
         picks = (pools.cumsum(axis=2) > draws[..., None]).argmax(axis=2)
         return TupleBatch("triplet", anchors, picks[:, 0], picks[:, 1], labels)
-    # npair
-    eligible = classes[counts >= 2]
-    if len(eligible) < config.npair_n:
-        log.warning(
-            "batch skipped: need %d classes with >=2 samples for npair, got %d",
-            config.npair_n,
-            len(eligible),
-        )
-        return None
-    chosen = rng.choice(eligible, size=config.npair_n, replace=False)
+    chosen = rng.choice(classes[counts >= 2], size=config.npair_n, replace=False)
     pairs = np.asarray([rng.choice(np.flatnonzero(labels == lab), size=2, replace=False) for lab in chosen])
     return TupleBatch.npair(pairs[:, 0], pairs[:, 1], labels)
 
@@ -215,8 +207,7 @@ def metric_weight(j_gen: float, beta: float) -> float:
     A struggling generator (large j_gen) pushes the weight toward 1 so the
     synthetic loss barely counts; j_gen = 0 maps to 0.
     """
-    if not beta > 0:
-        raise InputError(f"beta must be positive, got {beta}")
+    check_positive("beta", beta)
     if j_gen <= 0.0:
         return 0.0
     if math.isinf(j_gen):
@@ -333,18 +324,19 @@ def _remap_labels(labels: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     return dense.astype(np.int64), {int(c): i for i, c in enumerate(classes)}
 
 
-def _check_runnable(config: TrainConfig, num_train_classes: int, num_test_points: int) -> None:
+def _check_runnable(config: TrainConfig, class_counts: np.ndarray, num_test_points: int) -> None:
     """Refuse, before any training, a config under which `mine_tuples` can never
-    return a tuple or the final Recall@K cannot be computed."""
+    return a tuple from training classes with these sample counts, or the
+    final Recall@K cannot be computed."""
+    reason = _why_no_tuple(class_counts, config)
+    if reason is not None:
+        raise InputError(f"no {config.loss_kind} tuple can be drawn from the training classes: {reason}")
     n = config.npair_n
-    if config.loss_kind == "npair" and n > num_train_classes:
-        raise InputError(f"npair_n = {n} exceeds the {num_train_classes} training classes")
     if config.loss_kind == "npair" and 2 * n > config.batch_size:
         raise InputError(f"npair_n = {n} needs batch_size >= {2 * n}, got {config.batch_size}")
-    if config.loss_kind == "triplet" and num_train_classes < 2:
-        raise InputError(f"triplets need at least 2 training classes, got {num_train_classes}")
-    if max(config.recall_ks) >= num_test_points:
-        raise InputError(f"recall_ks K = {max(config.recall_ks)} must be smaller than the {num_test_points} test points")
+    if config.loss_kind == "triplet" and config.batch_size < 3:
+        raise InputError(f"a triplet needs batch_size >= 3, got {config.batch_size}")
+    check_ks("recall_ks", config.recall_ks, num_test_points)
 
 
 def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainResult:
@@ -364,8 +356,8 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
 
     train_x, train_labels_orig = take_classes(dataset, split.train_classes)
     test_x, test_labels = take_classes(dataset, split.test_classes)
-    _check_runnable(config, len(split.train_classes), len(test_labels))
     train_labels, label_map = _remap_labels(train_labels_orig)
+    _check_runnable(config, np.bincount(train_labels), len(test_labels))
     if config.synthetics and config.normalize_embeddings and (config.fixed_reference_distance or 0.0) >= 2.0:
         log.warning(
             "fixed_reference_distance = %g with normalize_embeddings: unit embeddings are never more than 2 apart, "

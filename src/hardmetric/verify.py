@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedder import embed, embed_backward, init_embedder, pairwise_distances
-from .errors import InputError
+from .errors import InputError, check_nonnegative, check_positive
 from .generator import generator_loss, init_generator
 from .losses import TupleBatch, batch_metric_loss
 from .nn import GradcheckReport, gradcheck, init_dense, stack_params
@@ -129,8 +129,8 @@ class SuiteResult:
 
 def run_gradcheck_suite(seed: int = 0, instances: int = 20, tolerance: float = 1e-4) -> list[SuiteResult]:
     """Gradcheck the three pipeline objectives on `instances` random draws each."""
-    if not seed >= 0 or instances < 1:
-        raise InputError(f"gradcheck needs a nonnegative seed and at least one instance, got {seed} and {instances}")
+    check_nonnegative("seed", seed)
+    check_positive("instances", instances)
     rng = np.random.default_rng(seed)
     suites = [
         ("embedder + triplet loss", lambda: embedder_metric_fragment("triplet", rng)),

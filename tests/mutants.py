@@ -42,8 +42,56 @@ class Mutant(NamedTuple):
 _EVAL_EARLY = "tests/test_cli.py::test_bad_argument_exits_one_before_the_dataset_is_read"
 _SIDECAR = "tests/test_data.py::TestParsedSidecar::test_damaged_sidecar_is_parsed_again_and_rewritten"
 _CONFIG_RANGE = "tests/test_data.py::TestConfigParsing::test_out_of_range_value_names_its_key"
+_CANNOT_RUN = "tests/test_cli.py::test_config_that_cannot_run_exits_one_before_training"
+_SINGLES = "tests/test_cli.py::test_one_sample_per_class_exits_one_before_training"
 
 MUTANTS = [
+    Mutant(
+        "check_positive lets NaN through", "errors.py",
+        "    if not value > 0:", "    if value <= 0:",
+        (
+            "tests/test_augmentor.py::TestAugmentNegative::test_nonpositive_reference_rejected",
+            "tests/test_augmentor.py::TestAugmentTuples::test_nonpositive_or_nan_fixed_reference_rejected[nan]",
+            f"{_CONFIG_RANGE}[beta = nan-beta]",
+        ),
+    ),
+    Mutant(
+        "check_nonnegative lets NaN through", "errors.py",
+        "    if not value >= 0:", "    if value < 0:",
+        (
+            "tests/test_generator.py::TestGeneratorLoss::test_negative_or_nan_balance_is_an_input_error[nan]",
+            "tests/test_augmentor.py::TestPullingLambda::test_negative_alpha_rejected",
+            f"{_CONFIG_RANGE}[alpha = nan-alpha]",
+        ),
+    ),
+    Mutant(
+        "check_ks accepts K equal to the number of points", "evaluation.py",
+        "ks[-1] >= n", "ks[-1] > n",
+        ("tests/test_evaluation.py::TestRecallAtK::test_k_too_large_rejected",),
+    ),
+    Mutant(
+        "a triplet batch without a same-class pair is mined", "training.py",
+        'return None if paired else "no class has two samples"', "return None",
+        (
+            "tests/test_training.py::TestMineTuples::test_batch_without_a_pair_is_skipped_without_a_draw",
+            f"{_SINGLES}[triplet]",
+        ),
+    ),
+    Mutant(
+        "training starts on classes that cannot yield a tuple", "training.py",
+        "    reason = _why_no_tuple(class_counts, config)\n", "    reason = None\n",
+        (f"{_SINGLES}[triplet]", f"{_SINGLES}[npair]", f"{_CANNOT_RUN}[npair-more-than-classes]"),
+    ),
+    Mutant(
+        "triplet training starts with batches of two, which never hold a triplet", "training.py",
+        'config.loss_kind == "triplet" and config.batch_size < 3', "False",
+        (f"{_CANNOT_RUN}[triplet-batch-of-two]",),
+    ),
+    Mutant(
+        "Dataset truncates fractional labels", "data.py",
+        "if self.labels is not labels and not np.array_equal(self.labels, labels):", "if False:",
+        ("tests/test_data.py::TestDatasetIO::test_dataset_refuses_labels_the_integer_cast_would_change[fraction]",),
+    ),
     Mutant(
         "Dataset accepts non-finite samples", "data.py",
         "        if not finite:\n", "        if False:\n",
@@ -61,7 +109,10 @@ MUTANTS = [
     Mutant(
         "Dataset warns when finite samples sum past the float range", "data.py",
         'np.errstate(over="ignore", invalid="ignore")', "np.errstate()",
-        ("tests/test_data.py::TestDatasetIO::test_dataset_accepts_finite_samples_whose_sum_overflows",),
+        (
+            "tests/test_data.py::TestDatasetIO::test_dataset_accepts_finite_samples_whose_sum_overflows",
+            "tests/test_data.py::TestCReaderAgreesWithTheLineParser::test_each_file_takes_the_reader_it_took_before",
+        ),
     ),
     Mutant(
         "sidecar samples of any dtype are read", "data.py",
@@ -80,7 +131,7 @@ MUTANTS = [
     ),
     Mutant(
         "split_zero_shot accepts a negative seed", "data.py",
-        "    check_split_seed(seed)\n", "",
+        '    check_nonnegative("split seed", seed)\n', "",
         ("tests/test_data.py::TestZeroShotSplit::test_negative_seed_rejected",),
     ),
     Mutant(
@@ -94,12 +145,12 @@ MUTANTS = [
     ),
     Mutant(
         "eval reads its files before it checks --kmeans-seed", "cli.py",
-        "    check_kmeans_seed(args.kmeans_seed)\n", "",
+        '    check_nonnegative("k-means seed", args.kmeans_seed)\n', "",
         (f"{_EVAL_EARLY}[eval-kmeans-seed-negative]",),
     ),
     Mutant(
         "eval reads its files before it checks --split-seed", "cli.py",
-        "        check_split_seed(args.split_seed)\n", "        pass\n",
+        '        check_nonnegative("split seed", args.split_seed)\n', "        pass\n",
         (f"{_EVAL_EARLY}[eval-split-seed-negative]",),
     ),
     Mutant(
@@ -109,7 +160,7 @@ MUTANTS = [
     ),
     Mutant(
         "kmeans accepts a negative seed", "evaluation.py",
-        "    check_kmeans_seed(seed)\n", "",
+        '    check_nonnegative("k-means seed", seed)\n', "",
         ("tests/test_evaluation.py::TestKmeans::test_negative_seed_rejected",),
     ),
     Mutant(

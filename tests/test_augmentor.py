@@ -41,8 +41,9 @@ class TestPullingLambda:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(InputError):
-            AugmentorState(alpha=-1.0)
+        for alpha in (-1.0, math.nan):
+            with pytest.raises(InputError, match=f"alpha must be nonnegative, got {alpha}"):
+                AugmentorState(alpha=alpha)
 
 
 class TestAugmentNegative:
@@ -70,8 +71,10 @@ class TestAugmentNegative:
         assert np.array_equal(out, z)
 
     def test_nonpositive_reference_rejected(self):
-        with pytest.raises(InputError):
-            augment_negative(np.zeros(2), np.ones(2), d_plus=0.0, lambda_interp=0.5)
+        # a NaN reference compares false with every distance, so unchecked it would leave the negative unmoved
+        for d_plus in (0.0, math.nan):
+            with pytest.raises(InputError, match=f"reference distance must be positive, got {d_plus}"):
+                augment_negative(np.zeros(2), np.array([4.0, 0.0]), d_plus=d_plus, lambda_interp=0.5)
 
     def test_lambda_outside_range_rejected(self):
         with pytest.raises(InputError):
@@ -211,6 +214,13 @@ class TestAugmentTuples:
         # lambda = 0.5 with d_plus = 2: target distance 0.5*4 + 0.5*2 = 3
         assert np.allclose(aug.hardened_negatives[0], [3.0, 0.0], atol=1e-12)
         assert aug.reference_distances[0] == 2.0
+
+    @pytest.mark.parametrize("fixed", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_fixed_reference_rejected(self, fixed):
+        z = np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 0.0]])
+        tuples = embedded_triplet_batch(z, np.array([0, 0, 1]), [[0, 1, 2]])
+        with pytest.raises(InputError, match=f"fixed reference distance must be positive, got {fixed}"):
+            augment_tuples(z, tuples, AugmentorState(alpha=1.0, j_avg=1.0), fixed_reference=fixed)
 
     def test_hardening_bounds_hold_per_batch(self):
         rng = np.random.default_rng(5)

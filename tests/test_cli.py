@@ -173,10 +173,11 @@ def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset
     "config_text, message",
     [
         ("generator_hidden_dim = -1\n", "generator_hidden_dim"),
-        ("recall_ks = 1,60\n", "50 test points"),
-        ("loss_kind = npair\nnpair_n = 6\n", "5 training classes"),
+        ("recall_ks = 1,60\n", "K = 60 must be smaller than the number of points 50"),
+        ("loss_kind = npair\nnpair_n = 6\n", "npair_n = 6 needs 6 classes with two samples, got 5"),
         ("loss_kind = npair\nnpair_n = 3\nbatch_size = 4\n", "batch_size >= 6"),
-        ("train_fraction = 0.1\n", "at least 2 training classes"),
+        ("batch_size = 2\n", "a triplet needs batch_size >= 3, got 2"),
+        ("train_fraction = 0.1\n", "triplets need at least 2 classes, got 1"),
         ("loss_kind = triplet\nnpair_n = 1\nepochs = 0\n", "npair_n must be at least 2"),
         ("margin = -1\n", "margin must be nonnegative"),
         ("fixed_reference_distance = 0\nepochs = 0\n", "fixed_reference_distance must be positive"),
@@ -186,7 +187,7 @@ def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset
     ],
     ids=[
         "gen-hidden-negative", "recall-k-too-large", "npair-more-than-classes", "npair-batch-too-small",
-        "triplet-one-class", "npair-n-one-unused", "margin-negative", "fixed-reference-zero-unused",
+        "triplet-batch-of-two", "triplet-one-class", "npair-n-one-unused", "margin-negative", "fixed-reference-zero-unused",
         "fixed-reference-negative-no-synthetics", "seed-negative", "split-seed-negative",
     ],
 )
@@ -205,6 +206,31 @@ def test_config_that_cannot_run_exits_one_before_training(tmp_path, capsys, conf
 
 
 @pytest.mark.parametrize(
+    "config_text, message",
+    [
+        ("loss_kind = triplet\n", "no triplet tuple can be drawn from the training classes: no class has two samples"),
+        (
+            "loss_kind = npair\nnpair_n = 2\nbatch_size = 4\n",
+            "no npair tuple can be drawn from the training classes: npair_n = 2 needs 2 classes with two samples, got 0",
+        ),
+    ],
+    ids=["triplet", "npair"],
+)
+def test_one_sample_per_class_exits_one_before_training(tmp_path, capsys, config_text, message):
+    # every batch would be skipped: unchecked, the run would train 0 steps and exit 0
+    data = tmp_path / "singles.csv"
+    assert run_cli("synth-data", "--classes", "10", "--per-class", "1", "--dim", "8", "--seed", "1", "--out", str(data)) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs = 3\nembed_dim = 4\nhidden_dims = 8\nrecall_ks = 1,2\n" + config_text)
+    run_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(data), "--config", str(config), "--out-dir", str(run_dir)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["synth-data", "--seed", "-1"], "seed must be nonnegative, got -1"),
@@ -215,8 +241,8 @@ def test_config_that_cannot_run_exits_one_before_training(tmp_path, capsys, conf
         (["synth-data", "--sigma", "inf"], "noise_sigma must be finite and nonnegative, got inf"),
         (["eval", "--kmeans-seed", "-1"], "k-means seed must be nonnegative, got -1"),
         (["eval", "--split-seed", "-1"], "split seed must be nonnegative, got -1"),
-        (["gradcheck", "--seed", "-1"], "nonnegative seed and at least one instance, got -1 and 20"),
-        (["gradcheck", "--instances", "0"], "nonnegative seed and at least one instance, got 0 and 0"),
+        (["gradcheck", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["gradcheck", "--instances", "0"], "instances must be positive, got 0"),
     ],
     ids=[
         "synth-seed-negative", "center-scale-nan", "center-scale-inf", "center-scale-negative", "sigma-nan",
@@ -245,8 +271,8 @@ def test_bad_seed_or_scale_exits_one_with_a_message(tmp_path, small_dataset, cap
         (["train", "--config", "{tmp}/run.cfg", "--out-dir", "{tmp}/afile/run"], "afile exists and is not a directory"),
         (["eval", "--ks", "1,two", "--out-dir", "{tmp}/eval"], "--ks must be a comma list of integers, got '1,two'"),
         (["eval", "--out-dir", "{tmp}/afile/eval"], "afile exists and is not a directory"),
-        (["eval", "--ks", "0", "--out-dir", "{tmp}/eval"], "--ks must name at least one K, each at least 1, got '0'"),
-        (["eval", "--ks", "", "--out-dir", "{tmp}/eval"], "--ks must name at least one K, each at least 1, got ''"),
+        (["eval", "--ks", "0", "--out-dir", "{tmp}/eval"], "--ks must be positive, got 0"),
+        (["eval", "--ks", "", "--out-dir", "{tmp}/eval"], "--ks must name at least one K"),
         (["train", "--config", "{tmp}/fraction.cfg", "--out-dir", "{tmp}/run"], "train_fraction must lie strictly in (0, 1), got 1.5"),
         (["eval", "--kmeans-seed", "-1", "--out-dir", "{tmp}/eval"], "k-means seed must be nonnegative, got -1"),
         (["eval", "--split-seed", "-1", "--out-dir", "{tmp}/eval"], "split seed must be nonnegative, got -1"),

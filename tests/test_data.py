@@ -171,6 +171,17 @@ class TestDatasetIO:
         with pytest.raises(InputError):
             Dataset(np.zeros((2, 3)), [0, 2])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("labels", [[0.0, 1.5, 1.9], [0.0, 1.0, np.nan], [0.0, 1.0, 1e20]], ids=["fraction", "nan", "beyond-int64"])
+    def test_dataset_refuses_labels_the_integer_cast_would_change(self, labels):
+        # cast to int64, the first would read [0, 1, 1]: two classes
+        with pytest.raises(InputError, match="labels must be integers"):
+            Dataset(np.zeros((3, 2)), labels)
+
+    def test_dataset_accepts_whole_float_labels(self):
+        ds = Dataset(np.zeros((3, 2)), [0.0, 1.0, 2.0])
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 2]
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_dataset_requires_finite_samples(self, value):
         samples = np.zeros((2, 3))
@@ -254,6 +265,13 @@ EDGE_FILES = {
 }
 
 
+# the edge files that numpy's C reader loads; each other one goes to the line parser, which loads or refuses it
+C_READER_FILES = (
+    "label-signed", "value-padded", "value-negative-zero", "blank-line", "no-final-newline", "crlf", "cr",
+    "hard-rounding", "random-14-16-24-digits",
+)
+
+
 def _line_parser(path):
     """The line parser on the file's text: the reference every load must match."""
     with open(path, encoding="utf-8") as fh:
@@ -283,6 +301,26 @@ class TestCReaderAgreesWithTheLineParser:
             path.write_bytes(text.encode("utf-8"))
             loaded.append(_outcome(load_dataset, path)[0] == "loaded")
         assert 10 <= sum(loaded) <= len(loaded) - 10
+
+    def test_each_file_takes_the_reader_it_took_before(self, tmp_path, monkeypatch):
+        # a change that sends these files to the line parser loads the same arrays, so only a spy shows it
+        served_by_line_parser = []
+        line_parser = data._load_lines
+
+        def spy(fh):
+            served_by_line_parser.append(True)
+            return line_parser(fh)
+
+        monkeypatch.setattr(data, "_load_lines", spy)
+        c_reader = []
+        for i, (name, text) in enumerate(EDGE_FILES.items()):
+            path = tmp_path / str(i) / "edge.csv"  # a fresh directory: no sidecar
+            path.parent.mkdir()
+            path.write_bytes(text.encode("utf-8"))
+            served_by_line_parser.clear()
+            if _outcome(load_dataset, path)[0] == "loaded" and not served_by_line_parser:
+                c_reader.append(name)
+        assert c_reader == list(C_READER_FILES)
 
     def test_large_file_takes_the_c_reader(self, tmp_path, monkeypatch):
         ds = synth_gaussian_dataset(40, 50, 512, seed=4)

@@ -111,6 +111,13 @@ class TestGeneratorLoss:
         with pytest.raises(InputError, match="'relu'"):
             generator_loss(gen, relu_head, y, z, z_hard, labels, lam)
 
+    @pytest.mark.parametrize("balance", [-0.5, np.nan])
+    def test_negative_or_nan_balance_is_an_input_error(self, balance):
+        # NaN is bad input: unchecked, it would surface as a non-finite loss, a numerical failure
+        gen, clf, y, z, z_hard, labels, _ = self._instance(seed=7)
+        with pytest.raises(InputError, match=f"lambda_balance must be nonnegative, got {balance}"):
+            generator_loss(gen, clf, y, z, z_hard, labels, balance)
+
     def test_label_outside_classifier_range(self):
         gen, clf, y, z, z_hard, _, lam = self._instance(seed=7)
         with pytest.raises(InputError):

@@ -71,6 +71,12 @@ class TestMineTuples:
         rng = np.random.default_rng(0)
         assert mine_tuples(np.zeros(8, dtype=int), config, rng) is None
 
+    def test_batch_without_a_pair_is_skipped_without_a_draw(self):
+        config = small_config()
+        rng = np.random.default_rng(0)
+        assert mine_tuples(np.arange(8), config, rng) is None
+        assert rng.integers(1 << 30) == np.random.default_rng(0).integers(1 << 30)
+
     def test_triplets_satisfy_label_constraints_exhaustively(self):
         config = small_config()
         rng = np.random.default_rng(1)
