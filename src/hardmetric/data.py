@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetParseError, InputError, check_nonnegative, check_positive
-from .nn import as_matrix
+from .nn import as_int64, as_matrix
 
 
 @dataclass
@@ -35,11 +35,7 @@ class Dataset:
             finite = np.isfinite(self.samples.sum()) or np.isfinite(self.samples).all()
         if not finite:
             raise InputError("samples must be finite")
-        labels = np.asarray(self.labels)
-        with np.errstate(invalid="ignore"):  # a NaN or out-of-range label casts with a warning; the comparison refuses it
-            self.labels = labels.astype(np.int64, copy=False)
-        if self.labels is not labels and not np.array_equal(self.labels, labels):
-            raise InputError("labels must be integers that fit in 64 bits")
+        self.labels = as_int64(self.labels, "labels")
         if self.labels.shape != (self.samples.shape[0],):
             raise InputError(
                 f"labels shape {self.labels.shape} does not match {self.samples.shape[0]} samples"

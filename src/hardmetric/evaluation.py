@@ -8,11 +8,11 @@ index).
 
 Ranking and clustering are defined on explicit-difference distances,
 sqrt(sum((a - b)**2)), the arithmetic of `embedder.pairwise_distances`.
-They are computed as |a|^2 - 2a.b + |b|^2 from matrix products over row
-blocks of bounded size, which is off by at most a known rounding bound;
-only the pairs that bound cannot order are recomputed from explicit
-differences, so every result is bitwise the one the explicit definition
-gives. No (n, n) or (n, k) matrix is ever held.
+Within each query row they are compared as |b|^2 - 2a.b, from matrix
+products over row blocks of bounded size, which is off by at most a known
+rounding bound; only the pairs that bound cannot order are recomputed from
+explicit differences, so every result is bitwise the one the explicit
+definition gives. No (n, n) or (n, k) matrix is ever held.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, check_nonnegative, check_positive
-from .nn import as_matrix
+from .nn import as_int64, as_matrix
 
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
@@ -42,35 +42,44 @@ def _squared_norms(points: np.ndarray) -> np.ndarray:
     return sq
 
 
+def _slack(d: int, sq_a, top):
+    """The rounding slack s of `_gram_blocks` for rows of squared norm sq_a against columns of at most top."""
+    return 4 * (d + 2) * (_EPS * (sq_a + top) + _SUBNORMAL)
+
+
 def _gram_blocks(a, sq_a, b, sq_b):
     """Yields (start, stop, g, slack) over row blocks of at most _BLOCK entries:
-    g = |a|^2 - 2a.b + |b|^2 for rows start:stop of a against all of b, from
-    one matrix product, and a per-row slack s such that, for every pair,
-    |Gram - explicit| <= s / 2 and two explicit squared distances with equal
-    square roots differ by <= s / 2. The slack takes max|b|^2 over all of b.
+    g = |b|^2 - 2a.b for rows start:stop of a against all of b, from one
+    matrix product and one pass, and a per-row slack s such that, for every
+    pair, |g + |a|^2 - explicit| <= s / 2 and two explicit squared distances
+    with equal square roots differ by <= s / 2. The row term |a|^2 of the
+    squared distance is left out: it shifts a whole row of g equally, so no
+    argmin, K-th value or gap within a row changes. The slack takes max|b|^2
+    over all of b.
 
     Why 4(d+2) eps S, with S = |a_i|^2 + max|b|^2 and u = eps/2: a d-term dot
     product or squared norm is off by at most d u times the sum of its term
-    magnitudes, in any summation order, and sum|a_k b_k| <= S/2; the two
-    additions add u of at most 2S each. So the Gram value is off by at most
-    (2d + 4) u S = (d+2) eps S from the true squared distance D <= 2S. The
-    explicit sum of d rounded squares of rounded differences is off by at most
-    (d+2) u D <= (d+2) eps S. Together: 2(d+2) eps S <= s / 2. Square roots
-    that round to one value come from squared values at most 2 eps of their
-    size apart, <= 4 eps S < s / 2. The subnormal term covers products that
-    underflow, which lose up to half the smallest subnormal each. Callers
-    allow 2s: a Recall@K candidate needs s for two Gram-to-explicit gaps plus
-    s / 2 for a collapsed square root, a k-means row s for two gaps, and the
-    rest covers second-order rounding terms.
+    magnitudes, in any summation order. b is scaled by -2 once, which is
+    exact, and sum|2 a_k b_k| <= S, so a.(-2b) is off by at most d u S and
+    |b|^2 by d u S; the one addition adds u of at most 2S. So g + |a|^2 is
+    off by at most (2d + 2) u S = (d+1) eps S from the true squared distance
+    D <= 2S. The explicit sum of d rounded squares of rounded differences is
+    off by at most (d+2) u D <= (d+2) eps S. Together: (2d+3) eps S <= s / 2.
+    Square roots that round to one value come from squared values at most
+    2 eps of their size apart, <= 4 eps S < s / 2. The subnormal term covers
+    products that underflow, which lose up to half the smallest subnormal
+    each. Callers allow 2s: a Recall@K candidate needs s for two
+    Gram-to-explicit gaps plus s / 2 for a collapsed square root, a k-means
+    row s for two gaps, and the rest covers second-order rounding terms and,
+    where a caller adds a computed |a|^2 back, its d u |a|^2.
     """
     step, top = max(1, _BLOCK // len(b)), sq_b.max()
+    b = -2.0 * b
     for start in range(0, len(a), step):
         stop = min(start + step, len(a))
         g = a[start:stop] @ b.T
-        g *= -2.0
-        g += sq_a[start:stop, None]
         g += sq_b
-        yield start, stop, g, 4 * (a.shape[1] + 2) * (_EPS * (sq_a[start:stop] + top) + _SUBNORMAL)
+        yield start, stop, g, _slack(a.shape[1], sq_a[start:stop], top)
 
 
 def _pair_sqdist(a, rows_a, b, rows_b) -> np.ndarray:
@@ -92,10 +101,13 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     the point currently farthest from its own center. Assignments are those
     of explicit-difference squared distances: the Gram argmin stands where
     its best center wins by more than the rounding bound, and the other rows
-    are assigned from explicit differences.
+    are assigned from explicit differences. Seeding keeps each row's explicit
+    squared distance to its nearest center so far, and recomputes it only for
+    the rows whose Gram value cannot rule out the new center. A center is
+    recomputed only when its cluster gained or lost a row, or is empty.
     """
     pts = as_matrix(points, "points")
-    n = pts.shape[0]
+    n, d = pts.shape
     check_positive("k", k)
     if k > n:
         raise InputError(f"k = {k} exceeds number of points {n}")
@@ -103,40 +115,54 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     sq = _squared_norms(pts)
     rng = np.random.default_rng(seed)
 
-    centers = np.empty((k, pts.shape[1]))
+    centers = np.empty((k, d))
     centers[0] = pts[rng.integers(n)]
     d2 = ((pts - centers[0]) ** 2).sum(axis=1)
     for c in range(1, k):
         total = d2.sum()
-        if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
         centers[c] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
+        # |c|^2 - 2p.c + |p|^2 is within s of the explicit |p - c|^2 (see _gram_blocks; adding the
+        # computed |p|^2 back costs far less than the margin), so where it exceeds d2 + 2s the explicit
+        # value exceeds d2 and np.minimum keeps d2 bitwise; only the other rows take explicit differences
+        near = np.flatnonzero(pts @ (-2.0 * centers[c]) + sq[idx] + sq <= d2 + 2.0 * _slack(d, sq, sq[idx]))
+        d2[near] = np.minimum(d2[near], ((pts[near] - centers[c]) ** 2).sum(axis=1))
 
     assign = None
     for _ in range(KMEANS_MAX_ITER):
         new_assign = np.empty(n, dtype=np.intp)
         for start, stop, g, slack in _gram_blocks(pts, sq, centers, np.einsum("ij,ij->i", centers, centers)):
-            new_assign[start:stop] = g.argmin(axis=1)
+            best = g.argmin(axis=1)
+            new_assign[start:stop] = best
             if k > 1:
-                best_two = np.partition(g, 1, axis=1)
-                close = start + np.flatnonzero(best_two[:, 1] - best_two[:, 0] <= 2.0 * slack)
+                local = np.arange(stop - start)
+                first = g[local, best]
+                g[local, best] = np.inf
+                close = start + np.flatnonzero(g.min(axis=1) - first <= 2.0 * slack)
                 if close.size:
                     exact = _pair_sqdist(pts, np.repeat(close, k), centers, np.tile(np.arange(k), close.size))
                     new_assign[close] = exact.reshape(-1, k).argmin(axis=1)
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
+        if assign is None:
+            stale = np.ones(k, dtype=bool)
+        else:
+            moved = new_assign != assign
+            if not moved.any():
+                break
+            # a cluster whose rows stayed the same keeps its mean bitwise
+            stale = np.zeros(k, dtype=bool)
+            stale[assign[moved]] = stale[new_assign[moved]] = True
         assign = new_assign
         counts = np.bincount(assign, minlength=k)
+        # an empty cluster moves to each round's worst-fit point, even where no row moved around it
+        stale |= counts == 0
         if not counts.all():
             # the globally worst-fit point, measured against the centers before this update
             worst = int(_pair_sqdist(pts, np.arange(n), centers, assign).argmax())
-        # each cluster's rows, ascending, as one contiguous slice of a stable sort
-        members = pts[np.argsort(assign, kind="stable")]
-        ends = np.cumsum(counts)
-        for c in range(k):
+        # each stale cluster's rows, ascending, as one contiguous slice of a stable sort
+        rows = np.flatnonzero(stale[assign])
+        members = pts[rows[np.argsort(assign[rows], kind="stable")]]
+        ends = np.cumsum(counts * stale)
+        for c in np.flatnonzero(stale):
             if counts[c]:
                 centers[c] = members[ends[c] - counts[c] : ends[c]].mean(axis=0)
             else:
@@ -209,8 +235,8 @@ def _checked_labels(labels, n: int) -> np.ndarray:
 
 
 def check_ks(name: str, ks, n: int | None = None) -> list[int]:
-    """The K values of `name` in ascending order: at least one, each positive and, given n points, below n."""
-    ks = sorted(int(k) for k in ks)
+    """The K values of `name` in ascending order: at least one, each a positive integer and, given n points, below n."""
+    ks = sorted(as_int64(list(ks), name).tolist())
     if not ks:
         raise InputError(f"{name} must name at least one K")
     check_positive(name, ks[0])
@@ -238,7 +264,7 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
         g[own, start + own] = np.inf
         kth = np.partition(g, ks[-1] - 1, axis=1)[:, ks[-1] - 1]
         # holds every point that ranks among the K nearest by explicit distance, and its ties
-        query, cand = np.nonzero(g <= (kth + 2.0 * slack)[:, None])
+        query, cand = np.divmod(np.flatnonzero(g <= (kth + 2.0 * slack)[:, None]), n)
         query += start
         dist = np.sqrt(_pair_sqdist(z, query, z, cand))
         order = np.lexsort((cand, dist, query))

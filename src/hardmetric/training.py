@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -79,6 +80,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_kind not in ("triplet", "npair"):
             raise InputError(f"loss_kind must be 'triplet' or 'npair', got {self.loss_kind!r}")
+        # counts, widths and seeds feed `range`, array shapes and generators, which take no float; a bool is no count
+        names = ("npair_n", "batch_size", "epochs", "eval_every", "embed_dim", "seed", "split_seed")
+        integers = [(name, getattr(self, name)) for name in names] + [("hidden_dims", w) for w in self.hidden_dims]
+        if self.generator_hidden_dim is not None:
+            integers.append(("generator_hidden_dim", self.generator_hidden_dim))
+        for name, value in integers:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         for name in ("learning_rate", "fc_lr_multiplier", "beta", "embed_dim"):
             check_positive(name, getattr(self, name))
         for name in ("alpha", "lambda_balance", "margin", "seed", "split_seed", "epochs", "eval_every"):

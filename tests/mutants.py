@@ -44,6 +44,8 @@ _SIDECAR = "tests/test_data.py::TestParsedSidecar::test_damaged_sidecar_is_parse
 _CONFIG_RANGE = "tests/test_data.py::TestConfigParsing::test_out_of_range_value_names_its_key"
 _CANNOT_RUN = "tests/test_cli.py::test_config_that_cannot_run_exits_one_before_training"
 _SINGLES = "tests/test_cli.py::test_one_sample_per_class_exits_one_before_training"
+_FRACTIONAL_K = "tests/test_evaluation.py::TestRecallAtK::test_fractional_k_rejected"
+_EXACT = "tests/test_evaluation.py::TestGramExactness"
 
 MUTANTS = [
     Mutant(
@@ -89,8 +91,33 @@ MUTANTS = [
     ),
     Mutant(
         "Dataset truncates fractional labels", "data.py",
-        "if self.labels is not labels and not np.array_equal(self.labels, labels):", "if False:",
+        'self.labels = as_int64(self.labels, "labels")', "self.labels = np.asarray(self.labels).astype(np.int64)",
         ("tests/test_data.py::TestDatasetIO::test_dataset_refuses_labels_the_integer_cast_would_change[fraction]",),
+    ),
+    Mutant(
+        "the integer cast lets a changed value through", "nn.py",
+        "    if out is not arr and not np.array_equal(out, arr):", "    if False:",
+        (
+            "tests/test_data.py::TestDatasetIO::test_dataset_refuses_labels_the_integer_cast_would_change[fraction]",
+            f"{_FRACTIONAL_K}[recall_at_k]",
+        ),
+    ),
+    Mutant(
+        "check_ks truncates a fractional K", "evaluation.py",
+        "sorted(as_int64(list(ks), name).tolist())", "sorted(int(k) for k in ks)",
+        (f"{_FRACTIONAL_K}[recall_at_k]", f"{_FRACTIONAL_K}[evaluate_embeddings]", f"{_CONFIG_RANGE}[recall_ks=1,1.5]"),
+    ),
+    Mutant(
+        "TrainConfig accepts a float in an integer field", "training.py",
+        "            if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
+        "            if isinstance(value, bool):",
+        (f"{_CONFIG_RANGE}[epochs=2.5]", f"{_CONFIG_RANGE}[hidden_dims=8,2.5]"),
+    ),
+    Mutant(
+        "TrainConfig accepts a bool as a count", "training.py",
+        "if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
+        "if not isinstance(value, numbers.Integral):",
+        (f"{_CONFIG_RANGE}[epochs=True]", f"{_CONFIG_RANGE}[split_seed=False]"),
     ),
     Mutant(
         "Dataset accepts non-finite samples", "data.py",
@@ -170,8 +197,37 @@ MUTANTS = [
     ),
     Mutant(
         "the k-means centre update sums a cluster's rows out of order", "evaluation.py",
-        'np.argsort(assign, kind="stable")', "np.argsort(assign)",
+        'np.argsort(assign[rows], kind="stable")', "np.argsort(assign[rows])",
         ("tests/test_evaluation.py::test_kmeans_with_k_close_to_n_matches_the_reference",),
+    ),
+    Mutant(
+        "k-means++ seeding prunes rows without the rounding slack", "evaluation.py",
+        "<= d2 + 2.0 * _slack(d, sq, sq[idx]))", "<= d2)",
+        (
+            f"{_EXACT}::test_kmeans_equals_the_explicit_assignment[far-blobs]",
+            f"{_EXACT}AcrossBlocks::test_kmeans_equals_the_explicit_assignment[far-blobs-13-row-blocks]",
+        ),
+    ),
+    Mutant(
+        "the best-two test leaves the best centre in place", "evaluation.py",
+        "                g[local, best] = np.inf\n", "",
+        ("tests/test_evaluation.py::test_kmeans_takes_explicit_differences_only_for_rows_near_a_tie",),
+    ),
+    Mutant(
+        "a cluster that stays empty keeps its old centre", "evaluation.py",
+        "        stale |= counts == 0\n", "",
+        (
+            "tests/test_evaluation.py::test_kmeans_reseed_of_an_emptied_cluster_matches_the_reference[empty-for-many-rounds]",
+            "tests/test_evaluation.py::test_kmeans_reseed_across_blocks_matches_the_reference[empty-for-many-rounds-5-row-blocks]",
+        ),
+    ),
+    Mutant(
+        "the Gram block scales by -2 twice", "evaluation.py",
+        "        g += sq_b\n", "        g *= -2.0\n        g += sq_b\n",
+        (
+            f"{_EXACT}::test_recall_equals_the_explicit_argsort[gaussian]",
+            f"{_EXACT}::test_kmeans_equals_the_explicit_assignment[gaussian]",
+        ),
     ),
 ]
 

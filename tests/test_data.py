@@ -594,11 +594,27 @@ class TestConfigParsing:
             ("train_fraction = 1.5", "train_fraction"),
             ("train_fraction = 0", "train_fraction"),
             ("train_fraction = nan", "train_fraction"),
+            # the parser makes integers, so these reach only a library caller's TrainConfig
+            pytest.param({"epochs": 2.5}, "epochs must be an integer, got 2.5", id="epochs=2.5"),
+            pytest.param({"epochs": True}, "epochs must be an integer, got True", id="epochs=True"),
+            pytest.param({"batch_size": 16.0}, "batch_size must be an integer", id="batch_size=16.0"),
+            pytest.param({"npair_n": 2.5}, "npair_n must be an integer", id="npair_n=2.5"),
+            pytest.param({"embed_dim": 8.0}, "embed_dim must be an integer", id="embed_dim=8.0"),
+            pytest.param({"eval_every": 0.5}, "eval_every must be an integer", id="eval_every=0.5"),
+            pytest.param({"seed": 1.5}, "seed must be an integer", id="seed=1.5"),
+            pytest.param({"split_seed": False}, "split_seed must be an integer", id="split_seed=False"),
+            pytest.param({"hidden_dims": (8, 2.5)}, "hidden_dims must be an integer, got 2.5", id="hidden_dims=8,2.5"),
+            pytest.param({"generator_hidden_dim": 4.0}, "generator_hidden_dim must be an integer", id="generator_hidden_dim=4.0"),
+            pytest.param({"recall_ks": (1, 1.5)}, "recall_ks must be integers", id="recall_ks=1,1.5"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, line, named):
-        with pytest.raises(ConfigError, match=named):
-            parse_config_text(line + "\n")
+        if isinstance(line, dict):
+            with pytest.raises(InputError, match=named):
+                TrainConfig(**line)
+        else:
+            with pytest.raises(ConfigError, match=named):
+                parse_config_text(line + "\n")
 
     def test_defaults_apply_for_missing_keys(self):
         config = parse_config_text("seed = 3\n")

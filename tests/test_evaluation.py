@@ -211,6 +211,19 @@ class TestRecallAtK:
         with pytest.raises(InputError):
             recall_at_k(np.zeros((3, 2)), [0, 1, 0], [3])
 
+    @pytest.mark.parametrize(
+        "call",
+        [recall_at_k, lambda z, labels, ks: evaluate_embeddings(z, labels, ks=ks)],
+        ids=["recall_at_k", "evaluate_embeddings"],
+    )
+    def test_fractional_k_rejected(self, call):
+        z = np.random.default_rng(17).normal(size=(10, 3))
+        labels = np.arange(10) % 3
+        with pytest.raises(InputError, match="ks must be integers"):
+            call(z, labels, [1.5, 2.9])
+        # a K that the cast leaves unchanged is that K
+        assert recall_at_k(z, labels, [2.0]) == recall_at_k(z, labels, [2])
+
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=(15, 4))
@@ -313,6 +326,12 @@ def _tied_stars(stars=12, dim=4, offset=1e6, seed=13):
     return pts, labels
 
 
+def _far_blobs(blobs=6, per_blob=20, dim=4, offset=1e8, seed=22):
+    rng = np.random.default_rng(seed)
+    labels = np.arange(blobs * per_blob) % blobs
+    return offset + 100.0 * rng.normal(size=(blobs, dim))[labels] + rng.normal(size=(len(labels), dim)), labels
+
+
 def _exactness_cases():
     rng = np.random.default_rng(11)
     grid = _grid(4, 3)
@@ -325,6 +344,9 @@ def _exactness_cases():
         "large-offset": (rng.normal(size=(120, 6)) + 1e6, rng.integers(0, 6, size=120)),
         "offset-grid": (np.vstack([grid, grid]) * 0.25 + 1e5, np.arange(2 * len(grid)) % 5),
         "gaussian": (rng.normal(size=(200, 16)), rng.integers(0, 8, size=200)),
+        # |z|^2 ~ 4e16: the Gram rounding (~20) swamps squared distances within a blob (~8), so seeding and
+        # Lloyd must take those rows from explicit differences, while the rows of other blobs are pruned
+        "far-blobs": _far_blobs(),
     }
 
 
@@ -373,8 +395,12 @@ _RESEED_CASES = pytest.mark.parametrize(
         (np.repeat(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), 4, axis=0), 4, 0),
         # a centre of two points loses both to its moving neighbours in the second round
         (np.array([[8.7], [7.2], [4.5], [4.6], [4.0], [4.0], [1.4], [7.3]]), 3, 0),
+        # 22 clusters of 24 points on a 0.1 grid: seeding repeats centres, seven clusters stay empty round after
+        # round while the worst-fit point alternates between rows 0 and 1, and the assignment cycles to the last round
+        (np.array([-0.8, 0.7, -0.1, 0.7, 0.2, 0.3, -0.8, -0.3, -0.7, -0.8, 1.2, -0.9,
+                   -0.2, -1.0, -0.6, -0.7, -0.7, -0.2, 0.7, 1.2, 0.3, -1.1, -0.4, 0.6])[:, None], 22, 3),
     ],
-    ids=["duplicate-centre", "stolen-members"],
+    ids=["duplicate-centre", "stolen-members", "empty-for-many-rounds"],
 )
 
 
@@ -440,6 +466,15 @@ def test_kmeans_with_k_close_to_n_matches_the_reference():
     pts = np.round(np.random.default_rng(107).normal(size=(60, 2)), 1)
     for seed in range(3):
         assert np.array_equal(kmeans(pts, 50, seed), kmeans_reference(pts, 50, seed))
+
+
+def test_kmeans_takes_explicit_differences_only_for_rows_near_a_tie(monkeypatch):
+    # four blobs 100 apart: every row's best centre wins by far more than the rounding bound, and none empties
+    spy = _PairSpy(monkeypatch)
+    rng = np.random.default_rng(18)
+    pts = 100.0 * rng.normal(size=(4, 8))[np.arange(100) % 4] + rng.normal(size=(100, 8))
+    assert np.array_equal(kmeans(pts, 4, seed=0), kmeans_reference(pts, 4, 0))
+    assert spy.calls == []
 
 
 def test_labels_of_another_length_are_refused_before_clustering(monkeypatch):
