@@ -33,10 +33,14 @@ def as_matrix(x, name: str = "input") -> np.ndarray:
 
 def as_int64(x, name: str) -> np.ndarray:
     """x cast to int64; refused when the cast would change a value: a fraction, NaN, or beyond 64 bits."""
-    arr = np.asarray(x)
-    with np.errstate(invalid="ignore"):  # a NaN or out-of-range value casts with a warning; the comparison refuses it
-        out = arr.astype(np.int64, copy=False)
-    if out is not arr and not np.array_equal(out, arr):
+    try:
+        arr = np.asarray(x)
+        with np.errstate(invalid="ignore"):  # a NaN or out-of-range value casts with a warning; the comparison refuses it
+            out = arr.astype(np.int64, copy=False)
+        fits = out is arr or np.array_equal(out, arr)
+    except OverflowError:  # a Python int beyond every numpy integer type
+        fits = False
+    if not fits:
         raise InputError(f"{name} must be integers that fit in 64 bits")
     return out
 

@@ -172,7 +172,11 @@ class TestDatasetIO:
             Dataset(np.zeros((2, 3)), [0, 2])
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("labels", [[0.0, 1.5, 1.9], [0.0, 1.0, np.nan], [0.0, 1.0, 1e20]], ids=["fraction", "nan", "beyond-int64"])
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.0, 1.5, 1.9], [0.0, 1.0, np.nan], [0.0, 1.0, 1e20], [0, 1, 2**70]],
+        ids=["fraction", "nan", "beyond-int64", "python-int-beyond-int64"],
+    )
     def test_dataset_refuses_labels_the_integer_cast_would_change(self, labels):
         # cast to int64, the first would read [0, 1, 1]: two classes
         with pytest.raises(InputError, match="labels must be integers"):
