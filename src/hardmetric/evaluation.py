@@ -13,6 +13,11 @@ products over row blocks of bounded size, which is off by at most a known
 rounding bound; only the pairs that bound cannot order are recomputed from
 explicit differences, so every result is bitwise the one the explicit
 definition gives. No (n, n) or (n, k) matrix is ever held.
+
+Recall@K rests on one integer per query, the rank of its nearest
+same-label point, so its work and memory do not depend on K. Labels may be
+integers, floats or strings that sort into classes; NaN is refused, because
+it matches no label, not even itself.
 """
 
 from __future__ import annotations
@@ -68,10 +73,12 @@ def _gram_blocks(a, sq_a, b, sq_b):
     Square roots that round to one value come from squared values at most
     2 eps of their size apart, <= 4 eps S < s / 2. The subnormal term covers
     products that underflow, which lose up to half the smallest subnormal
-    each. Callers allow 2s: a Recall@K candidate needs s for two
-    Gram-to-explicit gaps plus s / 2 for a collapsed square root, a k-means
-    row s for two gaps, and the rest covers second-order rounding terms and,
-    where a caller adds a computed |a|^2 back, its d u |a|^2.
+    each. Callers allow 2s: a candidate for a query's nearest same-label
+    point in Recall@K needs s for two Gram-to-explicit gaps plus s / 2 for a
+    collapsed square root, a point counted as strictly closer or farther
+    than that point s / 2 for one gap plus s / 2, a k-means row s for two
+    gaps, and the rest covers second-order rounding terms and, where a
+    caller adds a computed |a|^2 back, its d u |a|^2.
     """
     step, top = max(1, _BLOCK // len(b)), sq_b.max()
     b = -2.0 * b
@@ -170,11 +177,30 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     return assign
 
 
+def _checked_labels(labels, n: int) -> np.ndarray:
+    """One label per point, of values that sort into classes. NaN is refused: it equals no label,
+    itself included, yet sorts and counts as one class, so retrieval and clustering would read it two ways."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise InputError(f"labels shape {labels.shape} does not match {n} points")
+    if labels.dtype.kind in "fc":
+        nan = np.flatnonzero(np.isnan(labels))
+        if nan.size:
+            raise InputError(f"labels must not be NaN, got NaN at point {nan[0]}")
+    elif labels.dtype == object:
+        try:
+            np.unique(labels)
+        except TypeError as err:
+            raise InputError(f"labels must sort into classes: {err}") from None
+    return labels
+
+
 def _contingency(assignment, labels, fewest: int) -> np.ndarray:
     """Cluster-by-label counts of at least `fewest` points; the assignment and the labels must pair up."""
-    a, b = np.asarray(assignment), np.asarray(labels)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InputError(f"length mismatch: {a.shape} vs {b.shape}")
+    a = np.asarray(assignment)
+    if a.ndim != 1:
+        raise InputError(f"assignment must be one-dimensional, got shape {a.shape}")
+    b = _checked_labels(labels, a.shape[0])
     if a.shape[0] < fewest:
         raise InputError(f"{a.shape[0]} points to score, at least {fewest} needed")
     _, ai = np.unique(a, return_inverse=True)
@@ -227,13 +253,6 @@ def pairwise_f1(assignment, labels) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _checked_labels(labels, n: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise InputError(f"labels shape {labels.shape} does not match {n} points")
-    return labels
-
-
 def check_ks(name: str, ks, n: int | None = None) -> list[int]:
     """The K values of `name` in ascending order: at least one, each a positive integer and, given n points, below n."""
     ks = sorted(as_int64(list(ks), name).tolist())
@@ -250,29 +269,64 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
 
     The query itself is excluded; remaining distance ties break by ascending
     sample index (stable sort), which makes duplicate points deterministic.
-    Distances are explicit differences; the Gram matrix only picks, per
-    query, the points that can rank among the K nearest or tie with them.
+    Each query is reduced to first_hit, the number of points ranked before
+    its nearest same-label point, so Recall@K is the share of queries with
+    first_hit < K, for every K at once; a query without a same-label point
+    is never a hit. Distances are explicit differences for the query's
+    nearest same-label points and for the points the Gram matrix cannot
+    place before or after them; all other points are counted from the Gram
+    matrix alone.
     """
     z = as_matrix(embeddings, "embeddings")
     n = z.shape[0]
     labels = _checked_labels(labels, n)
     ks = check_ks("ks", ks, n)
     sq = _squared_norms(z)
+    # the columns in class order, stable, so that each query's same-label columns are one slice lo:lo + size
+    _, cls, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.argsort(cls, kind="stable")
+    lo, size = (np.cumsum(counts) - counts)[cls], counts[cls]
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
     first_hit = np.full(n, n)
-    for start, stop, g, slack in _gram_blocks(z, sq, z, sq):
-        own = np.arange(stop - start)
-        g[own, start + own] = np.inf
-        kth = np.partition(g, ks[-1] - 1, axis=1)[:, ks[-1] - 1]
-        # holds every point that ranks among the K nearest by explicit distance, and its ties
-        query, cand = np.divmod(np.flatnonzero(g <= (kth + 2.0 * slack)[:, None]), n)
-        query += start
-        dist = np.sqrt(_pair_sqdist(z, query, z, cand))
-        order = np.lexsort((cand, dist, query))
-        query, cand = query[order], cand[order]
-        rank = np.arange(query.size) - np.searchsorted(query, query)
-        hit = labels[cand] == labels[query]
-        rows, at = np.unique(query[hit], return_index=True)
-        first_hit[rows] = rank[hit][at]
+    for start, stop, g, slack in _gram_blocks(z, sq, z[order], sq[order]):
+        m = stop - start
+        g[np.arange(m), column[start:stop]] = np.inf
+        # the nearest same-label point, first by (distance, index), lies within 2s of the row's same-label
+        # Gram minimum; a query alone in its class finds only itself there, at inf, and stays a miss
+        width = size[start:stop]
+        offset = np.cumsum(width) - width
+        flat = np.repeat(np.arange(m) * n + lo[start:stop] - offset, width) + np.arange(width.sum())
+        near = np.take(g, flat)
+        least = np.minimum.reduceat(near, offset)
+        cap = np.where(least < np.inf, least + 2.0 * slack, -np.inf)
+        query, col = np.divmod(flat[near <= np.repeat(cap, width)], n)
+        sq_dist = _pair_sqdist(z, start + query, z, order[col])
+        dist = np.sqrt(sq_dist)
+        first = np.lexsort((order[col], dist, query))
+        hit, at = np.unique(query[first], return_index=True)
+        first = first[at]
+        nearest, star = np.empty(m), np.empty(m, dtype=np.intp)
+        nearest[hit], star[hit] = dist[first], order[col[first]]
+        # a Gram value more than 2s below (above) the nearest one's explicit d^2, less |a|^2, is a point
+        # strictly closer (farther); no same-label point is closer, and a row without one counts nothing
+        low, high = np.full(m, -np.inf), np.full(m, -np.inf)
+        centre, band = sq_dist[first] - sq[start + hit], 2.0 * slack[hit]
+        low[hit], high[hit] = centre - band, centre + band
+        closer = np.count_nonzero(g < low[:, None], axis=1)
+        # only a row whose band holds more than its nearest same-label point takes explicit distances,
+        # for the other-label points in the band, ordered by (distance, index) against that point
+        unsure = np.flatnonzero(np.count_nonzero(g <= high[:, None], axis=1) - closer > 1)
+        if unsure.size:
+            part = g[unsure]
+            query, col = np.divmod(np.flatnonzero((part >= low[unsure, None]) & (part <= high[unsure, None])), n)
+            query = unsure[query]
+            other = (col < lo[start + query]) | (col >= lo[start + query] + size[start + query])
+            query, col = query[other], col[other]
+            dist = np.sqrt(_pair_sqdist(z, start + query, z, order[col]))
+            ahead = (dist < nearest[query]) | ((dist == nearest[query]) & (order[col] < star[query]))
+            closer += np.bincount(query[ahead], minlength=m)
+        first_hit[start + hit] = closer[hit]
     return {k: float((first_hit < k).mean()) for k in ks}
 
 

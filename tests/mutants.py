@@ -46,6 +46,8 @@ _CANNOT_RUN = "tests/test_cli.py::test_config_that_cannot_run_exits_one_before_t
 _SINGLES = "tests/test_cli.py::test_one_sample_per_class_exits_one_before_training"
 _UNCAST_K = "tests/test_evaluation.py::TestRecallAtK::test_k_the_integer_cast_would_change_rejected"
 _EXACT = "tests/test_evaluation.py::TestGramExactness"
+_RECALL_EXACT = f"{_EXACT}::test_recall_equals_the_explicit_argsort"
+_RECALL_BLOCKS = f"{_EXACT}AcrossBlocks::test_recall_equals_the_explicit_argsort"
 
 MUTANTS = [
     Mutant(
@@ -224,9 +226,38 @@ MUTANTS = [
     Mutant(
         "the Gram block scales by -2 twice", "evaluation.py",
         "        g += sq_b\n", "        g *= -2.0\n        g += sq_b\n",
+        (f"{_RECALL_EXACT}[gaussian]", f"{_EXACT}::test_kmeans_equals_the_explicit_assignment[gaussian]"),
+    ),
+    Mutant(
+        "Recall@K breaks an exact tie by class-order position, not by sample index", "evaluation.py",
+        "(dist == nearest[query]) & (order[col] < star[query])", "(dist == nearest[query]) & (col < column[star[query]])",
+        (f"{_RECALL_EXACT}[tied-across-labels]", f"{_RECALL_BLOCKS}[tied-across-labels-13-row-blocks]"),
+    ),
+    Mutant(
+        "Recall@K counts from the Gram values alone, with no band left to explicit distances", "evaluation.py",
+        "2.0 * slack[hit]", "0.0 * slack[hit]",
         (
-            f"{_EXACT}::test_recall_equals_the_explicit_argsort[gaussian]",
-            f"{_EXACT}::test_kmeans_equals_the_explicit_assignment[gaussian]",
+            "tests/test_evaluation.py::TestRecallAtK::test_two_tight_pairs",
+            f"{_RECALL_EXACT}[large-offset]",
+            f"{_RECALL_BLOCKS}[far-blobs-one-row-blocks]",
+        ),
+    ),
+    Mutant(
+        "Recall@K scores a query without a same-label point as a hit", "evaluation.py",
+        "first_hit = np.full(n, n)", "first_hit = np.zeros(n, dtype=int)",
+        (f"{_RECALL_EXACT}[singleton-classes]", f"{_RECALL_BLOCKS}[singleton-classes-13-row-blocks]"),
+    ),
+    Mutant(
+        "Recall@K takes the nearest same-label point from the Gram minimum alone, without the slack", "evaluation.py",
+        "least + 2.0 * slack, -np.inf)", "least, -np.inf)",
+        (f"{_RECALL_EXACT}[far-blobs]", f"{_RECALL_BLOCKS}[tied-stars-one-row-blocks]"),
+    ),
+    Mutant(
+        "evaluation takes NaN labels", "evaluation.py",
+        "        if nan.size:\n", "        if False:\n",
+        (
+            "tests/test_evaluation.py::test_nan_or_unsortable_labels_are_refused[recall_at_k]",
+            "tests/test_evaluation.py::test_nan_or_unsortable_labels_are_refused[nmi]",
         ),
     ),
 ]

@@ -234,6 +234,37 @@ class TestRecallAtK:
         assert recall_at_k(z, labels, [1, 3]) == recall_at_k(moved, labels, [1, 3])
 
 
+# six points in three tight pairs: k-means and NMI would count a NaN pair as one class, Recall@K would never match it
+_PAIRS = np.array([[0.0], [0.1], [5.0], [5.1], [9.0], [9.1]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda labels: recall_at_k(_PAIRS, labels, [1]),
+        lambda labels: evaluate_embeddings(_PAIRS, labels, ks=(1,)),
+        lambda labels: nmi([0, 0, 1, 1, 2, 2], labels),
+        lambda labels: pairwise_f1([0, 0, 1, 1, 2, 2], labels),
+    ],
+    ids=["recall_at_k", "evaluate_embeddings", "nmi", "pairwise_f1"],
+)
+def test_nan_or_unsortable_labels_are_refused(call):
+    with pytest.raises(InputError, match="labels must not be NaN, got NaN at point 4"):
+        call(np.array([0.0, 0.0, 1.0, 1.0, np.nan, np.nan]))
+    with pytest.raises(InputError, match="labels must sort into classes: '<' not supported"):
+        call(np.array([1, "a", 1, "a", 2, 2], dtype=object))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[3, 3, -1, -1, 7, 7], [0.5, 0.5, -2.0, -2.0, 1e9, 1e9], ["pear", "pear", "fig", "fig", "apple", "apple"]],
+    ids=["int", "float", "str"],
+)
+def test_integer_float_and_string_labels_score_alike(labels):
+    report = evaluate_embeddings(_PAIRS, labels, ks=(1, 2))
+    assert (report.nmi, report.f1, report.recall_at, report.num_test_classes) == (1.0, 1.0, {1: 1.0, 2: 1.0}, 3)
+
+
 class TestReportAndExport:
     def test_report_serialization_shape(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -333,9 +364,30 @@ def _far_blobs(blobs=6, per_blob=20, dim=4, offset=1e8, seed=22):
     return offset + 100.0 * rng.normal(size=(blobs, dim))[labels] + rng.normal(size=(len(labels), dim)), labels
 
 
+def _tied_across_labels(dim=3, offset=1e6):
+    """Seven motifs 100 apart of a query q, its only same-label point s and an other-label point o, both at
+    exactly distance 1 from q. In even motifs o has the lower index and so ranks first; in odd ones the
+    higher, and ranks after s. o's label (50 or -50) sorts after q's in even motifs and before it in odd ones,
+    so that class order runs against index order in both; the odd count keeps a tie broken by class order
+    from leaving the mean unchanged."""
+    pts, labels = [], []
+    unit = np.eye(dim)[1]
+    for m, own in enumerate([-2, 7, 3, -5, 11, 0, -9]):
+        q = offset + 100.0 * m * np.eye(dim)[0]
+        if m % 2 == 0:
+            pts += [q + unit, q, q - unit]
+            labels += [50, own, own]
+        else:
+            pts += [q - unit, q, q + unit]
+            labels += [own, own, -50]
+    return np.array(pts), np.array(labels)
+
+
 def _exactness_cases():
     rng = np.random.default_rng(11)
     grid = _grid(4, 3)
+    singles = rng.integers(0, 6, size=50)
+    singles[::6] = 100 + np.arange(9)
     return {
         "tied-stars": _tied_stars(),
         # integer lattice: many exactly tied distances to points and centres
@@ -348,6 +400,12 @@ def _exactness_cases():
         # |z|^2 ~ 4e16: the Gram rounding (~20) swamps squared distances within a blob (~8), so seeding and
         # Lloyd must take those rows from explicit differences, while the rows of other blobs are pruned
         "far-blobs": _far_blobs(),
+        # every sixth query is alone in its class, so it has no same-label point and is never a hit
+        "singleton-classes": (rng.normal(size=(50, 6)), singles),
+        # unsorted label values, negative ones among them, and string labels
+        "scattered-labels": (rng.normal(size=(90, 5)), rng.choice([-7, 12, -1, 3, 40, -30], size=90)),
+        "string-labels": (rng.normal(size=(40, 3)), rng.choice(["pear", "fig", "apple", "date"], size=40)),
+        "tied-across-labels": _tied_across_labels(),
     }
 
 
@@ -363,6 +421,29 @@ class _PairSpy:
         self.calls.append((np.asarray(rows_a).copy(), np.asarray(rows_b).copy()))
         return self._inner(a, rows_a, b, rows_b)
 
+    def pairs(self):
+        return {(int(i), int(j)) for rows_a, rows_b in self.calls for i, j in zip(rows_a, rows_b)}
+
+
+def _exact_ties(z, labels):
+    """Every (query, point) pair at exactly the distance of the query's nearest same-label point."""
+    labels = np.asarray(labels)
+    dist = pairwise_distances(z)
+    np.fill_diagonal(dist, np.inf)
+    nearest = np.where(labels[:, None] == labels[None, :], dist, np.inf).min(axis=1)
+    query, point = np.nonzero((dist == nearest[:, None]) & (nearest < np.inf)[:, None])
+    return set(zip(query.tolist(), point.tolist()))
+
+
+def _assert_ties_explicit_and_every_k_exact(z, labels, spy, case):
+    # the first same-label hit and every point exactly tied with it came from explicit differences
+    ties = _exact_ties(z, labels)
+    assert ties <= spy.pairs()
+    if case in ("tie-heavy-grid", "duplicated-points", "tied-across-labels"):
+        assert len(ties) > len({query for query, _ in ties}), "no query had an exact tie to resolve"
+    every = range(1, len(z))
+    assert recall_at_k(z, labels, every) == recall_reference(z, labels, every)
+
 
 @pytest.mark.parametrize("case", list(_exactness_cases()))
 class TestGramExactness:
@@ -371,9 +452,7 @@ class TestGramExactness:
         spy = _PairSpy(monkeypatch)
         ks = [1, 2, 4, 8]
         assert recall_at_k(z, labels, ks) == recall_reference(z, labels, ks)
-        if case in ("tie-heavy-grid", "duplicated-points"):
-            # ties beyond the K-th neighbour were pulled in and ranked explicitly
-            assert len(spy.calls[0][0]) > len(z) * max(ks)
+        _assert_ties_explicit_and_every_k_exact(z, labels, spy, case)
 
     def test_kmeans_equals_the_explicit_assignment(self, case, monkeypatch):
         z, labels = _exactness_cases()[case]
@@ -444,9 +523,8 @@ class TestGramExactnessAcrossBlocks:
         blocks.width(len(z))
         ks = [1, 2, 4, 8]
         assert recall_at_k(z, labels, ks) == recall_reference(z, labels, ks)
+        _assert_ties_explicit_and_every_k_exact(z, labels, spy, case)
         blocks.assert_blocked(len(z))
-        if case in ("tie-heavy-grid", "duplicated-points"):
-            assert sum(len(query) for query, _ in spy.calls) > len(z) * max(ks)
 
     def test_kmeans_equals_the_explicit_assignment(self, case, rows, monkeypatch):
         z, labels = _exactness_cases()[case]
@@ -467,6 +545,17 @@ def test_kmeans_with_k_close_to_n_matches_the_reference():
     pts = np.round(np.random.default_rng(107).normal(size=(60, 2)), 1)
     for seed in range(3):
         assert np.array_equal(kmeans(pts, 50, seed), kmeans_reference(pts, 50, seed))
+
+
+def test_recall_takes_the_same_explicit_differences_for_any_k(monkeypatch):
+    z, labels = _exactness_cases()["gaussian"]
+    spy = _PairSpy(monkeypatch)
+    recall_at_k(z, labels, [1])
+    smallest, spy.calls = spy.calls, []
+    recall_at_k(z, labels, [1, len(z) - 1])
+    assert len(spy.calls) == len(smallest)
+    for (rows_a, rows_b), (few_a, few_b) in zip(spy.calls, smallest):
+        assert np.array_equal(rows_a, few_a) and np.array_equal(rows_b, few_b)
 
 
 def test_kmeans_takes_explicit_differences_only_for_rows_near_a_tie(monkeypatch):
@@ -511,6 +600,12 @@ def _traced_peak(call):
 def test_recall_memory_stays_bounded_at_dataset_size():
     z = np.random.default_rng(14).normal(size=(5924, 64))  # the size of the CUB-200-2011 test set: 281 MB for (n, n)
     assert _traced_peak(lambda: recall_at_k(z, np.arange(5924) % 100, [1, 2, 4, 8])) < 16 * 2**20
+
+
+def test_recall_memory_does_not_grow_with_k():
+    # the Recall@K of the Stanford Online Products protocol, at the size of the CUB-200-2011 test set
+    z = np.random.default_rng(14).normal(size=(5924, 64))
+    assert _traced_peak(lambda: recall_at_k(z, np.arange(5924) % 100, [1, 10, 100, 1000])) < 16 * 2**20
 
 
 def test_kmeans_memory_stays_bounded_with_many_clusters():
