@@ -1,7 +1,8 @@
 """Command-line surface: dataset synthesis, training, evaluation, gradcheck.
 
-Exit codes: 0 on success, 1 for usage/config/parse problems, 2 for
-numerical failures (non-finite losses or a failed gradient check).
+Exit codes: 0 on success, 1 for usage/config/parse problems and sizes that
+memory cannot hold, 2 for numerical failures (non-finite losses or a failed
+gradient check).
 """
 
 from __future__ import annotations
@@ -166,6 +167,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
+    except MemoryError as exc:  # sizes the machine cannot hold are an input problem
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -79,11 +79,14 @@ def synth_gaussian_dataset(
         if not (math.isfinite(value) and value >= 0):
             raise InputError(f"{name} must be finite and nonnegative, got {value}")
     check_nonnegative("seed", seed)
+    if num_classes * per_class * input_dim * 8 > np.iinfo(np.intp).max:  # numpy's byte count of an array is an intp
+        raise InputError(f"{num_classes} x {per_class} x {input_dim} float64 samples do not fit in a 64-bit address space")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, center_scale, size=(num_classes, input_dim))
-    # one draw fills the rows class by class, as one draw per class would
-    noise = rng.normal(0.0, noise_sigma, size=(num_classes * per_class, input_dim))
-    return Dataset(np.repeat(centers, per_class, axis=0) + noise, np.repeat(np.arange(num_classes), per_class))
+    # one draw fills the rows class by class, as one draw per class would; each centre is added in place
+    samples = rng.normal(0.0, noise_sigma, size=(num_classes * per_class, input_dim))
+    samples.reshape(num_classes, per_class, input_dim)[...] += centers[:, None, :]
+    return Dataset(samples, np.repeat(np.arange(num_classes), per_class))
 
 
 @dataclass
@@ -137,8 +140,24 @@ def _header(dim: int) -> str:
 def save_dataset(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header(dataset.input_dim) + "\n")
-        for label, row in zip(dataset.labels.tolist(), dataset.samples.tolist()):
-            fh.write(f"{label}," + ",".join(map(repr, row)) + "\n")
+        write_rows(fh, [dataset.labels], dataset.samples)
+
+
+_WRITE_BLOCK = 1 << 16  # values formatted per write
+
+
+def write_rows(fh, keys, values: np.ndarray) -> None:
+    """Writes one line `k_0,...,v_0,...` per row of `values`: the row's entry of each integer key
+    array, then its values as shortest round-trip decimals.
+
+    Rows go out in blocks of at most _WRITE_BLOCK values (one row at least), one `write` per block,
+    so the Python objects held at a time do not grow with the file.
+    """
+    rows = max(1, _WRITE_BLOCK // max(1, values.shape[1]))
+    for start in range(0, len(values), rows):
+        block = slice(start, start + rows)
+        prefixes = map(",".join, zip(*(map(str, k[block].tolist()) for k in keys)))
+        fh.write("".join(f"{p}," + ",".join(map(repr, row)) + "\n" for p, row in zip(prefixes, values[block].tolist())))
 
 
 _SIDECAR_VERSION = 1

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_rows
 from .errors import InputError, NumericalError, check_nonnegative, check_positive
 from .nn import as_int64, as_matrix
 
@@ -384,5 +385,4 @@ def export_embeddings_csv(path, sample_ids, labels, embeddings) -> None:
     header = "sample_id,label," + ",".join(f"z_{i}" for i in range(z.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for sid, lab, row in zip(sample_ids.tolist(), labels.tolist(), z.tolist()):
-            fh.write(f"{sid},{lab}," + ",".join(map(repr, row)) + "\n")
+        write_rows(fh, [sample_ids, labels], z)

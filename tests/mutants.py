@@ -48,6 +48,7 @@ _UNCAST_K = "tests/test_evaluation.py::TestRecallAtK::test_k_the_integer_cast_wo
 _EXACT = "tests/test_evaluation.py::TestGramExactness"
 _RECALL_EXACT = f"{_EXACT}::test_recall_equals_the_explicit_argsort"
 _RECALL_BLOCKS = f"{_EXACT}AcrossBlocks::test_recall_equals_the_explicit_argsort"
+_EXPORT_BYTES = "tests/test_evaluation.py::TestReportAndExport::test_embeddings_csv_matches_the_per_value_formatter"
 
 MUTANTS = [
     Mutant(
@@ -258,6 +259,31 @@ MUTANTS = [
         (
             "tests/test_evaluation.py::test_nan_or_unsortable_labels_are_refused[recall_at_k]",
             "tests/test_evaluation.py::test_nan_or_unsortable_labels_are_refused[nmi]",
+        ),
+    ),
+    Mutant(
+        "the row-block writer drops the last row of each block", "data.py",
+        "block = slice(start, start + rows)", "block = slice(start, start + rows - 1)",
+        (
+            "tests/test_data.py::TestDatasetIO::test_writer_matches_the_per_value_formatter[blocks-of-3-3-1-rows]",
+            f"{_EXPORT_BYTES}[blocks-of-3-3-1-rows]",
+        ),
+    ),
+    Mutant(
+        "the row-block writer takes every block's keys from the first block", "data.py",
+        "map(str, k[block].tolist())", "map(str, k[:rows].tolist())",
+        (
+            "tests/test_data.py::TestDatasetIO::test_writer_matches_the_per_value_formatter[blocks-of-3-3-1-rows]",
+            f"{_EXPORT_BYTES}[blocks-of-3-3-1-rows]",
+        ),
+    ),
+    Mutant(
+        "synthesis adds the class centres along the wrong axis", "data.py",
+        "samples.reshape(num_classes, per_class, input_dim)[...] += centers[:, None, :]",
+        "samples.reshape(per_class, num_classes, input_dim)[...] += centers[None, :, :]",
+        (
+            "tests/test_cli.py::TestSynthData::test_output_bytes_are_pinned",
+            "tests/test_data.py::TestSynthDataset::test_matches_the_per_class_reference[shape0]",
         ),
     ),
 ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import threading
@@ -47,6 +48,11 @@ class TestSynthData:
         ds = load_dataset(small_dataset)
         assert ds.num_samples == 48
         assert ds.num_classes == 6
+
+    def test_output_bytes_are_pinned(self, small_dataset):
+        # the file that one draw per class plus a repeated-centre sum wrote, before centres were added in place
+        digest = hashlib.sha256(small_dataset.read_bytes()).hexdigest()
+        assert digest == "272471effc6d32aff17db84d3d8b2a34f61998fd1819c6e5cb307d3e94a8892f"
 
 
 class TestTrainAndEval:
@@ -167,6 +173,31 @@ def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+# each case asks for at least 2**60 bytes, more than any machine can map, so no test really allocates
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth-data", "--per-class", str(2**54), "--dim", "8"], "error: out of memory: Unable to allocate 1.00 EiB"),
+        (["synth-data", "--per-class", "2", "--dim", str(10**20)], "samples do not fit in a 64-bit address space"),
+        (["train", "--config", "hidden_dims = 36028797018963968\n"], "error: out of memory: Unable to allocate 1.25 EiB"),
+    ],
+    ids=["synth-beyond-memory", "synth-beyond-address-space", "train-layer-beyond-memory"],
+)
+def test_sizes_memory_cannot_hold_exit_one_with_a_message(tmp_path, small_dataset, capsys, argv, message):
+    command, *options = argv
+    out = tmp_path / "out"
+    if command == "synth-data":
+        options += ["--classes", "1", "--out", str(out)]
+    else:
+        (tmp_path / "huge.cfg").write_text("epochs = 1\nbatch_size = 12\nembed_dim = 4\n" + options[1])
+        options = ["--data", str(small_dataset), "--config", str(tmp_path / "huge.cfg"), "--out-dir", str(out)]
+    capsys.readouterr()
+    assert run_cli(command, *options) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_evaluation import _traced_peak
 
 from hardmetric import data
 from hardmetric.config import parse_config_text
@@ -67,6 +68,16 @@ class TestSynthDataset:
         with pytest.raises(InputError):
             synth_gaussian_dataset(3, 5, 3, noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("shape", [(1, 2**58, 8), (2, 2, 10**20)], ids=["2**64-bytes", "dim-beyond-int64"])
+    def test_samples_beyond_a_64_bit_address_space_refused(self, shape):
+        with pytest.raises(InputError, match="do not fit in a 64-bit address space"):
+            synth_gaussian_dataset(*shape)
+
+    def test_memory_is_the_sample_array_alone(self):
+        # at the parent, a repeated-centre copy and the sum made 2 arrays more (15.8 MiB)
+        samples = synth_gaussian_dataset(40, 50, 512).samples
+        assert _traced_peak(lambda: synth_gaussian_dataset(40, 50, 512)) <= samples.nbytes + 2**20
+
 
 class TestZeroShotSplit:
     def test_half_split_counts(self):
@@ -116,15 +127,23 @@ class TestDatasetIO:
         assert np.array_equal(loaded.samples, ds.samples)
         assert np.array_equal(loaded.labels, ds.labels)
 
-    def test_writer_matches_the_per_value_formatter(self, tmp_path):
+    @pytest.mark.parametrize("block", [None, 15], ids=["one-block", "blocks-of-3-3-1-rows"])
+    def test_writer_matches_the_per_value_formatter(self, tmp_path, monkeypatch, block):
         # reference: repr of each numpy value converted to float one at a time
         row = [-0.0, 5e-324, 1e-300, 0.1, 1e16]
-        ds = Dataset(np.array([row, row[::-1]]), np.array([1, 0]))
+        ds = Dataset(np.array([np.roll(row, i) for i in range(7)]), np.array([1, 0, 3, 2, 5, 4, 6]))
+        if block:
+            monkeypatch.setattr(data, "_WRITE_BLOCK", block)
         save_dataset(ds, tmp_path / "data.csv")
         expected = "label,f_0,f_1,f_2,f_3,f_4\n" + "".join(
             f"{label}," + ",".join(repr(float(v)) for v in values) + "\n" for label, values in zip(ds.labels, ds.samples)
         )
         assert (tmp_path / "data.csv").read_bytes() == expected.encode("utf-8")
+
+    def test_writer_memory_does_not_grow_with_the_file(self, tmp_path):
+        # the dataset of the cli-roundtrip benchmark; 31.4 MiB at the parent, which formatted all rows at once
+        ds = synth_gaussian_dataset(40, 50, 512, noise_sigma=3.0)
+        assert _traced_peak(lambda: save_dataset(ds, tmp_path / "data.csv")) <= 8 * 2**20
 
     def test_wrong_column_count_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hardmetric import evaluation
+from hardmetric import data, evaluation
 from hardmetric.embedder import pairwise_distances
 from hardmetric.errors import InputError, NumericalError
 from hardmetric.evaluation import (
@@ -291,11 +291,14 @@ class TestReportAndExport:
         parsed = np.array([[float(v) for v in line.split(",")[2:]] for line in lines[1:]])
         assert np.array_equal(parsed, z)
 
-    def test_embeddings_csv_matches_the_per_value_formatter(self, tmp_path):
+    @pytest.mark.parametrize("block", [None, 15], ids=["one-block", "blocks-of-3-3-1-rows"])
+    def test_embeddings_csv_matches_the_per_value_formatter(self, tmp_path, monkeypatch, block):
         # reference: repr of each numpy value converted to float one at a time
         row = [-0.0, 5e-324, 1e-300, 0.1, 1e16]
-        z = np.array([row, row[::-1]])
-        ids, labels = np.array([7, 3]), np.array([1, 0])
+        z = np.array([np.roll(row, i) for i in range(7)])
+        ids, labels = np.array([7, 3, 12, 0, 9, 4, 5]), np.array([1, 0, 3, 2, 5, 4, 6])
+        if block:
+            monkeypatch.setattr(data, "_WRITE_BLOCK", block)
         export_embeddings_csv(tmp_path / "emb.csv", ids, labels, z)
         expected = "sample_id,label,z_0,z_1,z_2,z_3,z_4\n" + "".join(
             f"{sid},{lab}," + ",".join(repr(float(v)) for v in values) + "\n" for sid, lab, values in zip(ids, labels, z)
@@ -606,6 +609,13 @@ def test_recall_memory_does_not_grow_with_k():
     # the Recall@K of the Stanford Online Products protocol, at the size of the CUB-200-2011 test set
     z = np.random.default_rng(14).normal(size=(5924, 64))
     assert _traced_peak(lambda: recall_at_k(z, np.arange(5924) % 100, [1, 10, 100, 1000])) < 16 * 2**20
+
+
+def test_embeddings_csv_memory_does_not_grow_with_the_file(tmp_path):
+    # 2,000 x 512, the size of the cli-roundtrip dataset; 31.5 MiB at the parent, which formatted all rows at once
+    z = np.random.default_rng(16).normal(size=(2000, 512))
+    ids, labels = np.arange(2000), np.arange(2000) % 40
+    assert _traced_peak(lambda: export_embeddings_csv(tmp_path / "emb.csv", ids, labels, z)) <= 8 * 2**20
 
 
 def test_kmeans_memory_stays_bounded_with_many_clusters():
