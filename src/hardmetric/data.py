@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetParseError, InputError, check_nonnegative, check_positive
-from .nn import as_int64, as_matrix
+from .nn import as_int64, as_matrix, check_addressable
 
 
 @dataclass
@@ -79,8 +79,7 @@ def synth_gaussian_dataset(
         if not (math.isfinite(value) and value >= 0):
             raise InputError(f"{name} must be finite and nonnegative, got {value}")
     check_nonnegative("seed", seed)
-    if num_classes * per_class * input_dim * 8 > np.iinfo(np.intp).max:  # numpy's byte count of an array is an intp
-        raise InputError(f"{num_classes} x {per_class} x {input_dim} float64 samples do not fit in a 64-bit address space")
+    check_addressable("samples", (num_classes * per_class, input_dim))
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, center_scale, size=(num_classes, input_dim))
     # one draw fills the rows class by class, as one draw per class would; each centre is added in place

@@ -79,8 +79,15 @@ class DenseLayer:
         return self.weight.shape[0]
 
 
+def check_addressable(name: str, shape: tuple[int, ...]) -> None:
+    """Refuses, before anything is allocated, a float64 array of `shape` whose byte count overflows numpy's intp."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise InputError(f"{name} of shape {shape} does not fit in a 64-bit address space")
+
+
 def init_dense(in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> DenseLayer:
     """New layer with weights uniform in +-sqrt(6/(in+out)) and zero bias."""
+    check_addressable("layer weight", (out_dim, in_dim))
     limit = math.sqrt(6.0 / (in_dim + out_dim))
     weight = rng.uniform(-limit, limit, size=(out_dim, in_dim))
     return DenseLayer(weight, np.zeros(out_dim), activation)

@@ -278,6 +278,14 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "a float64 array beyond a 64-bit address space is let through to numpy", "nn.py",
+        "    if math.prod(shape) * 8 > np.iinfo(np.intp).max:", "    if False:",
+        (
+            "tests/test_data.py::TestSynthDataset::test_samples_beyond_a_64_bit_address_space_refused",
+            "tests/test_cli.py::test_sizes_memory_cannot_hold_exit_one_with_a_message[train-layer-beyond-address-space]",
+        ),
+    ),
+    Mutant(
         "synthesis adds the class centres along the wrong axis", "data.py",
         "samples.reshape(num_classes, per_class, input_dim)[...] += centers[:, None, :]",
         "samples.reshape(per_class, num_classes, input_dim)[...] += centers[None, :, :]",

@@ -50,7 +50,7 @@ class TestSynthData:
         assert ds.num_classes == 6
 
     def test_output_bytes_are_pinned(self, small_dataset):
-        # the file that one draw per class plus a repeated-centre sum wrote, before centres were added in place
+        # written by the repeated-centre sum, centres + noise; the in-place addition must give the same bytes
         digest = hashlib.sha256(small_dataset.read_bytes()).hexdigest()
         assert digest == "272471effc6d32aff17db84d3d8b2a34f61998fd1819c6e5cb307d3e94a8892f"
 
@@ -180,10 +180,11 @@ def test_unusable_path_or_bytes_exits_one_with_a_message(tmp_path, small_dataset
     "argv, message",
     [
         (["synth-data", "--per-class", str(2**54), "--dim", "8"], "error: out of memory: Unable to allocate 1.00 EiB"),
-        (["synth-data", "--per-class", "2", "--dim", str(10**20)], "samples do not fit in a 64-bit address space"),
+        (["synth-data", "--per-class", "2", "--dim", str(10**20)], "samples of shape (2, 100000000000000000000) does not fit"),
         (["train", "--config", "hidden_dims = 36028797018963968\n"], "error: out of memory: Unable to allocate 1.25 EiB"),
+        (["train", "--config", "hidden_dims = 4611686018427387904\n"], "layer weight of shape (4611686018427387904, 5) does not fit"),
     ],
-    ids=["synth-beyond-memory", "synth-beyond-address-space", "train-layer-beyond-memory"],
+    ids=["synth-beyond-memory", "synth-beyond-address-space", "train-layer-beyond-memory", "train-layer-beyond-address-space"],
 )
 def test_sizes_memory_cannot_hold_exit_one_with_a_message(tmp_path, small_dataset, capsys, argv, message):
     command, *options = argv

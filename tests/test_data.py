@@ -70,11 +70,11 @@ class TestSynthDataset:
 
     @pytest.mark.parametrize("shape", [(1, 2**58, 8), (2, 2, 10**20)], ids=["2**64-bytes", "dim-beyond-int64"])
     def test_samples_beyond_a_64_bit_address_space_refused(self, shape):
-        with pytest.raises(InputError, match="do not fit in a 64-bit address space"):
+        with pytest.raises(InputError, match="samples of shape .* does not fit in a 64-bit address space"):
             synth_gaussian_dataset(*shape)
 
     def test_memory_is_the_sample_array_alone(self):
-        # at the parent, a repeated-centre copy and the sum made 2 arrays more (15.8 MiB)
+        # a repeated-centre copy and a separate sum array would hold two arrays more (15.8 MiB)
         samples = synth_gaussian_dataset(40, 50, 512).samples
         assert _traced_peak(lambda: synth_gaussian_dataset(40, 50, 512)) <= samples.nbytes + 2**20
 
@@ -141,7 +141,7 @@ class TestDatasetIO:
         assert (tmp_path / "data.csv").read_bytes() == expected.encode("utf-8")
 
     def test_writer_memory_does_not_grow_with_the_file(self, tmp_path):
-        # the dataset of the cli-roundtrip benchmark; 31.4 MiB at the parent, which formatted all rows at once
+        # the dataset of the cli-roundtrip benchmark: formatting all rows at once holds 31.4 MiB
         ds = synth_gaussian_dataset(40, 50, 512, noise_sigma=3.0)
         assert _traced_peak(lambda: save_dataset(ds, tmp_path / "data.csv")) <= 8 * 2**20
 

@@ -612,7 +612,7 @@ def test_recall_memory_does_not_grow_with_k():
 
 
 def test_embeddings_csv_memory_does_not_grow_with_the_file(tmp_path):
-    # 2,000 x 512, the size of the cli-roundtrip dataset; 31.5 MiB at the parent, which formatted all rows at once
+    # 2,000 x 512, the size of the cli-roundtrip dataset: formatting all rows at once holds 31.5 MiB
     z = np.random.default_rng(16).normal(size=(2000, 512))
     ids, labels = np.arange(2000), np.arange(2000) % 40
     assert _traced_peak(lambda: export_embeddings_csv(tmp_path / "emb.csv", ids, labels, z)) <= 8 * 2**20
