@@ -123,13 +123,13 @@ def _cmd_eval(args) -> int:
     if seen.size:
         raise InputError(f"classes {seen.tolist()} would be evaluated but were training classes of {args.checkpoint}")
     test_x, test_labels = take_classes(dataset, split.test_classes)
-    emb, _ = embed(models.embedder, test_x, labels=test_labels)
-    report = evaluate_embeddings(emb.embeddings, test_labels, ks=ks, kmeans_seed=args.kmeans_seed)
+    z = embed(models.embedder, test_x)[0].embeddings  # the tapes are dropped before scoring
+    report = evaluate_embeddings(z, test_labels, ks=ks, kmeans_seed=args.kmeans_seed)
     os.makedirs(args.out_dir, exist_ok=True)
     metrics_path = os.path.join(args.out_dir, "metrics.json")
     embeddings_path = os.path.join(args.out_dir, "embeddings.csv")
     save_metrics_json(report, metrics_path, extra={"kmeans_seed": args.kmeans_seed, "split_seed": split_seed})
-    export_embeddings_csv(embeddings_path, np.flatnonzero(np.isin(dataset.labels, split.test_classes)), test_labels, emb.embeddings)
+    export_embeddings_csv(embeddings_path, np.flatnonzero(np.isin(dataset.labels, split.test_classes)), test_labels, z)
     recalls = " ".join(f"R@{k}={v:.4f}" for k, v in sorted(report.recall_at.items()))
     print(f"NMI={report.nmi:.4f} F1={report.f1:.4f} {recalls}")
     print(f"wrote {metrics_path} and {embeddings_path}")

@@ -80,10 +80,12 @@ def synth_gaussian_dataset(
             raise InputError(f"{name} must be finite and nonnegative, got {value}")
     check_nonnegative("seed", seed)
     check_addressable("samples", (num_classes * per_class, input_dim))
+    samples = np.empty((num_classes * per_class, input_dim))  # first, so a size memory cannot hold draws nothing
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, center_scale, size=(num_classes, input_dim))
-    # one draw fills the rows class by class, as one draw per class would; each centre is added in place
-    samples = rng.normal(0.0, noise_sigma, size=(num_classes * per_class, input_dim))
+    # one draw fills the rows class by class; sigma * z is rng.normal's 0.0 + sigma * z but for -0.0, which a centre >= 0 erases
+    rng.standard_normal(out=samples)
+    samples *= noise_sigma
     samples.reshape(num_classes, per_class, input_dim)[...] += centers[:, None, :]
     return Dataset(samples, np.repeat(np.arange(num_classes), per_class))
 

@@ -83,16 +83,18 @@ def project(params: EmbedderParams, features) -> tuple[np.ndarray, ProjectTape]:
     return unit, ProjectTape(tape, norms=safe, unit=unit)
 
 
-def project_backward(
-    params: EmbedderParams, tape: ProjectTape, grad_embeddings: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Backward through the projector: (feature_grad, [weight_grad, bias_grad])."""
+def _unnormalized_grad(params: EmbedderParams, tape: ProjectTape, grad_embeddings) -> np.ndarray:
     g = np.asarray(grad_embeddings, dtype=np.float64)
     if params.normalize:
         # d(z/|z|) pushes the gradient onto the tangent of the unit sphere
         radial = (tape.unit * g).sum(axis=1, keepdims=True)
         g = (g - tape.unit * radial) / tape.norms
-    return stack_backward([params.projector], [tape.dense], g)
+    return g
+
+
+def project_backward(params: EmbedderParams, tape: ProjectTape, grad_embeddings: np.ndarray) -> list[np.ndarray]:
+    """Backward through the projector: [weight_grad, bias_grad]; no feature gradient is formed."""
+    return stack_backward([params.projector], [tape.dense], _unnormalized_grad(params, tape, grad_embeddings))
 
 
 def embed(params: EmbedderParams, x, labels=None) -> tuple[EmbeddingBatch, tuple[list[GradTape], ProjectTape]]:
@@ -106,10 +108,10 @@ def embed_backward(
     params: EmbedderParams, extractor_tapes: list[GradTape], projector_tape: ProjectTape, grad_embeddings: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Backward through projector and extractor stack: (extractor_grads, projector_grads),
-    each in `stack_params` order."""
-    g, proj_grads = project_backward(params, projector_tape, grad_embeddings)
-    _, ext_grads = stack_backward(params.extractor, extractor_tapes, g)
-    return ext_grads, proj_grads
+    each in `stack_params` order; no input gradient is formed."""
+    g = _unnormalized_grad(params, projector_tape, grad_embeddings)
+    grads = stack_backward(params.extractor + [params.projector], extractor_tapes + [projector_tape.dense], g)
+    return grads[:-2], grads[-2:]
 
 
 def pairwise_distances(points) -> np.ndarray:

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, InputError, NumericalError, check_nonnegative
 from .nn import (
-    DenseLayer, as_matrix, dense_backward, dense_forward, init_dense, softmax_xent, squared_error, stack_backward,
-    stack_forward,
+    DenseLayer, as_matrix, dense_forward, init_dense, softmax_xent, squared_error, stack_backward, stack_forward,
 )
 
 
@@ -82,8 +81,8 @@ def generator_loss(
 
     member_features, member_tapes = stack_forward(gen, member_embeddings)
     j_recon, (_, grad_member_features) = squared_error(real_features, member_features)
-    # the input gradients are dropped on purpose: embeddings are constants here
-    _, grads = stack_backward(gen, member_tapes, grad_member_features)
+    # embeddings are constants here, so no gradient reaches them
+    grads = stack_backward(gen, member_tapes, grad_member_features)
 
     hardened_embeddings = np.asarray(hardened_embeddings, dtype=np.float64)
     if hardened_embeddings.size:
@@ -91,7 +90,7 @@ def generator_loss(
         logits, _ = dense_forward(clf, hardened_features)
         j_soft, grad_logits = softmax_xent(logits, hardened_labels)
         # the input gradient of a linear head alone: the classifier is frozen here
-        _, soft_grads = stack_backward(gen, hardened_tapes, lambda_balance * (grad_logits @ clf.weight))
+        soft_grads = stack_backward(gen, hardened_tapes, lambda_balance * (grad_logits @ clf.weight))
         grads = [a + b for a, b in zip(grads, soft_grads)]
     else:
         hardened_features = np.empty((0, gen[-1].out_dim))
@@ -117,6 +116,5 @@ def classifier_step(clf: DenseLayer, features, labels, optimizer) -> float:
     features = as_matrix(features, "features")
     logits, tape = dense_forward(clf, features)
     loss, grad_logits = softmax_xent(logits, labels)
-    _, w_grad, b_grad = dense_backward(clf, tape, grad_logits)
-    optimizer.step([w_grad, b_grad])
+    optimizer.step(stack_backward([clf], [tape], grad_logits))
     return loss

@@ -1,7 +1,8 @@
 """Dense layers, losses, and gradient checking on plain float64 arrays.
 
-Every forward call returns a tape holding exactly the activations its
-backward pass needs; a tape can be consumed once. Losses reduce with batch
+Every forward call returns a tape holding what its backward pass reads: the
+layer's input and the output the call returned, shared, so callers must not
+write into a forward output. A tape can be consumed once. Losses reduce with batch
 means, so learning rates do not depend on batch size. `gradcheck` compares
 any forward/backward pair against central finite differences and reports
 per-parameter deviations instead of raising.
@@ -94,13 +95,13 @@ def init_dense(in_dim: int, out_dim: int, activation: str, rng: np.random.Genera
 
 
 class GradTape:
-    """Activations recorded by one forward call; consumable exactly once."""
+    """Input `x` and output `out` (the array it returned) of one forward call; consumable once."""
 
-    __slots__ = ("x", "pre", "_consumed")
+    __slots__ = ("x", "out", "_consumed")
 
-    def __init__(self, x: np.ndarray, pre: np.ndarray):
+    def __init__(self, x: np.ndarray, out: np.ndarray):
         self.x = x
-        self.pre = pre
+        self.out = out
         self._consumed = False
 
     def consume(self):
@@ -110,37 +111,41 @@ class GradTape:
 
 
 def dense_forward(layer: DenseLayer, x) -> tuple[np.ndarray, GradTape]:
-    """activation(x @ weight.T + bias) row-wise, plus the backward tape."""
+    """activation(x @ weight.T + bias) row-wise, plus the backward tape, which shares that output."""
     x = as_matrix(x)
     if x.shape[1] != layer.in_dim:
         raise DimensionError(
             f"input shape {x.shape} incompatible with layer weight shape {layer.weight.shape}"
         )
-    pre = x @ layer.weight.T + layer.bias
-    out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-    return out, GradTape(x, pre)
+    out = x @ layer.weight.T
+    out += layer.bias
+    if layer.activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    return out, GradTape(x, out)
 
 
-def dense_backward(
-    layer: DenseLayer, tape: GradTape, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _param_grads(layer: DenseLayer, tape: GradTape, upstream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dLoss/dPreactivation, weight_grad, bias_grad) of one layer; consumes the tape."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != tape.out.shape:
+        raise DimensionError(
+            f"upstream gradient shape {upstream.shape} does not match forward output shape {tape.out.shape}"
+        )
+    tape.consume()
+    if layer.activation == "relu":
+        # out > 0 exactly where pre > 0, for +-0.0 and NaN too: max(pre, 0) is positive only for a positive pre
+        upstream = upstream * (tape.out > 0.0)
+    return upstream, upstream.T @ tape.x, upstream.sum(axis=0)
+
+
+def dense_backward(layer: DenseLayer, tape: GradTape, upstream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chain-rule gradients (input_grad, weight_grad, bias_grad).
 
     upstream is dLoss/dOutput for the matching forward call. No batch
     normalization happens here; losses own the 1/batch factor.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != tape.pre.shape:
-        raise DimensionError(
-            f"upstream gradient shape {upstream.shape} does not match forward output shape {tape.pre.shape}"
-        )
-    tape.consume()
-    if layer.activation == "relu":
-        upstream = upstream * (tape.pre > 0.0)
-    weight_grad = upstream.T @ tape.x
-    bias_grad = upstream.sum(axis=0)
-    input_grad = upstream @ layer.weight
-    return input_grad, weight_grad, bias_grad
+    g, weight_grad, bias_grad = _param_grads(layer, tape, upstream)
+    return g @ layer.weight, weight_grad, bias_grad
 
 
 def check_chain(layers: list[DenseLayer], what: str) -> None:
@@ -165,16 +170,15 @@ def stack_forward(layers: list[DenseLayer], x) -> tuple[np.ndarray, list[GradTap
     return h, tapes
 
 
-def stack_backward(
-    layers: list[DenseLayer], tapes: list[GradTape], upstream: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Backward through a stack: (input_grad, grads in `stack_params` order)."""
-    g = upstream
+def stack_backward(layers: list[DenseLayer], tapes: list[GradTape], upstream: np.ndarray) -> list[np.ndarray]:
+    """Parameter gradients of a stack in `stack_params` order; its input gradient is never formed."""
     grads: list[np.ndarray] = []
-    for layer, tape in zip(reversed(layers), reversed(tapes)):
-        g, w_grad, b_grad = dense_backward(layer, tape, g)
+    for i in reversed(range(len(layers))):
+        upstream, w_grad, b_grad = _param_grads(layers[i], tapes[i], upstream)
         grads += [b_grad, w_grad]
-    return g, grads[::-1]
+        if i > 0:
+            upstream = upstream @ layers[i].weight
+    return grads[::-1]
 
 
 def softmax_xent(logits, labels) -> tuple[float, np.ndarray]:

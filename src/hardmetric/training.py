@@ -28,14 +28,7 @@ import numpy as np
 from .augmentor import AugmentorState, AugmentedTuple, augment_tuples, pulling_lambda
 from .checkpoint import Models, save_checkpoint
 from .data import Dataset, ZeroShotSplit, check_train_fraction, split_zero_shot, take_classes
-from .embedder import (
-    embed,
-    embed_backward,
-    extract,
-    init_embedder,
-    project,
-    project_backward,
-)
+from .embedder import embed, embed_backward, extract, init_embedder, project, project_backward
 from .errors import InputError, NumericalError, check_nonnegative, check_positive
 from .evaluation import EvalReport, check_ks, evaluate_embeddings
 from .generator import classifier_step, generator_loss, init_generator
@@ -293,7 +286,7 @@ def train_step(models: Models, x, labels, state: TrainState, config: TrainConfig
         syn_z, syn_tape = project(models.embedder, syn_rows)
         j_syn, grad_z_syn = batch_metric_loss(syn_z, syn_tuples, config.margin)
         _check_finite(j_syn, "metric loss over synthetic tuples")
-        _, syn_proj_grads = project_backward(models.embedder, syn_tape, (1.0 - w) * grad_z_syn)
+        syn_proj_grads = project_backward(models.embedder, syn_tape, (1.0 - w) * grad_z_syn)
         state.adam_generator.step(gen.grads)
         classifier_step(models.classifier, features, labels, state.adam_classifier)
 
@@ -363,9 +356,9 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
     split = split_zero_shot(dataset, config.train_fraction, config.split_seed)
     assert not np.intersect1d(split.train_classes, split.test_classes).size, "zero-shot guarantee violated"
 
-    train_x, train_labels_orig = take_classes(dataset, split.train_classes)
+    train_rows = np.flatnonzero(np.isin(dataset.labels, split.train_classes))  # steps index through these: no copy
     test_x, test_labels = take_classes(dataset, split.test_classes)
-    train_labels, label_map = _remap_labels(train_labels_orig)
+    train_labels, label_map = _remap_labels(dataset.labels[train_rows])
     _check_runnable(config, np.bincount(train_labels), len(test_labels))
     if config.synthetics and config.normalize_embeddings and (config.fixed_reference_distance or 0.0) >= 2.0:
         log.warning(
@@ -378,13 +371,13 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
     state = init_state(models, config)
     eval_history: list[EvalPoint] = []
 
-    n = train_x.shape[0]
+    n = len(train_rows)
     for epoch in range(config.epochs):
         epoch_start_rows = len(state.history)
         order = state.rng.permutation(n)
         for start in range(0, n, config.batch_size):
             rows = order[start : start + config.batch_size]
-            train_step(models, train_x[rows], train_labels[rows], state, config)
+            train_step(models, dataset.samples[train_rows[rows]], train_labels[rows], state, config)
         epoch_rows = state.history[epoch_start_rows:]
         if epoch_rows:
             # the schedule sees the epoch mean only at the boundary
@@ -418,8 +411,8 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
 
 
 def _evaluate(models: Models, test_x, test_labels, config: TrainConfig) -> EvalReport:
-    emb, _ = embed(models.embedder, test_x)
-    return evaluate_embeddings(emb.embeddings, test_labels, ks=config.recall_ks, kmeans_seed=0)
+    z = embed(models.embedder, test_x)[0].embeddings  # the tapes are dropped before scoring
+    return evaluate_embeddings(z, test_labels, ks=config.recall_ks, kmeans_seed=0)
 
 
 def write_curves(history: list[LogRow], path) -> None:

@@ -53,7 +53,8 @@ def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator):
             tuples = TupleBatch.npair(2 * np.arange(n_classes), 2 * np.arange(n_classes) + 1, labels)
 
         emb, (ext_tapes, _) = embed(embedder, x)
-        if any(np.abs(t.pre).min() < KINK_MARGIN for t in ext_tapes if t.pre.size):
+        pres = [t.x @ layer.weight.T + layer.bias for layer, t in zip(embedder.extractor, ext_tapes)]  # tapes hold outputs
+        if any(np.abs(pre).min() < KINK_MARGIN for pre in pres if pre.size):
             continue
         z = emb.embeddings
         dist = pairwise_distances(z[np.unique(tuples.rows)])

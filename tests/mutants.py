@@ -49,6 +49,9 @@ _EXACT = "tests/test_evaluation.py::TestGramExactness"
 _RECALL_EXACT = f"{_EXACT}::test_recall_equals_the_explicit_argsort"
 _RECALL_BLOCKS = f"{_EXACT}AcrossBlocks::test_recall_equals_the_explicit_argsort"
 _EXPORT_BYTES = "tests/test_evaluation.py::TestReportAndExport::test_embeddings_csv_matches_the_per_value_formatter"
+_RELU_MASK = "tests/test_nn.py::TestDenseBackward::test_relu_mask_through_the_forward_pass_is_pre_greater_than_zero"
+_BY_HAND = "test_gradients_equal_dense_backward_chained_by_hand"
+_FRAGMENT = "tests/test_verify.py::TestFragments::test_{}_fragment_passes_gradcheck"
 
 MUTANTS = [
     Mutant(
@@ -284,6 +287,46 @@ MUTANTS = [
             "tests/test_data.py::TestSynthDataset::test_samples_beyond_a_64_bit_address_space_refused",
             "tests/test_cli.py::test_sizes_memory_cannot_hold_exit_one_with_a_message[train-layer-beyond-address-space]",
         ),
+    ),
+    Mutant(
+        "the ReLU mask passes gradient through dead units", "nn.py",
+        "upstream * (tape.out > 0.0)", "upstream * (tape.out >= 0.0)",
+        (
+            "tests/test_nn.py::TestDenseBackward::test_relu_dead_zone_zeroes_gradient",
+            _RELU_MASK,
+            "tests/test_nn.py::TestDenseBackward::test_relu_mask_over_negative_zero_and_nan_is_pre_greater_than_zero",
+        ),
+    ),
+    Mutant(
+        "ReLU is applied before the bias is added", "nn.py",
+        '    out += layer.bias\n    if layer.activation == "relu":\n        np.maximum(out, 0.0, out=out)\n',
+        '    if layer.activation == "relu":\n        np.maximum(out, 0.0, out=out)\n    out += layer.bias\n',
+        (_RELU_MASK, "tests/test_reference_runs.py::test_hardened_run_reproduces_its_pinned_curves[triplet]"),
+    ),
+    Mutant(
+        "verify's kink check reads each tape's output as its pre-activation", "verify.py",
+        "pres = [t.x @ layer.weight.T + layer.bias for layer, t in zip(embedder.extractor, ext_tapes)]",
+        "pres = [t.out for t in ext_tapes]",
+        (_FRAGMENT.format("triplet"), _FRAGMENT.format("npair")),
+    ),
+    Mutant(
+        "stack_backward skips the input gradient of the last layer instead of the first", "nn.py",
+        "        if i > 0:\n", "        if i < len(layers) - 1:\n",
+        (
+            f"tests/test_embedder.py::TestEmbedBackward::{_BY_HAND}[plain]",
+            f"tests/test_generator.py::TestGeneratorLoss::{_BY_HAND}",
+            _FRAGMENT.format("generator"),
+        ),
+    ),
+    Mutant(
+        "synthesis draws the class centres before it allocates the sample array", "data.py",
+        "    samples = np.empty((num_classes * per_class, input_dim))  # first, so a size memory cannot hold draws nothing\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    centers = rng.uniform(0.0, center_scale, size=(num_classes, input_dim))\n",
+        "    rng = np.random.default_rng(seed)\n"
+        "    centers = rng.uniform(0.0, center_scale, size=(num_classes, input_dim))\n"
+        "    samples = np.empty((num_classes * per_class, input_dim))\n",
+        ("tests/test_data.py::TestSynthDataset::test_sample_array_memory_cannot_hold_fails_before_any_draw",),
     ),
     Mutant(
         "synthesis adds the class centres along the wrong axis", "data.py",

@@ -2,6 +2,7 @@ import io
 import os
 import struct
 import threading
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -61,6 +62,18 @@ class TestSynthDataset:
         expected = np.vstack([centers[c] + rng.normal(0.0, 2.5, size=(per_class, dim)) for c in range(num_classes)])
         assert np.array_equal(ds.samples, expected)
         assert ds.labels.tolist() == [c for c in range(num_classes) for _ in range(per_class)]
+
+    def test_sample_array_memory_cannot_hold_fails_before_any_draw(self):
+        # 2**54 rows of 8 dims is 1 EiB, within a 64-bit address space; drawing its centres first holds 64 MiB.
+        # numpy traces the refused request and keeps it traced, so the bound is on the peak above what stays traced
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError):
+                synth_gaussian_dataset(2**20, 2**34, 8)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current <= 2**20
 
     def test_bad_parameters(self):
         with pytest.raises(InputError):

@@ -14,7 +14,9 @@ from hardmetric.embedder import (
 )
 from hardmetric.errors import DimensionError, InputError
 from hardmetric.generator import init_generator
-from hardmetric.nn import DenseLayer, init_dense, stack_backward
+from hardmetric.nn import DenseLayer, dense_backward, init_dense
+from test_evaluation import _traced_peak
+from test_nn import chain_by_hand, same_bits
 
 
 def identity_embedder(dim):
@@ -121,11 +123,30 @@ class TestEmbedBackward:
         assert len(ext_grads) == 2 * len(params.extractor)
         assert ext_grads[0].shape == params.extractor[0].weight.shape
         assert proj_grads[0].shape == params.projector.weight.shape
-        # the input gradient, which embed_backward drops, from the same chain by hand
+        # the input gradient, which embed_backward never forms, from the same chain by hand
         _, (ext_tapes, proj_tape) = embed(params, rng.normal(size=(6, 4)))
-        g, _ = project_backward(params, proj_tape, np.ones_like(emb.embeddings))
-        input_grad, _ = stack_backward(params.extractor, ext_tapes, g)
+        input_grad, _, _ = dense_backward(params.projector, proj_tape.dense, np.ones_like(emb.embeddings))
+        for layer, tape in zip(reversed(params.extractor), reversed(ext_tapes)):
+            input_grad, _, _ = dense_backward(layer, tape, input_grad)
         assert input_grad.shape == (6, 4)
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["plain", "normalized"])
+    def test_gradients_equal_dense_backward_chained_by_hand(self, normalize):
+        rng = np.random.default_rng(11)
+        params = init_embedder(6, hidden_dims=(8, 7), embed_dim=5, rng=rng, normalize=normalize)
+        x, gz = rng.normal(size=(9, 6)), rng.normal(size=(9, 5))
+        _, (ext_tapes, proj_tape) = embed(params, x)
+        ext_grads, proj_grads = embed_backward(params, ext_tapes, proj_tape, gz)
+        _, (ext_tapes, proj_tape) = embed(params, x)
+        g = gz
+        if normalize:
+            radial = (proj_tape.unit * g).sum(axis=1, keepdims=True)
+            g = (g - proj_tape.unit * radial) / proj_tape.norms
+        want = chain_by_hand(params.extractor + [params.projector], ext_tapes + [proj_tape.dense], g)
+        assert len(ext_grads + proj_grads) == len(want)
+        assert all(same_bits(a, b) for a, b in zip(ext_grads + proj_grads, want))
+        _, (_, proj_tape) = embed(params, x)
+        assert all(same_bits(a, b) for a, b in zip(project_backward(params, proj_tape, gz), want[-2:]))
 
     def test_normalized_projection_gradient_matches_fd(self):
         rng = np.random.default_rng(9)
@@ -150,6 +171,15 @@ class TestEmbedBackward:
             w[idx] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(proj_grads[0][idx] - fd) < 1e-4 * max(1.0, abs(fd))
+
+
+def test_embed_holds_at_most_two_activations():
+    # the test shape of the triplet-scale benchmark; a tape holding pre-activation and output would need four
+    rng = np.random.default_rng(12)
+    params = init_embedder(256, hidden_dims=(256, 256), embed_dim=64, rng=rng)
+    x = rng.normal(size=(1500, 256))
+    activation = 1500 * 256 * 8
+    assert _traced_peak(lambda: embed(params, x)) <= 2 * activation + 2**20
 
 
 class TestCheckpoint:

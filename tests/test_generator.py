@@ -3,7 +3,10 @@ import pytest
 
 from hardmetric.errors import InputError
 from hardmetric.generator import classifier_accuracy, classifier_step, generator_loss, init_generator
-from hardmetric.nn import Adam, DenseLayer, init_dense, stack_forward, stack_params
+from hardmetric.nn import (
+    Adam, DenseLayer, dense_backward, dense_forward, init_dense, softmax_xent, squared_error, stack_forward, stack_params,
+)
+from test_nn import chain_by_hand, same_bits
 
 
 def identity_generator(dim):
@@ -87,6 +90,19 @@ class TestGeneratorLoss:
                 fd = (lp - lm) / (2 * h)
                 assert abs(grad[idx] - fd) / max(abs(grad[idx]), abs(fd), 1e-6) < 1e-4
 
+    def test_gradients_equal_dense_backward_chained_by_hand(self):
+        gen, clf, y, z, z_hard, labels, lam = self._instance(seed=5)
+        result = generator_loss(gen, clf, y, z, z_hard, labels, lam)
+        member_features, tapes = stack_forward(gen, z)
+        _, (_, grad_features) = squared_error(y, member_features)
+        recon = chain_by_hand(gen, tapes, grad_features)
+        hardened_features, tapes = stack_forward(gen, z_hard)
+        logits, clf_tape = dense_forward(clf, hardened_features)
+        grad_hardened, _, _ = dense_backward(clf, clf_tape, softmax_xent(logits, labels)[1])
+        soft = chain_by_hand(gen, tapes, lam * grad_hardened)
+        assert len(result.grads) == len(recon)
+        assert all(same_bits(got, a + b) for got, a, b in zip(result.grads, recon, soft))
+
     def test_classifier_affects_value_but_gets_no_gradient(self):
         gen, clf, y, z, z_hard, labels, lam = self._instance(seed=5)
         before = generator_loss(gen, clf, y, z, z_hard, labels, lam)
@@ -150,6 +166,22 @@ class TestClassifierStep:
         before = classifier_step(clf, y, [1, 1, 1, 1], adam)
         after = classifier_step(clf, y, [1, 1, 1, 1], adam)
         assert after < before
+
+    def test_update_takes_the_dense_backward_gradients(self):
+        rng = np.random.default_rng(12)
+        clf = init_dense(3, 2, "identity", rng)
+        y, labels = rng.normal(size=(5, 3)), np.array([0, 1, 0, 1, 1])
+        logits, tape = dense_forward(clf, y)
+        _, w_grad, b_grad = dense_backward(clf, tape, softmax_xent(logits, labels)[1])
+
+        class Recorder:
+            def step(self, grads):
+                self.grads = grads
+
+        recorder = Recorder()
+        classifier_step(clf, y, labels, recorder)
+        assert len(recorder.grads) == 2
+        assert same_bits(recorder.grads[0], w_grad) and same_bits(recorder.grads[1], b_grad)
 
     def test_optimizer_takes_over_the_update(self):
         rng = np.random.default_rng(11)

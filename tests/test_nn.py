@@ -7,6 +7,7 @@ from hardmetric.errors import DimensionError, InputError, TapeReuseError
 from hardmetric.nn import (
     Adam,
     DenseLayer,
+    GradTape,
     dense_backward,
     dense_forward,
     gradcheck,
@@ -32,6 +33,26 @@ def numeric_grad(loss_fn, array, h=1e-5):
 
 def rel_err(a, b, floor=1e-6):
     return np.abs(a - b) / np.maximum.reduce([np.abs(a), np.abs(b), np.full_like(a, floor)])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def chain_by_hand(layers, tapes, upstream):
+    """Parameter gradients in `stack_params` order, one `dense_backward` call per layer."""
+    grads, g = [], upstream
+    for layer, tape in zip(reversed(layers), reversed(tapes)):
+        g, w_grad, b_grad = dense_backward(layer, tape, g)
+        grads = [w_grad, b_grad] + grads
+    return grads
+
+
+def relu_reference(layer, x, pre, upstream):
+    """(input_grad, weight_grad, bias_grad) of a ReLU layer, masked with an explicit pre > 0."""
+    g = upstream * (pre > 0.0)
+    return g @ layer.weight, g.T @ x, g.sum(axis=0)
 
 
 class TestDenseForward:
@@ -105,6 +126,28 @@ class TestDenseBackward:
             assert rel_err(gw, numeric_grad(loss, layer.weight)).max() < 1e-4
             assert rel_err(gb, numeric_grad(loss, layer.bias)).max() < 1e-4
             assert rel_err(gx, numeric_grad(loss, x)).max() < 1e-4
+
+    def test_relu_mask_through_the_forward_pass_is_pre_greater_than_zero(self):
+        # pre-activations +0.0 (1 - 1 and 0 + -0.0), negatives, NaN and positives, with a nonzero bias
+        layer = DenseLayer([[1.0, 1.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, -0.0, -0.5], "relu")
+        x = np.array([[1.0, -1.0], [-0.0, -0.0], [np.nan, 1.0], [2.0, 1.0]])
+        pre = x @ layer.weight.T + layer.bias
+        assert (pre == 0.0).any() and (pre < 0.0).any() and np.isnan(pre).any() and (pre > 0.0).any()
+        out, tape = dense_forward(layer, x)
+        assert same_bits(out, np.maximum(pre, 0.0)) and tape.out is out
+        upstream = np.random.default_rng(12).normal(size=out.shape)
+        for got, want in zip(dense_backward(layer, tape, upstream), relu_reference(layer, x, pre, upstream)):
+            assert same_bits(got, want)
+
+    def test_relu_mask_over_negative_zero_and_nan_is_pre_greater_than_zero(self):
+        # products never round to -0.0 in the forward pass, so the tape is built as dense_forward builds it
+        layer = DenseLayer([[0.5, -1.0], [2.0, 0.25], [-0.75, 1.0]], [0.0, 0.0, 0.0], "relu")
+        x = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        pre = np.array([[-0.0, 0.0, np.nan], [-2.0, 1.5, -0.0]])
+        tape = GradTape(x, np.maximum(pre, 0.0))
+        upstream = np.array([[1.0, -2.0, 3.0], [0.5, 4.0, -1.0]])
+        for got, want in zip(dense_backward(layer, tape, upstream), relu_reference(layer, x, pre, upstream)):
+            assert same_bits(got, want)
 
     def test_tape_reuse_raises(self):
         layer = init_dense(2, 2, "identity", np.random.default_rng(0))

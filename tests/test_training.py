@@ -253,7 +253,7 @@ class TestTrainStep:
         ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, w * gz_m)
         syn_emb, syn_tape = project(models.embedder, syn_rows)
         j_s, gz_s = batch_metric_loss(syn_emb, syn_tuples, config.margin)
-        _, syn_proj = project_backward(models.embedder, syn_tape, (1 - w) * gz_s)
+        syn_proj = project_backward(models.embedder, syn_tape, (1 - w) * gz_s)
         analytic = {
             "f.w": ext_grads[0],
             "g.w": proj_grads[0] + syn_proj[0],
