@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from test_evaluation import _traced_peak
+from test_nn import chain_by_hand, same_bits
 
 from hardmetric.checkpoint import Models, load_checkpoint, save_checkpoint
 from hardmetric.embedder import (
@@ -15,8 +17,6 @@ from hardmetric.embedder import (
 from hardmetric.errors import DimensionError, InputError
 from hardmetric.generator import init_generator
 from hardmetric.nn import DenseLayer, dense_backward, init_dense
-from test_evaluation import _traced_peak
-from test_nn import chain_by_hand, same_bits
 
 
 def identity_embedder(dim):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from test_nn import chain_by_hand, same_bits
 
 from hardmetric.errors import InputError
 from hardmetric.generator import classifier_accuracy, classifier_step, generator_loss, init_generator
 from hardmetric.nn import (
     Adam, DenseLayer, dense_backward, dense_forward, init_dense, softmax_xent, squared_error, stack_forward, stack_params,
 )
-from test_nn import chain_by_hand, same_bits
 
 
 def identity_generator(dim):
