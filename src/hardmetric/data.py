@@ -3,11 +3,15 @@
 The on-disk dataset contract is a UTF-8 CSV with header
 `label,f_0,...,f_{d-1}` and one sample per row. Values are written as
 shortest round-trip decimals, so save/load is lossless for 64-bit floats.
+`write_rows`, the one CSV writer, formats blocks of rows in one process per
+usable CPU (forked children besides the caller; the caller alone without
+`os.fork`). Nothing sets that number, and the bytes are those of one process.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import math
 import os
@@ -145,6 +149,7 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 _WRITE_BLOCK = 1 << 16  # values formatted per write
+_OUT_OF_MEMORY = 3  # a worker's exit status after a MemoryError
 
 
 def write_rows(fh, keys, values: np.ndarray) -> None:
@@ -152,13 +157,98 @@ def write_rows(fh, keys, values: np.ndarray) -> None:
     array, then its values as shortest round-trip decimals.
 
     Rows go out in blocks of at most _WRITE_BLOCK values (one row at least), one `write` per block,
-    so the Python objects held at a time do not grow with the file.
+    in block order, so the Python objects held at a time do not grow with the file. `repr` costs
+    about 1 µs a value, so W = min(blocks, usable CPUs) workers format the blocks, block i by worker
+    i mod W: worker 0 is the caller, the others `os.fork` children that send their blocks back over a
+    pipe each and end with `os._exit`, so they never flush a buffer they inherited. Nothing sets W;
+    it is 1, with no child, for one block, on one usable CPU or without `os.fork`. The bytes are
+    those of one process. Every child is waited for on every exit path; a failed one raises
+    `MemoryError` if it ran out of memory, else `ChildProcessError`.
+
+    From a multi-threaded host: a child holds only the calling thread, so a lock another thread held
+    at the fork stays held in it. The children run only Python's float formatting; a host that cannot
+    rule such a lock out can keep its process on one CPU (`os.sched_setaffinity`), which makes W = 1.
     """
     rows = max(1, _WRITE_BLOCK // max(1, values.shape[1]))
-    for start in range(0, len(values), rows):
-        block = slice(start, start + rows)
-        prefixes = map(",".join, zip(*(map(str, k[block].tolist()) for k in keys)))
-        fh.write("".join(f"{p}," + ",".join(map(repr, row)) + "\n" for p, row in zip(prefixes, values[block].tolist())))
+    starts = range(0, len(values), rows)
+    workers = min(len(starts), _usable_cpus()) if hasattr(os, "fork") else 1
+    children = []  # (pid, read end of its pipe) of workers 1 .. W-1
+    ended_early = None
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                read_ends = [read_fd, *(pipe.fileno() for _, pipe in children)]
+                _format_in_child(write_fd, read_ends, keys, values, starts[worker::workers], rows)  # never returns
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        for i, start in enumerate(starts):
+            if i % workers == 0:
+                fh.write(_format_block(keys, values, start, rows))
+                continue
+            pid, pipe = children[i % workers - 1]
+            text = _receive(pipe)
+            if text is None:
+                ended_early = pid
+                break
+            fh.write(text)
+    finally:
+        for _, pipe in children:  # first, so that a child blocked on a full pipe ends
+            pipe.close()
+        statuses = {pid: os.waitpid(pid, 0)[1] for pid, _ in children}
+    # the worker whose stream ended first; the others may have failed only because the parent stopped reading
+    failed = ended_early or next((pid for pid, status in statuses.items() if status), None)
+    if failed:
+        code = os.waitstatus_to_exitcode(statuses[failed])
+        if code == _OUT_OF_MEMORY:
+            raise MemoryError(f"CSV formatting worker {failed} ran out of memory")
+        ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise ChildProcessError(f"CSV formatting worker {failed} {ended} before it sent all its rows")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _format_block(keys, values: np.ndarray, start: int, rows: int) -> str:
+    block = slice(start, start + rows)
+    prefixes = map(",".join, zip(*(map(str, k[block].tolist()) for k in keys)))
+    return "".join(f"{p}," + ",".join(map(repr, row)) + "\n" for p, row in zip(prefixes, values[block].tolist()))
+
+
+def _receive(pipe) -> str | None:
+    """The next block a worker sent, or None when its stream ended first."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    text = pipe.read(size)
+    return text.decode() if len(head) == 8 and len(text) == size else None
+
+
+def _format_in_child(fd: int, read_ends, keys, values: np.ndarray, starts, rows: int):
+    """Sends the blocks at `starts` over `fd` as 8-byte little-endian lengths and UTF-8 text, then exits."""
+    status = 1
+    try:
+        gc.disable()  # a collection could finalize, and so flush, an unreachable file object of the parent
+        for read_end in read_ends:  # a pipe read end left open here would keep a write blocked after the parent stops
+            os.close(read_end)
+        with open(fd, "wb") as pipe:
+            for start in starts:
+                text = _format_block(keys, values, start, rows).encode()
+                pipe.write(len(text).to_bytes(8, "little"))
+                pipe.write(text)
+        status = 0
+    except MemoryError:
+        status = _OUT_OF_MEMORY
+    finally:
+        os._exit(status)  # never the interpreter's exit, which flushes the stdio and file buffers of the parent
 
 
 _SIDECAR_VERSION = 1

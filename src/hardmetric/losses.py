@@ -140,9 +140,8 @@ def _unit_diffs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def batch_metric_loss(embeddings, tuples: TupleBatch, margin: float) -> tuple[float, np.ndarray]:
     """Mean tuple loss plus its gradient with respect to every embedding row."""
     z = as_matrix(embeddings, "embeddings")
-    grad = np.zeros_like(z)
     if tuples.size == 0:
-        return 0.0, grad
+        return 0.0, np.zeros_like(z)
     rows = tuples.rows
     if rows.max() >= z.shape[0]:
         raise InputError(f"tuple indices must lie in [0, {z.shape[0]}), got up to {rows.max()}")
@@ -159,6 +158,8 @@ def batch_metric_loss(embeddings, tuples: TupleBatch, margin: float) -> tuple[fl
         loss, g_pos, g_neg = npair_loss(d_pos, d_neg)
     wp = g_pos[:, None] * unit_ap
     wn = g_neg[..., None] * unit_an
-    # one scatter in `rows` order adds in the order of three separate ones
-    np.add.at(grad, rows, np.concatenate([wp + wn.sum(axis=1), -wp, -wn.reshape(-1, z.shape[1])]))
-    return loss, grad
+    # one scatter in `rows` order adds in the order of three separate ones; bincount adds from 0.0 in index order
+    d = z.shape[1]
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    updates = np.concatenate([wp + wn.sum(axis=1), -wp, -wn.reshape(-1, d)])
+    return loss, np.bincount(flat, weights=updates.ravel(), minlength=z.size).reshape(z.shape)

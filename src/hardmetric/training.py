@@ -27,7 +27,7 @@ import numpy as np
 
 from .augmentor import AugmentorState, AugmentedTuple, augment_tuples, pulling_lambda
 from .checkpoint import Models, save_checkpoint
-from .data import Dataset, ZeroShotSplit, check_train_fraction, split_zero_shot, take_classes
+from .data import Dataset, ZeroShotSplit, check_train_fraction, split_zero_shot
 from .embedder import embed, embed_backward, extract, init_embedder, project, project_backward
 from .errors import InputError, NumericalError, check_nonnegative, check_positive
 from .evaluation import EvalReport, check_ks, evaluate_embeddings
@@ -356,8 +356,10 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
     split = split_zero_shot(dataset, config.train_fraction, config.split_seed)
     assert not np.intersect1d(split.train_classes, split.test_classes).size, "zero-shot guarantee violated"
 
-    train_rows = np.flatnonzero(np.isin(dataset.labels, split.train_classes))  # steps index through these: no copy
-    test_x, test_labels = take_classes(dataset, split.test_classes)
+    # steps and evaluations index through these: no copy of either side is held between them
+    train_rows = np.flatnonzero(np.isin(dataset.labels, split.train_classes))
+    test_rows = np.flatnonzero(np.isin(dataset.labels, split.test_classes))
+    test_labels = dataset.labels[test_rows]
     train_labels, label_map = _remap_labels(dataset.labels[train_rows])
     _check_runnable(config, np.bincount(train_labels), len(test_labels))
     if config.synthetics and config.normalize_embeddings and (config.fixed_reference_distance or 0.0) >= 2.0:
@@ -391,9 +393,9 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
         )
         state.epoch += 1
         if config.eval_every and (epoch + 1) % config.eval_every == 0 and epoch + 1 < config.epochs:
-            eval_history.append(EvalPoint(epoch, _evaluate(models, test_x, test_labels, config)))
+            eval_history.append(EvalPoint(epoch, _evaluate(models, dataset.samples[test_rows], test_labels, config)))
 
-    final_report = _evaluate(models, test_x, test_labels, config)
+    final_report = _evaluate(models, dataset.samples[test_rows], test_labels, config)
     eval_history.append(EvalPoint(config.epochs - 1 if config.epochs else -1, final_report))
     result = TrainResult(
         models,

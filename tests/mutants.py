@@ -52,6 +52,9 @@ _EXPORT_BYTES = "tests/test_evaluation.py::TestReportAndExport::test_embeddings_
 _RELU_MASK = "tests/test_nn.py::TestDenseBackward::test_relu_mask_through_the_forward_pass_is_pre_greater_than_zero"
 _BY_HAND = "test_gradients_equal_dense_backward_chained_by_hand"
 _FRAGMENT = "tests/test_verify.py::TestFragments::test_{}_fragment_passes_gradcheck"
+_SAME_TEXT = "tests/test_data.py::TestParallelWriter::test_text_is_the_same_for_every_worker_count"
+_PIPED_STDOUT = "tests/test_cli.py::TestSynthData::test_workers_leave_a_piped_stdout_alone"
+_WORKER_FAILS = "tests/test_data.py::TestParallelWriter::test_failed_worker_is_an_error_and_no_child_is_left"
 
 MUTANTS = [
     Mutant(
@@ -279,6 +282,27 @@ MUTANTS = [
             "tests/test_data.py::TestDatasetIO::test_writer_matches_the_per_value_formatter[blocks-of-3-3-1-rows]",
             f"{_EXPORT_BYTES}[blocks-of-3-3-1-rows]",
         ),
+    ),
+    Mutant(
+        "the parallel writer writes its blocks in worker order, not block order", "data.py",
+        "        for i, start in enumerate(starts):\n",
+        "        for i, start in sorted(enumerate(starts), key=lambda item: item[0] % workers):\n",
+        (f"{_SAME_TEXT}[16-blocks]", f"{_SAME_TEXT}[dim-1]", _PIPED_STDOUT),
+    ),
+    Mutant(
+        "the parallel writer never waits for its workers", "data.py",
+        "        statuses = {pid: os.waitpid(pid, 0)[1] for pid, _ in children}\n",
+        "        statuses = {pid: 0 for pid, _ in children}\n",
+        (
+            f"{_SAME_TEXT}[one-block-and-a-row]",
+            "tests/test_data.py::TestParallelWriter::test_no_child_is_left_when_the_file_write_fails",
+            f"{_WORKER_FAILS}[out-of-memory]",
+        ),
+    ),
+    Mutant(
+        "a writer worker ends with sys.exit, which unwinds into the caller and flushes inherited buffers", "data.py",
+        "        os._exit(status)", "        raise SystemExit(status)",
+        (_PIPED_STDOUT,),
     ),
     Mutant(
         "a float64 array beyond a 64-bit address space is let through to numpy", "nn.py",

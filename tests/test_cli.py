@@ -1,11 +1,16 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
+from test_data import _failing_in_the_last_worker, _raise
 
+import hardmetric
+from hardmetric import data
 from hardmetric.cli import main
 
 
@@ -53,6 +58,31 @@ class TestSynthData:
         # written by the repeated-centre sum, centres + noise; the in-place addition must give the same bytes
         digest = hashlib.sha256(small_dataset.read_bytes()).hexdigest()
         assert digest == "272471effc6d32aff17db84d3d8b2a34f61998fd1819c6e5cb307d3e94a8892f"
+
+    def test_worker_out_of_memory_exits_one_with_a_message(self, tmp_path, monkeypatch, capsys):
+        _failing_in_the_last_worker(monkeypatch, 2, _raise(MemoryError()))
+        # 200 rows of 512 values: two blocks, so one worker is forked
+        assert run_cli("synth-data", "--classes", "2", "--per-class", "100", "--dim", "512", "--out", str(tmp_path / "d.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: CSV formatting worker") and "Traceback" not in err
+
+    def test_workers_leave_a_piped_stdout_alone(self, tmp_path, monkeypatch):
+        # stdout on a pipe is block-buffered: the line printed first still sits in the buffer each worker inherits
+        out, expected = tmp_path / "d.csv", tmp_path / "one-process.csv"
+        script = (
+            "import sys\n"
+            "from hardmetric import cli, data\n"
+            "data._usable_cpus = lambda: 3\n"
+            "print('before the writer')\n"
+            f"sys.exit(cli.main(['synth-data', '--classes', '4', '--per-class', '100', '--dim', '512', '--out', {str(out)!r}]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hardmetric.__file__))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"before the writer\nwrote 400 samples (4 classes, dim 512) to {out}\n"
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
+        assert run_cli("synth-data", "--classes", "4", "--per-class", "100", "--dim", "512", "--out", str(expected)) == 0
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestTrainAndEval:

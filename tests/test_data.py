@@ -1,5 +1,6 @@
 import io
 import os
+import signal
 import struct
 import threading
 import tracemalloc
@@ -153,8 +154,16 @@ class TestDatasetIO:
         )
         assert (tmp_path / "data.csv").read_bytes() == expected.encode("utf-8")
 
-    def test_writer_memory_does_not_grow_with_the_file(self, tmp_path):
-        # the dataset of the cli-roundtrip benchmark: formatting all rows at once holds 31.4 MiB
+    def test_writer_memory_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
+        # the dataset of the cli-roundtrip benchmark: formatting all rows at once holds 31.4 MiB.
+        # One CPU, so that this process formats every block; tracemalloc does not see forked workers
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
+        ds = synth_gaussian_dataset(40, 50, 512, noise_sigma=3.0)
+        assert _traced_peak(lambda: save_dataset(ds, tmp_path / "data.csv")) <= 8 * 2**20
+
+    def test_writer_memory_of_the_parent_does_not_grow_on_the_forked_path(self, tmp_path, monkeypatch):
+        # the parent formats every other block and writes the rest as its worker sends them
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
         ds = synth_gaussian_dataset(40, 50, 512, noise_sigma=3.0)
         assert _traced_peak(lambda: save_dataset(ds, tmp_path / "data.csv")) <= 8 * 2**20
 
@@ -242,6 +251,130 @@ HARD_DECIMALS = [
     "1.00000000000000011102230246251565404236316680908203124",
     "9007199254740993" + "0" * 384 + "1e-400",
 ]
+
+
+_INT64 = np.iinfo(np.int64)
+_BLOCK_ROWS_512 = 2**16 // 512  # rows of 512 values in one block
+_SMALL_BLOCK = 2**12  # 8 rows of 512 values, 77 kB of text: more than a pipe holds
+
+
+def _writer_input(rows, dim):
+    keys = [np.resize([_INT64.min, _INT64.max, 0, -1], rows), np.resize([_INT64.max, -1, _INT64.min, 7], rows)]
+    values = np.resize([-0.0, 5e-324, 1e308, 0.1, -2.5], (rows, dim))
+    return keys, values
+
+
+def _written(monkeypatch, workers, rows, dim, block) -> str:
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_WRITE_BLOCK", block)
+        if workers is None:  # a platform without os.fork
+            patch.delattr(os, "fork")
+        else:
+            patch.setattr(data, "_usable_cpus", lambda: workers)
+        fh = io.StringIO()
+        data.write_rows(fh, *_writer_input(rows, dim))
+        return fh.getvalue()
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _failing_in_the_last_worker(monkeypatch, workers, failure):
+    """Forces `workers` workers and makes the block formatter fail in the last one only."""
+    monkeypatch.setattr(data, "_usable_cpus", lambda: workers)
+    parent, format_block = os.getpid(), data._format_block
+
+    def format_or_fail(keys, values, start, rows):
+        if os.getpid() != parent and start // rows % workers == workers - 1:
+            failure()
+        return format_block(keys, values, start, rows)
+
+    monkeypatch.setattr(data, "_format_block", format_or_fail)
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+class _FailingFile(io.StringIO):
+    def __init__(self, good_writes):
+        super().__init__()
+        self.good_writes = good_writes
+
+    def write(self, text):
+        if self.good_writes == 0:
+            raise OSError(28, "No space left on device")
+        self.good_writes -= 1
+        return super().write(text)
+
+
+@pytest.fixture()
+def deadline():
+    """Fails a test that runs for a minute: a writer that deadlocks on its pipes would hang the run."""
+    def expire(signum, frame):
+        raise TimeoutError("the writer ran for 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
+@pytest.mark.usefixtures("deadline")
+class TestParallelWriter:
+    @pytest.mark.parametrize(
+        "rows, dim, block",
+        [
+            (1, 5, 2**16),
+            (_BLOCK_ROWS_512, 512, 2**16),
+            (_BLOCK_ROWS_512 + 1, 512, 2**16),
+            (16 * _SMALL_BLOCK // 512, 512, _SMALL_BLOCK),
+            (2 * _SMALL_BLOCK + 3, 1, _SMALL_BLOCK),
+        ],
+        ids=["one-row", "one-block", "one-block-and-a-row", "16-blocks", "dim-1"],
+    )
+    def test_text_is_the_same_for_every_worker_count(self, monkeypatch, rows, dim, block):
+        expected = _written(monkeypatch, 1, rows, dim, block)
+        assert expected.count("\n") == rows
+        assert expected.startswith("-9223372036854775808,9223372036854775807,-0.0")
+        for workers in (None, 2, 3, 4):
+            same = _written(monkeypatch, workers, rows, dim, block) == expected  # outside the assert: no long diff
+            assert same, f"{workers} workers"
+        assert _no_child_left()
+
+    def test_no_child_is_left_when_the_file_write_fails(self, monkeypatch):
+        # each block fills a pipe, so the workers are blocked on a write when the parent stops
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(data, "_WRITE_BLOCK", _SMALL_BLOCK)
+        with pytest.raises(OSError, match="No space left on device"):
+            data.write_rows(_FailingFile(good_writes=4), *_writer_input(16 * _SMALL_BLOCK // 512, 512))
+        assert _no_child_left()
+
+    @pytest.mark.parametrize(
+        "failure, error, message",
+        [
+            (_raise(MemoryError()), MemoryError, r"CSV formatting worker \d+ ran out of memory"),
+            (_raise(ValueError("boom")), ChildProcessError, r"worker \d+ exited with status 1 before it sent all its rows"),
+            (lambda: os.kill(os.getpid(), 9), ChildProcessError, r"worker \d+ was killed by signal 9"),
+        ],
+        ids=["out-of-memory", "exception", "killed"],
+    )
+    def test_failed_worker_is_an_error_and_no_child_is_left(self, monkeypatch, failure, error, message):
+        # worker 1 runs on until the parent stops reading; the error is worker 2's
+        monkeypatch.setattr(data, "_WRITE_BLOCK", _SMALL_BLOCK)
+        _failing_in_the_last_worker(monkeypatch, 3, failure)
+        with pytest.raises(error, match=message):
+            data.write_rows(io.StringIO(), *_writer_input(16 * _SMALL_BLOCK // 512, 512))
+        assert _no_child_left()
 
 
 def _random_decimals():

@@ -611,8 +611,10 @@ def test_recall_memory_does_not_grow_with_k():
     assert _traced_peak(lambda: recall_at_k(z, np.arange(5924) % 100, [1, 10, 100, 1000])) < 16 * 2**20
 
 
-def test_embeddings_csv_memory_does_not_grow_with_the_file(tmp_path):
-    # 2,000 x 512, the size of the cli-roundtrip dataset: formatting all rows at once holds 31.5 MiB
+def test_embeddings_csv_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
+    # 2,000 x 512, the size of the cli-roundtrip dataset: formatting all rows at once holds 31.5 MiB.
+    # One CPU, so that this process formats every block; tracemalloc does not see forked workers
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
     z = np.random.default_rng(16).normal(size=(2000, 512))
     ids, labels = np.arange(2000), np.arange(2000) % 40
     assert _traced_peak(lambda: export_embeddings_csv(tmp_path / "emb.csv", ids, labels, z)) <= 8 * 2**20
