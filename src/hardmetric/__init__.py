@@ -8,7 +8,7 @@ training loop (`training`), clustering/retrieval evaluation (`evaluation`),
 and dataset plus CLI plumbing (`data`, `config`, `cli`).
 """
 
-from .augmentor import AugmentorState, augment_negative, augment_tuples, pulling_lambda
+from .augmentor import AugmentorState, augment_tuples, pulling_lambda
 from .data import Dataset, load_dataset, save_dataset, split_zero_shot, synth_gaussian_dataset
 from .embedder import (
     EmbedderParams,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError, check_nonnegative, check_positive
+from .errors import check_nonnegative
 from .losses import TupleBatch
 
 # Lower bound for the interpolation coefficient: keeps the hardened negative
@@ -75,18 +75,6 @@ def _harden(z, z_neg, d_plus, lambda_interp: float) -> np.ndarray:
     return np.where(moved[..., None], z + scale[..., None] * (z_neg - z), z_neg)
 
 
-def augment_negative(z, z_neg, d_plus: float, lambda_interp: float) -> np.ndarray:
-    """`_harden` for one anchor and one negative, with its arguments checked."""
-    z = np.asarray(z, dtype=np.float64)
-    z_neg = np.asarray(z_neg, dtype=np.float64)
-    if z.shape != z_neg.shape or z.ndim != 1:
-        raise DimensionError(f"expected two 1-D vectors of equal length, got {z.shape} and {z_neg.shape}")
-    check_positive("reference distance", d_plus)
-    if not (0.0 < lambda_interp <= 1.0):
-        raise InputError(f"lambda_interp must lie in (0, 1], got {lambda_interp}")
-    return _harden(z, z_neg, d_plus, lambda_interp)
-
-
 @dataclass
 class AugmentedTuple:
     """A tuple batch after negative hardening.
@@ -116,27 +104,16 @@ class AugmentedTuple:
         return self.anchor_idx.shape[0]
 
 
-def augment_tuples(
-    embeddings,
-    tuples: TupleBatch,
-    state: AugmentorState,
-    fixed_reference: float | None = None,
-) -> AugmentedTuple:
+def augment_tuples(embeddings, tuples: TupleBatch, state: AugmentorState) -> AugmentedTuple:
     """Harden every negative in a tuple batch per the current schedule.
 
-    The reference distance defaults to each anchor's positive-pair distance;
-    `fixed_reference` substitutes a constant instead. Works on embeddings
-    only; gradients never flow through the returned arrays.
+    The reference distance is each anchor's positive-pair distance. Works on
+    embeddings only; gradients never flow through the returned arrays.
     """
     z = np.asarray(embeddings, dtype=np.float64)
-    if fixed_reference is not None:
-        check_positive("fixed reference distance", fixed_reference)
     lam = pulling_lambda(state)
     anchors, positives, negatives = tuples.anchors, tuples.positives, tuples.negatives
-    if fixed_reference is None:
-        d_plus = np.sqrt(((z[anchors] - z[positives]) ** 2).sum(axis=-1))
-    else:
-        d_plus = np.full(tuples.size, float(fixed_reference))
+    d_plus = np.sqrt(((z[anchors] - z[positives]) ** 2).sum(axis=-1))
     degenerate = np.flatnonzero(d_plus <= 0.0)
     if tuples.kind == "triplet":
         # a triplet without a reference distance is dropped

@@ -54,7 +54,6 @@ def save_checkpoint(path, models: Models, meta: dict | None = None) -> None:
         "num_extractor_layers": len(embedder.extractor),
         "num_generator_layers": len(generator) if generator is not None else 0,
         "has_classifier": classifier is not None,
-        "normalize_embeddings": embedder.normalize,
         "meta": meta or {},
     }
     arrays["format_version"] = np.asarray(FORMAT_VERSION)
@@ -86,12 +85,14 @@ def _read_models(npz) -> tuple[Models, dict]:
         raise InputError(f"unsupported format version {version}")
     doc = json.loads(str(npz["meta_json"]))
     activations = {entry["prefix"]: entry["activation"] for entry in doc["layers"]}
+    if doc.get("normalize_embeddings", False):  # older checkpoints record the flag; only false can be scored
+        raise InputError("normalize_embeddings = true, and normalized embedders are not supported")
 
     def layer(prefix: str) -> DenseLayer:
         return DenseLayer(npz[f"{prefix}/weight"], npz[f"{prefix}/bias"], activations[prefix])
 
     extractor = [layer(f"embedder/extractor/{i}") for i in range(doc["num_extractor_layers"])]
-    embedder = EmbedderParams(extractor, layer("embedder/projector"), doc["normalize_embeddings"])
+    embedder = EmbedderParams(extractor, layer("embedder/projector"))
     generator = [layer(f"generator/{i}") for i in range(doc["num_generator_layers"])]
     check_chain(generator, "generator")  # the one place generator layers come from outside the program
     classifier = layer("classifier") if doc["has_classifier"] else None

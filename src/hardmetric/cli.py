@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .config import load_config
-from .data import check_train_fraction, load_dataset, save_dataset, split_zero_shot, synth_gaussian_dataset, take_classes
+from .data import check_train_fraction, load_dataset, save_dataset, split_zero_shot, synth_gaussian_dataset
 from .embedder import embed
 from .errors import ConfigError, DatasetParseError, DimensionError, InputError, NumericalError, check_nonnegative
 from .evaluation import check_ks, evaluate_embeddings, export_embeddings_csv, save_metrics_json
@@ -122,14 +122,15 @@ def _cmd_eval(args) -> int:
     seen = np.intersect1d(split.test_classes, meta.get("train_classes", []))
     if seen.size:
         raise InputError(f"classes {seen.tolist()} would be evaluated but were training classes of {args.checkpoint}")
-    test_x, test_labels = take_classes(dataset, split.test_classes)
-    z = embed(models.embedder, test_x)[0].embeddings  # the tapes are dropped before scoring
+    test_rows = np.flatnonzero(np.isin(dataset.labels, split.test_classes))
+    test_labels = dataset.labels[test_rows]
+    z = embed(models.embedder, dataset.samples[test_rows])[0].embeddings  # the tapes are dropped before scoring
     report = evaluate_embeddings(z, test_labels, ks=ks, kmeans_seed=args.kmeans_seed)
     os.makedirs(args.out_dir, exist_ok=True)
     metrics_path = os.path.join(args.out_dir, "metrics.json")
     embeddings_path = os.path.join(args.out_dir, "embeddings.csv")
     save_metrics_json(report, metrics_path, extra={"kmeans_seed": args.kmeans_seed, "split_seed": split_seed})
-    export_embeddings_csv(embeddings_path, np.flatnonzero(np.isin(dataset.labels, split.test_classes)), test_labels, z)
+    export_embeddings_csv(embeddings_path, test_rows, test_labels, z)
     recalls = " ".join(f"R@{k}={v:.4f}" for k, v in sorted(report.recall_at.items()))
     print(f"NMI={report.nmi:.4f} F1={report.f1:.4f} {recalls}")
     print(f"wrote {metrics_path} and {embeddings_path}")
@@ -137,13 +138,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = run_gradcheck_suite(seed=args.seed, instances=args.instances)
-    ok = True
-    for suite in results:
-        verdict = "PASS" if suite.passed else "FAIL"
-        print(f"{suite.name}: max rel deviation {suite.max_deviation:.3e} over {len(suite.reports)} instances -> {verdict}")
-        ok = ok and suite.passed
-    if not ok:
+    reports = run_gradcheck_suite(seed=args.seed, instances=args.instances)
+    for name, report in reports.items():
+        verdict = "PASS" if report.passed else "FAIL"
+        print(f"{name}: max rel deviation {report.max_deviation:.3e} over {args.instances} instances -> {verdict}")
+    if not all(report.passed for report in reports.values()):
         print("gradient check FAILED", file=sys.stderr)
         return NUMERICAL_ERROR
     return 0

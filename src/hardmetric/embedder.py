@@ -3,9 +3,8 @@
 The model factors into two stages so training can reuse the intermediate
 features: `extract` maps raw input vectors to feature space, `project` maps
 features to the embedding space where plain Euclidean distance carries the
-semantics. An optional L2 normalization of embeddings exists for ablation
-and is off by default; the interpolation geometry used for hardness
-augmentation assumes the unconstrained space.
+semantics. Embeddings are not normalized: the interpolation geometry used
+for hardness augmentation assumes the unconstrained space.
 """
 
 from __future__ import annotations
@@ -41,15 +40,12 @@ class EmbedderParams:
 
     extractor: list[DenseLayer]
     projector: DenseLayer
-    normalize: bool = False
 
     def __post_init__(self):
         check_chain(self.extractor + [self.projector], "embedder")
 
 
-def init_embedder(
-    input_dim: int, hidden_dims: tuple[int, ...], embed_dim: int, rng: np.random.Generator, normalize: bool = False
-) -> EmbedderParams:
+def init_embedder(input_dim: int, hidden_dims: tuple[int, ...], embed_dim: int, rng: np.random.Generator) -> EmbedderParams:
     """ReLU extractor stack (input -> hidden dims) plus a linear projector."""
     layers = []
     prev = input_dim
@@ -57,14 +53,7 @@ def init_embedder(
         layers.append(init_dense(prev, dim, "relu", rng))
         prev = dim
     projector = init_dense(prev, embed_dim, "identity", rng)
-    return EmbedderParams(layers, projector, normalize)
-
-
-@dataclass
-class ProjectTape:
-    dense: GradTape
-    norms: np.ndarray | None = None
-    unit: np.ndarray | None = None
+    return EmbedderParams(layers, projector)
 
 
 def extract(params: EmbedderParams, x) -> tuple[np.ndarray, list[GradTape]]:
@@ -72,32 +61,17 @@ def extract(params: EmbedderParams, x) -> tuple[np.ndarray, list[GradTape]]:
     return stack_forward(params.extractor, x)
 
 
-def project(params: EmbedderParams, features) -> tuple[np.ndarray, ProjectTape]:
+def project(params: EmbedderParams, features) -> tuple[np.ndarray, GradTape]:
     """Map features to embeddings through the single linear projector."""
-    z, tape = dense_forward(params.projector, features)
-    if not params.normalize:
-        return z, ProjectTape(tape)
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    unit = z / safe
-    return unit, ProjectTape(tape, norms=safe, unit=unit)
+    return dense_forward(params.projector, features)
 
 
-def _unnormalized_grad(params: EmbedderParams, tape: ProjectTape, grad_embeddings) -> np.ndarray:
-    g = np.asarray(grad_embeddings, dtype=np.float64)
-    if params.normalize:
-        # d(z/|z|) pushes the gradient onto the tangent of the unit sphere
-        radial = (tape.unit * g).sum(axis=1, keepdims=True)
-        g = (g - tape.unit * radial) / tape.norms
-    return g
-
-
-def project_backward(params: EmbedderParams, tape: ProjectTape, grad_embeddings: np.ndarray) -> list[np.ndarray]:
+def project_backward(params: EmbedderParams, tape: GradTape, grad_embeddings: np.ndarray) -> list[np.ndarray]:
     """Backward through the projector: [weight_grad, bias_grad]; no feature gradient is formed."""
-    return stack_backward([params.projector], [tape.dense], _unnormalized_grad(params, tape, grad_embeddings))
+    return stack_backward([params.projector], [tape], grad_embeddings)
 
 
-def embed(params: EmbedderParams, x, labels=None) -> tuple[EmbeddingBatch, tuple[list[GradTape], ProjectTape]]:
+def embed(params: EmbedderParams, x, labels=None) -> tuple[EmbeddingBatch, tuple[list[GradTape], GradTape]]:
     """extract followed by project; returns the batch and (extractor_tapes, projector_tape)."""
     feats, ext_tapes = extract(params, x)
     z, proj_tape = project(params, feats)
@@ -105,12 +79,11 @@ def embed(params: EmbedderParams, x, labels=None) -> tuple[EmbeddingBatch, tuple
 
 
 def embed_backward(
-    params: EmbedderParams, extractor_tapes: list[GradTape], projector_tape: ProjectTape, grad_embeddings: np.ndarray
+    params: EmbedderParams, extractor_tapes: list[GradTape], projector_tape: GradTape, grad_embeddings: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Backward through projector and extractor stack: (extractor_grads, projector_grads),
     each in `stack_params` order; no input gradient is formed."""
-    g = _unnormalized_grad(params, projector_tape, grad_embeddings)
-    grads = stack_backward(params.extractor + [params.projector], extractor_tapes + [projector_tape.dense], g)
+    grads = stack_backward(params.extractor + [params.projector], extractor_tapes + [projector_tape], grad_embeddings)
     return grads[:-2], grads[-2:]
 
 

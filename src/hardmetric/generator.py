@@ -100,12 +100,6 @@ def generator_loss(
     return GeneratorLossResult(j_recon, j_soft, j_gen, grads, member_features, hardened_features)
 
 
-def classifier_accuracy(clf: DenseLayer, features, labels) -> float:
-    labels = np.asarray(labels, dtype=np.int64)
-    logits, _ = dense_forward(clf, features)
-    return float((logits.argmax(axis=1) == labels).mean())
-
-
 def classifier_step(clf: DenseLayer, features, labels, optimizer) -> float:
     """One softmax-loss update of the classifier head on real features.
 

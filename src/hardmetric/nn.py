@@ -274,14 +274,6 @@ class GradcheckReport:
     def passed(self) -> bool:
         return self.max_deviation < self.tolerance
 
-    def summary(self) -> str:
-        lines = [
-            f"  {name}: max rel deviation {dev:.3e}" for name, dev in sorted(self.deviations.items())
-        ]
-        verdict = "PASS" if self.passed else "FAIL"
-        lines.append(f"  -> {verdict} (tolerance {self.tolerance:g})")
-        return "\n".join(lines)
-
 
 def gradcheck(params, loss_fn, grads_fn, tolerance: float = 1e-4, step: float = 1e-5) -> GradcheckReport:
     """Verify a forward/backward pair against central finite differences.

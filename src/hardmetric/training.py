@@ -65,9 +65,7 @@ class TrainConfig:
     generator_hidden_dim: int | None = None
     train_fraction: float = 0.5
     split_seed: int = 0
-    normalize_embeddings: bool = False
     synthetics: bool = True
-    fixed_reference_distance: float | None = None
     recall_ks: tuple[int, ...] = (1, 2, 4, 8)
 
     def __post_init__(self):
@@ -85,9 +83,8 @@ class TrainConfig:
             check_positive(name, getattr(self, name))
         for name in ("alpha", "lambda_balance", "margin", "seed", "split_seed", "epochs", "eval_every"):
             check_nonnegative(name, getattr(self, name))
-        for name in ("generator_hidden_dim", "fixed_reference_distance"):
-            if getattr(self, name) is not None:
-                check_positive(name, getattr(self, name))
+        if self.generator_hidden_dim is not None:
+            check_positive("generator_hidden_dim", self.generator_hidden_dim)
         for width in self.hidden_dims:
             check_positive("hidden_dims", width)
         check_train_fraction(self.train_fraction)
@@ -100,13 +97,7 @@ class TrainConfig:
 
 def init_models(input_dim: int, num_train_classes: int, config: TrainConfig) -> Models:
     rng = np.random.default_rng(config.seed)
-    embedder = init_embedder(
-        input_dim,
-        hidden_dims=tuple(config.hidden_dims),
-        embed_dim=config.embed_dim,
-        rng=rng,
-        normalize=config.normalize_embeddings,
-    )
+    embedder = init_embedder(input_dim, hidden_dims=tuple(config.hidden_dims), embed_dim=config.embed_dim, rng=rng)
     if not config.synthetics:
         return Models(embedder)
     feature_dim = embedder.projector.in_dim
@@ -269,7 +260,7 @@ def train_step(models: Models, x, labels, state: TrainState, config: TrainConfig
     # the plain loss is the blend at w = 1 without synthetic terms
     w, j_syn, gen_terms, syn_proj_grads = 1.0, 0.0, (0.0, 0.0, 0.0), None
     if config.synthetics:
-        aug = augment_tuples(z, tuples, state.augmentor, fixed_reference=config.fixed_reference_distance)
+        aug = augment_tuples(z, tuples, state.augmentor)
         member_idx, hardened_emb = _member_rows(aug)
         gen = generator_loss(
             models.generator,
@@ -362,12 +353,6 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
     test_labels = dataset.labels[test_rows]
     train_labels, label_map = _remap_labels(dataset.labels[train_rows])
     _check_runnable(config, np.bincount(train_labels), len(test_labels))
-    if config.synthetics and config.normalize_embeddings and (config.fixed_reference_distance or 0.0) >= 2.0:
-        log.warning(
-            "fixed_reference_distance = %g with normalize_embeddings: unit embeddings are never more than 2 apart, "
-            "so no negative is hardened",
-            config.fixed_reference_distance,
-        )
 
     models = init_models(dataset.input_dim, len(split.train_classes), config)
     state = init_state(models, config)

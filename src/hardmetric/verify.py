@@ -10,8 +10,6 @@ convention there is 0 while finite differences straddle the corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .embedder import embed, embed_backward, init_embedder, pairwise_distances
@@ -114,22 +112,12 @@ def generator_objective_fragment(rng: np.random.Generator):
     raise InputError(f"could not draw a kink-free generator instance in {MAX_DRAWS} tries")
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    reports: list[GradcheckReport]
+def run_gradcheck_suite(seed: int = 0, instances: int = 20, tolerance: float = 1e-4) -> dict[str, GradcheckReport]:
+    """Gradcheck the three pipeline objectives on `instances` random draws each.
 
-    @property
-    def max_deviation(self) -> float:
-        return max(r.max_deviation for r in self.reports)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
-
-
-def run_gradcheck_suite(seed: int = 0, instances: int = 20, tolerance: float = 1e-4) -> list[SuiteResult]:
-    """Gradcheck the three pipeline objectives on `instances` random draws each."""
+    Returns one report per objective, keyed by its name, holding each
+    parameter's worst deviation over the draws.
+    """
     check_nonnegative("seed", seed)
     check_positive("instances", instances)
     rng = np.random.default_rng(seed)
@@ -138,8 +126,9 @@ def run_gradcheck_suite(seed: int = 0, instances: int = 20, tolerance: float = 1
         ("embedder + npair loss", lambda: embedder_metric_fragment("npair", rng)),
         ("generator objective", lambda: generator_objective_fragment(rng)),
     ]
-    results = []
+    results = {}
     for name, build in suites:
         reports = [gradcheck(*build(), tolerance=tolerance) for _ in range(instances)]
-        results.append(SuiteResult(name, reports))
+        worst = {param: max(r.deviations[param] for r in reports) for param in reports[0].deviations}
+        results[name] = GradcheckReport(worst, tolerance, reports[0].step)
     return results

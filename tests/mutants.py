@@ -60,11 +60,7 @@ MUTANTS = [
     Mutant(
         "check_positive lets NaN through", "errors.py",
         "    if not value > 0:", "    if value <= 0:",
-        (
-            "tests/test_augmentor.py::TestAugmentNegative::test_nonpositive_reference_rejected",
-            "tests/test_augmentor.py::TestAugmentTuples::test_nonpositive_or_nan_fixed_reference_rejected[nan]",
-            f"{_CONFIG_RANGE}[beta = nan-beta]",
-        ),
+        (f"{_CONFIG_RANGE}[beta = nan-beta]",),
     ),
     Mutant(
         "check_nonnegative lets NaN through", "errors.py",
@@ -337,10 +333,15 @@ MUTANTS = [
         "stack_backward skips the input gradient of the last layer instead of the first", "nn.py",
         "        if i > 0:\n", "        if i < len(layers) - 1:\n",
         (
-            f"tests/test_embedder.py::TestEmbedBackward::{_BY_HAND}[plain]",
+            f"tests/test_embedder.py::TestEmbedBackward::{_BY_HAND}",
             f"tests/test_generator.py::TestGeneratorLoss::{_BY_HAND}",
             _FRAGMENT.format("generator"),
         ),
+    ),
+    Mutant(
+        "eval scores a checkpoint whose embedder normalized its embeddings", "checkpoint.py",
+        '    if doc.get("normalize_embeddings", False):', "    if False:",
+        ("tests/test_cli.py::test_checkpoint_of_a_normalized_embedder_is_refused[true]",),
     ),
     Mutant(
         "synthesis draws the class centres before it allocates the sample array", "data.py",

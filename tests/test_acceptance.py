@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 from frozen import freeze
 
-from hardmetric.augmentor import AugmentorState, augment_negative, augment_tuples, pulling_lambda
+from hardmetric import verify
+from hardmetric.augmentor import AugmentorState, _harden, augment_tuples, pulling_lambda
 from hardmetric.data import load_dataset, save_dataset, synth_gaussian_dataset, take_classes
 from hardmetric.embedder import embed, extract
 from hardmetric.errors import DatasetParseError
 from hardmetric.evaluation import kmeans, nmi, pairwise_f1, recall_at_k
-from hardmetric.generator import classifier_accuracy
-from hardmetric.nn import stack_forward
+from hardmetric.nn import dense_forward, gradcheck, stack_forward
 from hardmetric.training import (
     TrainConfig,
     init_models,
@@ -33,7 +33,6 @@ from hardmetric.training import (
     run_training,
     train_step,
 )
-from hardmetric.verify import run_gradcheck_suite
 
 BENCH = dict(num_classes=20, per_class=25, input_dim=64, center_scale=10.0, noise_sigma=4.0)
 MODEL = dict(batch_size=32, epochs=25, learning_rate=1e-4, embed_dim=32, hidden_dims=(128, 128))
@@ -63,13 +62,20 @@ def verdict(number, name, passed, detail=""):
 
 
 class TestCriterion1GradientIntegrity:
-    def test_gradcheck_all_objectives(self):
+    def test_gradcheck_all_objectives(self, monkeypatch):
+        draws = []
+
+        def counted_gradcheck(*args, **kwargs):
+            draws.append(1)
+            return gradcheck(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "gradcheck", counted_gradcheck)
         started = time.monotonic()
-        results = run_gradcheck_suite(seed=0, instances=20, tolerance=1e-4)
+        results = verify.run_gradcheck_suite(seed=0, instances=20, tolerance=1e-4)
         elapsed = time.monotonic() - started
-        worst = max(r.max_deviation for r in results)
-        ok = all(r.passed for r in results) and len(results) == 3
-        ok = ok and all(len(r.reports) >= 20 for r in results)
+        worst = max(r.max_deviation for r in results.values())
+        ok = all(r.passed for r in results.values()) and len(results) == 3
+        ok = ok and len(draws) >= 3 * 20
         ok = ok and elapsed < 30.0
         verdict(1, "gradient integrity", ok, f"max rel deviation {worst:.2e}, {elapsed:.1f}s")
 
@@ -88,7 +94,7 @@ class TestCriterion2AugmentorGeometry:
             lam = float(rng.uniform(1e-6, 1.0))
             if d <= d_plus:
                 continue
-            out = augment_negative(z, z_neg, d_plus, lam)
+            out = _harden(z, z_neg, d_plus, lam)
             direction = (z_neg - z) / d
             residual = (out - z) - ((out - z) @ direction) * direction
             achieved = float(np.linalg.norm(out - z))
@@ -100,9 +106,9 @@ class TestCriterion2AugmentorGeometry:
         # identity at lambda = 1 and the close-negative branch, both exact
         z = rng.normal(size=6)
         z_neg = rng.normal(size=6)
-        ok = ok and np.array_equal(augment_negative(z, z_neg, 0.1, 1.0), z_neg)
+        ok = ok and np.array_equal(_harden(z, z_neg, 0.1, 1.0), z_neg)
         near = z + 1e-3 * rng.normal(size=6)
-        ok = ok and np.array_equal(augment_negative(z, near, 1.0, 0.5), near)
+        ok = ok and np.array_equal(_harden(z, near, 1.0, 0.5), near)
         verdict(2, "augmentor geometry", ok, f"{checked} random tuples")
 
 
@@ -229,13 +235,18 @@ class TestCriterion7LabelPreservation:
         train_x, train_labels_orig = take_classes(dataset, res.split.train_classes)
         train_labels = np.asarray([res.label_map[int(l)] for l in train_labels_orig])
         feats, _ = extract(res.models.embedder, train_x)
-        real_acc = classifier_accuracy(res.models.classifier, feats, train_labels)
+
+        def accuracy(features, labels):
+            logits, _ = dense_forward(res.models.classifier, features)
+            return float((logits.argmax(axis=1) == labels).mean())
+
+        real_acc = accuracy(feats, train_labels)
         # harden negatives over the full training set at the converged schedule
         emb, _ = embed(res.models.embedder, train_x, labels=train_labels)
         tuples = mine_tuples(train_labels, config, np.random.default_rng(99))
         aug = augment_tuples(emb.embeddings, tuples, res.state.augmentor)
         hard_feats, _ = stack_forward(res.models.generator, aug.hardened_negatives)
-        synth_acc = classifier_accuracy(res.models.classifier, hard_feats, aug.negative_labels)
+        synth_acc = accuracy(hard_feats, aug.negative_labels)
         ok = synth_acc >= 0.8 * real_acc
         verdict(
             7,

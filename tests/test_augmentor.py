@@ -6,7 +6,7 @@ import pytest
 from hardmetric.augmentor import (
     LAMBDA_FLOOR,
     AugmentorState,
-    augment_negative,
+    _harden,
     augment_tuples,
     pulling_lambda,
 )
@@ -49,38 +49,26 @@ class TestPullingLambda:
 class TestAugmentNegative:
     def test_worked_example_on_the_axis(self):
         # direct evaluation: lambda_0 = 0.5 + 0.5 * (1/4) = 0.625, so 0.625 * 4 = 2.5
-        out = augment_negative(np.zeros(2), np.array([4.0, 0.0]), d_plus=1.0, lambda_interp=0.5)
+        out = _harden(np.zeros(2), np.array([4.0, 0.0]), d_plus=1.0, lambda_interp=0.5)
         assert np.allclose(out, [2.5, 0.0], atol=1e-12)
 
     def test_lambda_one_is_bitwise_identity(self):
         rng = np.random.default_rng(0)
         z, z_neg = rng.normal(size=(2, 5))
-        out = augment_negative(z, z_neg, d_plus=0.1, lambda_interp=1.0)
+        out = _harden(z, z_neg, d_plus=0.1, lambda_interp=1.0)
         assert np.array_equal(out, z_neg)
         assert out is not z_neg
 
     def test_close_negative_passes_through(self):
         z = np.zeros(2)
         z_neg = np.array([0.5, 0.0])
-        out = augment_negative(z, z_neg, d_plus=1.0, lambda_interp=0.3)
+        out = _harden(z, z_neg, d_plus=1.0, lambda_interp=0.3)
         assert np.array_equal(out, z_neg)
 
     def test_coincident_negative_passes_through(self):
         z = np.array([1.0, 2.0])
-        out = augment_negative(z, z.copy(), d_plus=0.5, lambda_interp=0.5)
+        out = _harden(z, z.copy(), d_plus=0.5, lambda_interp=0.5)
         assert np.array_equal(out, z)
-
-    def test_nonpositive_reference_rejected(self):
-        # a NaN reference compares false with every distance, so unchecked it would leave the negative unmoved
-        for d_plus in (0.0, math.nan):
-            with pytest.raises(InputError, match=f"reference distance must be positive, got {d_plus}"):
-                augment_negative(np.zeros(2), np.array([4.0, 0.0]), d_plus=d_plus, lambda_interp=0.5)
-
-    def test_lambda_outside_range_rejected(self):
-        with pytest.raises(InputError):
-            augment_negative(np.zeros(2), np.ones(2), d_plus=0.5, lambda_interp=0.0)
-        with pytest.raises(InputError):
-            augment_negative(np.zeros(2), np.ones(2), d_plus=0.5, lambda_interp=1.5)
 
     def test_geometry_on_random_tuples(self):
         rng = np.random.default_rng(1)
@@ -91,7 +79,7 @@ class TestAugmentNegative:
             d = np.linalg.norm(z - z_neg)
             d_plus = float(rng.uniform(0.05, 0.9)) * d
             lam = float(rng.uniform(0.05, 0.999))
-            out = augment_negative(z, z_neg, d_plus, lam)
+            out = _harden(z, z_neg, d_plus, lam)
             # collinear with the original segment
             direction = (z_neg - z) / d
             residual = (out - z) - ((out - z) @ direction) * direction
@@ -105,7 +93,7 @@ class TestAugmentNegative:
         z = np.zeros(3)
         z_neg = np.array([6.0, 0.0, 0.0])
         dists = [
-            np.linalg.norm(augment_negative(z, z_neg, 1.0, lam) - z)
+            np.linalg.norm(_harden(z, z_neg, 1.0, lam) - z)
             for lam in np.linspace(0.01, 0.999, 30)
         ]
         assert all(b > a for a, b in zip(dists, dists[1:]))
@@ -158,13 +146,12 @@ class TestAugmentTuples:
         # anchor 0 hardens pair 1's positive, anchor 1 hardens pair 0's positive
         d0 = np.linalg.norm(z[0] - z[1])
         d1 = np.linalg.norm(z[2] - z[3])
-        assert np.array_equal(aug.hardened_negatives[0, 0], augment_negative(z[0], z[3], d0, lam))
-        assert np.array_equal(aug.hardened_negatives[1, 0], augment_negative(z[2], z[1], d1, lam))
+        assert np.array_equal(aug.hardened_negatives[0, 0], _harden(z[0], z[3], d0, lam))
+        assert np.array_equal(aug.hardened_negatives[1, 0], _harden(z[2], z[1], d1, lam))
         assert aug.negative_labels.tolist() == [[1], [0]]
 
     @pytest.mark.parametrize("kind", ["triplet", "npair"])
-    @pytest.mark.parametrize("fixed", [None, 1.5])
-    def test_matches_the_per_negative_reference_loop(self, kind, fixed):
+    def test_matches_the_per_negative_reference_loop(self, kind):
         # reference: the hardening formula written out for one negative at a time
         def reference(a, neg, d_plus, lam):
             d = float(np.sqrt(((a - neg) ** 2).sum()))
@@ -181,12 +168,12 @@ class TestAugmentTuples:
         else:
             tuples = TupleBatch.npair([0, 2, 4, 6, 8, 10], [1, 3, 5, 7, 9, 11], labels)
         state = AugmentorState(alpha=1.0, j_avg=0.8)
-        aug = augment_tuples(z, tuples, state, fixed_reference=fixed)
+        aug = augment_tuples(z, tuples, state)
         lam = pulling_lambda(state)
         negatives = tuples.negatives
         for t in range(tuples.size):
             a = z[tuples.anchors[t]]
-            d_plus = fixed if fixed is not None else float(np.sqrt(((a - z[tuples.positives[t]]) ** 2).sum()))
+            d_plus = float(np.sqrt(((a - z[tuples.positives[t]]) ** 2).sum()))
             if d_plus == 0.0 and kind == "triplet":
                 assert t in aug.degenerate and tuples.anchors[t] not in aug.anchor_idx
                 continue
@@ -204,23 +191,6 @@ class TestAugmentTuples:
         aug = augment_tuples(z, tuples, AugmentorState(alpha=1.0, j_avg=1.0))
         assert aug.hardened_negatives.shape == (n, n - 1, 5)
         assert aug.reference_distances.shape == (n, n - 1)
-
-    def test_fixed_reference_distance(self):
-        z = np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 0.0]])
-        labels = np.array([0, 0, 1])
-        tuples = embedded_triplet_batch(z, labels, [[0, 1, 2]])
-        state = AugmentorState(alpha=1.0, j_avg=1.0 / math.log(2.0))
-        aug = augment_tuples(z, tuples, state, fixed_reference=2.0)
-        # lambda = 0.5 with d_plus = 2: target distance 0.5*4 + 0.5*2 = 3
-        assert np.allclose(aug.hardened_negatives[0], [3.0, 0.0], atol=1e-12)
-        assert aug.reference_distances[0] == 2.0
-
-    @pytest.mark.parametrize("fixed", [0.0, -1.0, math.nan])
-    def test_nonpositive_or_nan_fixed_reference_rejected(self, fixed):
-        z = np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 0.0]])
-        tuples = embedded_triplet_batch(z, np.array([0, 0, 1]), [[0, 1, 2]])
-        with pytest.raises(InputError, match=f"fixed reference distance must be positive, got {fixed}"):
-            augment_tuples(z, tuples, AugmentorState(alpha=1.0, j_avg=1.0), fixed_reference=fixed)
 
     def test_hardening_bounds_hold_per_batch(self):
         rng = np.random.default_rng(5)

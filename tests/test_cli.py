@@ -119,9 +119,11 @@ class TestTrainAndEval:
 class TestExitCodes:
     def test_unknown_config_key_exits_one(self, tmp_path, small_dataset, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("learning_rat = 0.1\n")
-        assert run_cli("train", "--data", str(small_dataset), "--config", str(bad), "--out-dir", str(tmp_path / "x")) == 1
-        assert "unknown config key" in capsys.readouterr().err
+        # a misspelt key, and keys that earlier versions accepted
+        for line in ("learning_rat = 0.1", "normalize_embeddings = false", "fixed_reference_distance = none"):
+            bad.write_text(line + "\n")
+            assert run_cli("train", "--data", str(small_dataset), "--config", str(bad), "--out-dir", str(tmp_path / "x")) == 1
+            assert f"unknown config key {line.split(' = ')[0]!r}" in capsys.readouterr().err
 
     def test_malformed_dataset_exits_one(self, tmp_path, train_config, capsys):
         bad = tmp_path / "bad.csv"
@@ -138,8 +140,11 @@ class TestExitCodes:
 
     def test_gradcheck_passes_with_exit_zero(self, capsys):
         assert run_cli("gradcheck", "--seed", "0", "--instances", "2") == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        assert capsys.readouterr().out == (
+            "embedder + triplet loss: max rel deviation 5.551e-06 over 2 instances -> PASS\n"
+            "embedder + npair loss: max rel deviation 1.110e-05 over 2 instances -> PASS\n"
+            "generator objective: max rel deviation 2.583e-09 over 2 instances -> PASS\n"
+        )
 
     def test_non_finite_loss_exits_two(self, tmp_path, small_dataset, train_config, monkeypatch, capsys):
         from hardmetric import cli
@@ -242,15 +247,12 @@ def test_sizes_memory_cannot_hold_exit_one_with_a_message(tmp_path, small_datase
         ("train_fraction = 0.1\n", "triplets need at least 2 classes, got 1"),
         ("loss_kind = triplet\nnpair_n = 1\nepochs = 0\n", "npair_n must be at least 2"),
         ("margin = -1\n", "margin must be nonnegative"),
-        ("fixed_reference_distance = 0\nepochs = 0\n", "fixed_reference_distance must be positive"),
-        ("fixed_reference_distance = -1\nsynthetics = false\n", "fixed_reference_distance must be positive"),
         ("seed = -1\n", "seed must be nonnegative, got -1"),
         ("split_seed = -1\n", "split_seed must be nonnegative, got -1"),
     ],
     ids=[
         "gen-hidden-negative", "recall-k-too-large", "npair-more-than-classes", "npair-batch-too-small",
-        "triplet-batch-of-two", "triplet-one-class", "npair-n-one-unused", "margin-negative", "fixed-reference-zero-unused",
-        "fixed-reference-negative-no-synthetics", "seed-negative", "split-seed-negative",
+        "triplet-batch-of-two", "triplet-one-class", "npair-n-one-unused", "margin-negative", "seed-negative", "split-seed-negative",
     ],
 )
 def test_config_that_cannot_run_exits_one_before_training(tmp_path, capsys, config_text, message):
@@ -495,6 +497,27 @@ def test_unreadable_checkpoint_exits_one_with_a_message(tmp_path, small_dataset,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "entry, code", [("", 0), ('"normalize_embeddings": false, ', 0), ('"normalize_embeddings": true, ', 1)],
+    ids=["missing", "false", "true"],
+)
+def test_checkpoint_of_a_normalized_embedder_is_refused(tmp_path, small_dataset, capsys, entry, code):
+    with np.load(_bare_checkpoint(tmp_path)) as npz:
+        arrays = dict(npz)
+    arrays["meta_json"] = np.asarray(
+        '{"layers": [{"prefix": "embedder/extractor/0", "activation": "relu"}, '
+        '{"prefix": "embedder/projector", "activation": "identity"}], '
+        f'"num_extractor_layers": 1, "num_generator_layers": 0, "has_classifier": false, {entry}'
+        '"meta": {"config": {"split_seed": 0}}}'
+    )
+    path = tmp_path / "written.npz"
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", str(path), "--data", str(small_dataset), "--out-dir", str(tmp_path / "eval")) == code
+    err = capsys.readouterr().err
+    assert ("normalize_embeddings = true, and normalized embedders are not supported" in err) == (code == 1)
 
 
 def test_eval_of_a_checkpoint_with_a_nan_weight_exits_two(tmp_path, small_dataset, capsys):

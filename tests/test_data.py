@@ -713,9 +713,7 @@ class TestConfigParsing:
         generator_hidden_dim = none
         train_fraction = 0.5
         split_seed = 3
-        normalize_embeddings = false
         synthetics = true
-        fixed_reference_distance = none
         recall_ks = 1,2,4,8
         """
         config = parse_config_text(text)
@@ -751,9 +749,6 @@ class TestConfigParsing:
             ("eval_every = -1", "eval_every"),
             ("margin = -1", "margin"),
             ("npair_n = 1", "npair_n"),
-            ("fixed_reference_distance = 0", "fixed_reference_distance"),
-            ("fixed_reference_distance = -1", "fixed_reference_distance"),
-            ("fixed_reference_distance = nan", "fixed_reference_distance"),
             ("alpha = nan", "alpha"),
             ("beta = nan", "beta"),
             ("lambda_balance = nan", "lambda_balance"),

@@ -78,12 +78,6 @@ class TestProject:
         emb, _ = project(params, y)
         assert np.abs(emb - (y @ projector.weight.T + projector.bias)).max() < 1e-12
 
-    def test_normalize_flag_puts_rows_on_unit_sphere(self):
-        rng = np.random.default_rng(3)
-        params = init_embedder(4, hidden_dims=(), embed_dim=4, rng=rng, normalize=True)
-        emb, _ = embed(params, rng.normal(size=(6, 4)))
-        assert np.abs(np.linalg.norm(emb.embeddings, axis=1) - 1.0).max() < 1e-12
-
 
 class TestPairwiseDistances:
     def test_single_point(self):
@@ -125,52 +119,23 @@ class TestEmbedBackward:
         assert proj_grads[0].shape == params.projector.weight.shape
         # the input gradient, which embed_backward never forms, from the same chain by hand
         _, (ext_tapes, proj_tape) = embed(params, rng.normal(size=(6, 4)))
-        input_grad, _, _ = dense_backward(params.projector, proj_tape.dense, np.ones_like(emb.embeddings))
+        input_grad, _, _ = dense_backward(params.projector, proj_tape, np.ones_like(emb.embeddings))
         for layer, tape in zip(reversed(params.extractor), reversed(ext_tapes)):
             input_grad, _, _ = dense_backward(layer, tape, input_grad)
         assert input_grad.shape == (6, 4)
 
-    @pytest.mark.parametrize("normalize", [False, True], ids=["plain", "normalized"])
-    def test_gradients_equal_dense_backward_chained_by_hand(self, normalize):
+    def test_gradients_equal_dense_backward_chained_by_hand(self):
         rng = np.random.default_rng(11)
-        params = init_embedder(6, hidden_dims=(8, 7), embed_dim=5, rng=rng, normalize=normalize)
+        params = init_embedder(6, hidden_dims=(8, 7), embed_dim=5, rng=rng)
         x, gz = rng.normal(size=(9, 6)), rng.normal(size=(9, 5))
         _, (ext_tapes, proj_tape) = embed(params, x)
         ext_grads, proj_grads = embed_backward(params, ext_tapes, proj_tape, gz)
         _, (ext_tapes, proj_tape) = embed(params, x)
-        g = gz
-        if normalize:
-            radial = (proj_tape.unit * g).sum(axis=1, keepdims=True)
-            g = (g - proj_tape.unit * radial) / proj_tape.norms
-        want = chain_by_hand(params.extractor + [params.projector], ext_tapes + [proj_tape.dense], g)
+        want = chain_by_hand(params.extractor + [params.projector], ext_tapes + [proj_tape], gz)
         assert len(ext_grads + proj_grads) == len(want)
         assert all(same_bits(a, b) for a, b in zip(ext_grads + proj_grads, want))
         _, (_, proj_tape) = embed(params, x)
         assert all(same_bits(a, b) for a, b in zip(project_backward(params, proj_tape, gz), want[-2:]))
-
-    def test_normalized_projection_gradient_matches_fd(self):
-        rng = np.random.default_rng(9)
-        params = init_embedder(3, hidden_dims=(4,), embed_dim=3, rng=rng, normalize=True)
-        x = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 3))
-
-        def loss():
-            e, _ = embed(params, x)
-            return ((e.embeddings - target) ** 2).sum()
-
-        emb, (ext_tapes, proj_tape) = embed(params, x)
-        _, proj_grads = embed_backward(params, ext_tapes, proj_tape, 2 * (emb.embeddings - target))
-        w = params.projector.weight
-        h = 1e-6
-        for idx in [(0, 0), (1, 2), (2, 1)]:
-            orig = w[idx]
-            w[idx] = orig + h
-            lp = loss()
-            w[idx] = orig - h
-            lm = loss()
-            w[idx] = orig
-            fd = (lp - lm) / (2 * h)
-            assert abs(proj_grads[0][idx] - fd) < 1e-4 * max(1.0, abs(fd))
 
 
 def test_embed_holds_at_most_two_activations():

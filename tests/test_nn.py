@@ -296,7 +296,7 @@ class TestGradcheck:
 
     def test_two_layer_relu_softmax_passes(self):
         report = _gradcheck(_TwoLayerFragment(seed=1), tolerance=1e-4)
-        assert report.passed, report.summary()
+        assert report.passed, report.deviations
 
     def test_corrupted_gradient_is_reported_not_raised(self):
         report = _gradcheck(_TwoLayerFragment(seed=1, corrupt=True), tolerance=1e-4)
@@ -306,7 +306,7 @@ class TestGradcheck:
     def test_many_random_instances(self):
         for seed in range(20):
             report = _gradcheck(_TwoLayerFragment(seed=seed), tolerance=1e-4)
-            assert report.passed, f"seed {seed}: {report.summary()}"
+            assert report.passed, f"seed {seed}: {report.deviations}"
 
 
 class TestAdam:

@@ -1,14 +1,10 @@
-"""Pinned learning curves of four tiny hardened runs.
+"""Pinned learning curves of two tiny hardened runs, one per loss.
 
-The reference values of the two default-path runs were produced by the
-implementation before the dense layer stacks were shared between encoder,
-generator and classifier; those of the two normalized, fixed-reference runs
-before `train_step` lost its per-partition switches. A refactor that claims
-bitwise-identical training must reproduce them. Every curve value is
-compared with relative tolerance 1e-9, the step and skipped-batch counts
-exactly. On the unit sphere no distance exceeds 2, so a fixed reference of
-2.0 leaves every negative in place; 0.5 moves 28 of the 75 hardened
-negatives (all in epoch 1, since lambda is 1 in epoch 0).
+The reference values were produced by the implementation before the dense
+layer stacks were shared between encoder, generator and classifier. A
+refactor that claims bitwise-identical training must reproduce them. Every
+curve value is compared with relative tolerance 1e-9, the step and
+skipped-batch counts exactly.
 """
 
 import csv
@@ -51,36 +47,6 @@ REFERENCE = {
             (4, 1, 1.1555787786903104, 0.727808935360355, 232.18254710066861, 230.93098818754302, 2.503117826251207, 0.5241153995589248, 0.6722166370656942),
             (5, 1, 2.2102056650226847, 1.1079782037784573, 204.97115854337764, 204.22207369390094, 1.498169698953393, 0.48103739121476125, 0.6722166370656942),
             (6, 1, 1.1085461650091368, 1.0571340604340882, 220.26321576616616, 219.4219893247289, 1.6824528828744834, 0.50610890513962, 0.6722166370656942),
-        ],
-    ),
-    "triplet-normalized-fixed-2.0": (
-        dict(loss_kind="triplet", beta=80.0, normalize_embeddings=True, fixed_reference_distance=2.0),
-        8,
-        0,
-        [
-            (0, 0, 0.5595897337636446, 0.8127363929228345, 240.60183038449875, 239.9051891357559, 1.3932824974857194, 0.7171289925615724, 1.0),
-            (1, 0, 1.1756392620817313, 1.3111823442762138, 153.62347059592003, 152.89723696798208, 1.452467255875869, 0.5940725907658487, 1.0),
-            (2, 0, 0.9402505501511225, 0.8270343930291404, 233.61325978953406, 232.8981137420736, 1.43029209492089, 0.710031236237538, 1.0),
-            (3, 0, 1.2598333214087292, 1.4420332048528812, 239.3387330112598, 238.65186112018696, 1.3737437821456466, 0.7158717148922171, 1.0),
-            (4, 1, 0.7438769446347371, 1.2209575027606954, 186.7573041361308, 186.05800306503193, 1.3986021421977792, 0.6515745678446015, 0.6015661321074521),
-            (5, 1, 0.7354631686366229, 0.7460981540431973, 290.3634235408563, 289.6938660385048, 1.3391150047029674, 0.7591796811438107, 0.6015661321074521),
-            (6, 1, 0.6314655976354222, 0.8183116063016227, 211.20230695600674, 210.5133737049608, 1.3778665020918843, 0.6846936676190316, 0.6015661321074521),
-            (7, 1, 0.7892798000481043, 0.6947766114977726, 143.89838170236996, 143.15586446080437, 1.4850344831311768, 0.5735283683632123, 0.6015661321074521),
-        ],
-    ),
-    "triplet-normalized-fixed-0.5": (
-        dict(loss_kind="triplet", beta=80.0, normalize_embeddings=True, fixed_reference_distance=0.5),
-        8,
-        0,
-        [
-            (0, 0, 0.5595897337636446, 0.8127363929228345, 240.60183038449875, 239.9051891357559, 1.3932824974857194, 0.7171289925615724, 1.0),
-            (1, 0, 1.1756392620817313, 1.3111823442762138, 153.62347059592003, 152.89723696798208, 1.452467255875869, 0.5940725907658487, 1.0),
-            (2, 0, 0.9402505501511225, 0.8270343930291404, 233.61325978953406, 232.8981137420736, 1.43029209492089, 0.710031236237538, 1.0),
-            (3, 0, 1.2598333214087292, 1.4420332048528812, 239.3387330112598, 238.65186112018696, 1.3737437821456466, 0.7158717148922171, 1.0),
-            (4, 1, 0.7438769446347371, 1.2819998100764056, 186.75382267966634, 186.05800306503193, 1.3916392292688236, 0.6515693646957553, 0.6015661321074521),
-            (5, 1, 0.735610644639001, 0.8423638817081822, 290.37438468303975, 289.69878180729995, 1.351205751479612, 0.7591875768762275, 0.6015661321074521),
-            (6, 1, 0.63185691584706, 0.8715752577666289, 211.20746254220873, 210.51903700056263, 1.3768510832922027, 0.6846999984168228, 0.6015661321074521),
-            (7, 1, 0.7890621483939512, 0.7739766466093482, 143.90167988826113, 143.16605952498793, 1.4712407265463807, 0.5735356764048652, 0.6015661321074521),
         ],
     ),
 }

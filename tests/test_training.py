@@ -313,15 +313,6 @@ class TestRunTraining:
         assert len(result.state.history) == 12
         assert result.state.skipped_batches == 3
 
-    @pytest.mark.parametrize("reference, warns", [(2.0, True), (0.5, False)])
-    def test_unreachable_fixed_reference_on_the_unit_sphere_warns(self, caplog, reference, warns):
-        ds = synth_gaussian_dataset(6, 8, 5, seed=1)
-        config = small_config(epochs=1, normalize_embeddings=True, fixed_reference_distance=reference)
-        with caplog.at_level("WARNING", logger="hardmetric.training"):
-            run_training(ds, config)
-        warnings = [r.getMessage() for r in caplog.records if "never more than 2 apart" in r.getMessage()]
-        assert len(warnings) == (1 if warns else 0)
-
     def test_alpha_zero_keeps_lambda_at_one_and_tuples_unhardened(self):
         ds = synth_gaussian_dataset(6, 8, 5, seed=1)
         config = small_config(alpha=0.0, epochs=3, batch_size=12)
