@@ -247,12 +247,16 @@ def test_sizes_memory_cannot_hold_exit_one_with_a_message(tmp_path, small_datase
         ("train_fraction = 0.1\n", "triplets need at least 2 classes, got 1"),
         ("loss_kind = triplet\nnpair_n = 1\nepochs = 0\n", "npair_n must be at least 2"),
         ("margin = -1\n", "margin must be nonnegative"),
+        # a removed setting, whatever the rest of the run would have done with it
+        ("fixed_reference_distance = 0\nepochs = 0\n", "unknown config key 'fixed_reference_distance'"),
+        ("fixed_reference_distance = -1\nsynthetics = false\n", "unknown config key 'fixed_reference_distance'"),
         ("seed = -1\n", "seed must be nonnegative, got -1"),
         ("split_seed = -1\n", "split_seed must be nonnegative, got -1"),
     ],
     ids=[
         "gen-hidden-negative", "recall-k-too-large", "npair-more-than-classes", "npair-batch-too-small",
-        "triplet-batch-of-two", "triplet-one-class", "npair-n-one-unused", "margin-negative", "seed-negative", "split-seed-negative",
+        "triplet-batch-of-two", "triplet-one-class", "npair-n-one-unused", "margin-negative", "fixed-reference-zero-unused",
+        "fixed-reference-negative-no-synthetics", "seed-negative", "split-seed-negative",
     ],
 )
 def test_config_that_cannot_run_exits_one_before_training(tmp_path, capsys, config_text, message):

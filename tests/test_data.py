@@ -749,6 +749,20 @@ class TestConfigParsing:
             ("eval_every = -1", "eval_every"),
             ("margin = -1", "margin"),
             ("npair_n = 1", "npair_n"),
+            # a removed setting is refused by name whatever its value, as an unknown key
+            ("fixed_reference_distance = 0", "fixed_reference_distance"),
+            ("fixed_reference_distance = -1", "fixed_reference_distance"),
+            ("fixed_reference_distance = nan", "fixed_reference_distance"),
+            ("loss_kind = contrastive", "loss_kind must be 'triplet' or 'npair', got 'contrastive'"),
+            ("alpha = -1", "alpha must be nonnegative"),
+            ("beta = 0", "beta must be positive"),
+            ("lambda_balance = -1", "lambda_balance must be nonnegative"),
+            ("learning_rate = 0", "learning_rate must be positive"),
+            ("fc_lr_multiplier = 0", "fc_lr_multiplier must be positive"),
+            ("embed_dim = 0", "embed_dim must be positive"),
+            ("batch_size = 1", "batch_size must be at least 2, got 1"),
+            ("epochs = -1", "epochs must be nonnegative"),
+            ("hidden_dims = 8,0", "hidden_dims must be positive, got 0"),
             ("alpha = nan", "alpha"),
             ("beta = nan", "beta"),
             ("lambda_balance = nan", "lambda_balance"),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from test_evaluation import _traced_peak
@@ -171,6 +173,28 @@ class TestCheckpoint:
         save_checkpoint(path, Models(embedder))
         models, _ = load_checkpoint(path)
         assert models.generator is None and models.classifier is None
+
+    @pytest.mark.parametrize("entry", [None, False, True], ids=["missing", "false", "true"])
+    def test_normalize_embeddings_entry_of_older_checkpoints(self, tmp_path, entry):
+        embedder = init_embedder(3, hidden_dims=(4,), embed_dim=2, rng=np.random.default_rng(0))
+        written = tmp_path / "written.npz"
+        save_checkpoint(written, Models(embedder))
+        with np.load(written) as npz:
+            arrays = dict(npz)
+        doc = json.loads(str(arrays["meta_json"]))
+        assert "normalize_embeddings" not in doc
+        if entry is not None:
+            doc["normalize_embeddings"] = entry
+        arrays["meta_json"] = np.asarray(json.dumps(doc))
+        path = tmp_path / "older.npz"
+        np.savez(path, **arrays)
+        if entry:
+            with pytest.raises(InputError, match="normalize_embeddings = true, and normalized embedders are not supported"):
+                load_checkpoint(path)
+            return
+        models, _ = load_checkpoint(path)
+        for orig, loaded in zip(embedder.extractor + [embedder.projector], models.embedder.extractor + [models.embedder.projector]):
+            assert same_bits(orig.weight, loaded.weight) and same_bits(orig.bias, loaded.bias)
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"
