@@ -62,7 +62,10 @@ def save_checkpoint(path, models: Models, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Models, dict]:
-    """Read a checkpoint as (models, meta); a file that is not a readable one raises InputError."""
+    """Read a checkpoint as (models, meta); a file that is not a readable one raises InputError.
+
+    A well-formed checkpoint that cannot be scored (another format version, a normalized embedder)
+    is refused with its own reason; only a file whose contents do not parse is called damaged."""
     with open(path, "rb") as fh:  # np.load leaks its own handle when the zip is damaged
         try:
             archive = np.load(fh, allow_pickle=False)
@@ -73,6 +76,8 @@ def load_checkpoint(path) -> tuple[Models, dict]:
         try:
             with archive as npz:
                 return _read_models(npz)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
         except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
             raise InputError(f"{path} is a damaged checkpoint: {exc}") from None
 

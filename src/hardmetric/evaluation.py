@@ -9,25 +9,31 @@ index).
 Ranking and clustering are defined on explicit-difference distances,
 sqrt(sum((a - b)**2)), the arithmetic of `embedder.pairwise_distances`.
 Within each query row they are compared as |b|^2 - 2a.b, from matrix
-products over row blocks of bounded size, which is off by at most a known
-rounding bound; only the pairs that bound cannot order are recomputed from
-explicit differences, so every result is bitwise the one the explicit
-definition gives. No (n, n) or (n, k) matrix is ever held.
+products over row blocks (k-means) or square tiles (Recall@K) of bounded
+size, which is off by at most a known rounding bound; only the pairs that
+bound cannot order are recomputed from explicit differences, so every
+result is bitwise the one the explicit definition gives. No (n, n) or
+(n, k) matrix is ever held.
 
 Recall@K rests on one integer per query, the rank of its nearest
-same-label point, so its work and memory do not depend on K. Labels may be
-integers, floats or strings that sort into classes; NaN is refused, because
-it matches no label, not even itself.
+same-label point, so its work and memory do not depend on K. It computes
+each Gram entry of a pair once, in one sweep over the upper triangle of
+tiles, and `evaluate_embeddings` runs it on a worker thread beside k-means
+where it spans more than one tile and more than one CPU is usable. Labels
+may be integers, floats or strings that sort into classes; NaN is refused,
+because it matches no label, not even itself.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_rows
+from . import data
 from .errors import InputError, NumericalError, check_nonnegative, check_positive
 from .nn import as_int64, as_matrix
 
@@ -35,7 +41,7 @@ _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 # a Gram entry or explicit squared distance is at most 2(|a|^2 + |b|^2): finite below this
 _MAX_SQUARED_NORM = np.finfo(np.float64).max / 16
-_BLOCK = 1 << 16  # float64 elements per temporary: a block of Gram rows or of explicit differences
+_BLOCK = 1 << 16  # float64 elements per temporary: a block of Gram rows, a Gram tile or explicit differences
 KMEANS_MAX_ITER = 300
 
 
@@ -46,6 +52,11 @@ def _squared_norms(points: np.ndarray) -> np.ndarray:
     if bad.size:
         raise NumericalError(f"embedding row {bad[0]} has squared norm {sq[bad[0]]}; its distances are not finite")
     return sq
+
+
+def _tile_side() -> int:
+    """Rows and columns of a square Gram tile of at most _BLOCK entries."""
+    return max(1, math.isqrt(_BLOCK))
 
 
 def _slack(d: int, sq_a, top):
@@ -62,6 +73,15 @@ def _gram_blocks(a, sq_a, b, sq_b):
     squared distance is left out: it shifts a whole row of g equally, so no
     argmin, K-th value or gap within a row changes. The slack takes max|b|^2
     over all of b.
+
+    The bound holds however the product is split, into these row blocks,
+    the square tiles of `_gram_tiles` or the class stacks of
+    `_nearest_same_label`, since it holds in any summation order. It also
+    covers the transposed use of a tile in `recall_at_k`: entry (i, j) of
+    z_I.(-2 z_J)^T plus |z_i|^2 is the value of row z_j against column z_i,
+    a dot product of the same two rows summed in another order plus a
+    column's squared norm, so the slack of row z_j covers it. Recall@K
+    takes max|b|^2 over all points for every one of its products.
 
     Why 4(d+2) eps S, with S = |a_i|^2 + max|b|^2 and u = eps/2: a d-term dot
     product or squared norm is off by at most d u times the sum of its term
@@ -265,6 +285,68 @@ def check_ks(name: str, ks, n: int | None = None) -> list[int]:
     return ks
 
 
+def _nearest_same_label(z, sq, cls, slack):
+    """Pass 1 of `recall_at_k`: each query's nearest same-label point, first by (distance, index).
+
+    Returns (nearest, star, low, high): its explicit distance and index, and the band of 2s around
+    its explicit squared distance less |a|^2. A query without a same-label point keeps index -1 and
+    the empty band low = high = -inf. Whole classes are taken together, grouped by size, so that a
+    chunk of classes of one size is one stack of square Gram blocks of at most _BLOCK entries, class
+    against class; a class larger than that is taken in blocks of its rows.
+    """
+    n = len(z)
+    nearest, star = np.full(n, np.inf), np.full(n, -1)
+    low, high = np.full(n, -np.inf), np.full(n, -np.inf)
+    counts = np.bincount(cls)
+    order = np.lexsort((cls, counts[cls]))  # by class size, then class, then index
+    size = counts[cls[order]]
+    start = 0
+    while start < n:
+        s = int(size[start])
+        stop = min(start + s * max(1, _BLOCK // (s * s)), np.searchsorted(size, s, "right"))
+        stack = order[start:stop].reshape(-1, s)
+        a, sq_stack = z[stack], sq[stack][:, None, :]
+        b = np.multiply(a.transpose(0, 2, 1), -2.0, order="C")
+        step = max(1, _BLOCK // (len(stack) * s))
+        for lo in range(0, s, step):
+            hi = min(lo + step, s)
+            g = a[:, lo:hi] @ b
+            g += sq_stack
+            g[:, np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            # the nearest same-label point, first by (distance, index), lies within 2s of the row's same-label
+            # Gram minimum; a query alone in its class finds only itself there, at inf, and stays a miss
+            least = g.min(axis=2)
+            cap = np.where(least < np.inf, least + 2.0 * slack[stack[:, lo:hi]], -np.inf)
+            c, row, col = np.unravel_index(np.flatnonzero(g <= cap[..., None]), g.shape)
+            query, col = stack[c, lo + row], stack[c, col]
+            sq_dist = _pair_sqdist(z, query, z, col)
+            dist = np.sqrt(sq_dist)
+            first = np.lexsort((col, dist, query))
+            first = first[np.unique(query[first], return_index=True)[1]]
+            hit = query[first]
+            nearest[hit], star[hit] = dist[first], col[first]
+            centre, band = sq_dist[first] - sq[hit], 2.0 * slack[hit]
+            low[hit], high[hit] = centre - band, centre + band
+        start = stop
+    return nearest, star, low, high
+
+
+def _gram_tiles(z):
+    """Yields (i, j, g) over the upper triangle of square tiles of at most _BLOCK entries:
+    g = z[i] @ (-2 z[j]).T for row slices i and j, i at or before j, every pair of slices once.
+    The rows i against the columns j read g + |z_j|^2; the rows j against the columns i read
+    g.T + |z_i|^2, a product of the same two rows in another order, which `_gram_blocks`' slack
+    covers. Each g is one buffer, written over by the next tile."""
+    n, side = len(z), _tile_side()
+    b = -2.0 * z
+    buffer = np.empty(min(n, side) ** 2)
+    for i in range(0, n, side):
+        for j in range(i, n, side):
+            rows, cols = z[i : i + side], b[j : j + side]
+            g = buffer[: len(rows) * len(cols)].reshape(len(rows), len(cols))
+            yield slice(i, i + side), slice(j, j + side), np.matmul(rows, cols.T, out=g)
+
+
 def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
     """Fraction of queries with a same-label point among their K nearest.
 
@@ -273,61 +355,63 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
     Each query is reduced to first_hit, the number of points ranked before
     its nearest same-label point, so Recall@K is the share of queries with
     first_hit < K, for every K at once; a query without a same-label point
-    is never a hit. Distances are explicit differences for the query's
-    nearest same-label points and for the points the Gram matrix cannot
-    place before or after them; all other points are counted from the Gram
-    matrix alone.
+    is never a hit.
+
+    Pass 1 (`_nearest_same_label`) finds each query's nearest same-label
+    point from explicit differences, and the band of 2s around its squared
+    distance. Pass 2 sweeps the upper triangle of Gram tiles
+    (`_gram_tiles`) once: each tile counts, for the rows of one side against
+    the columns of the other and, off the diagonal, the other way round too,
+    the points whose Gram value lies below the band (strictly closer) and
+    those up to its top. A row whose band holds more than its nearest
+    same-label point is counted again from one row block of Gram values,
+    with explicit distances for the other-label points in its band, ordered
+    by (distance, index) against that point.
     """
     z = as_matrix(embeddings, "embeddings")
     n = z.shape[0]
     labels = _checked_labels(labels, n)
     ks = check_ks("ks", ks, n)
     sq = _squared_norms(z)
-    # the columns in class order, stable, so that each query's same-label columns are one slice lo:lo + size
-    _, cls, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    order = np.argsort(cls, kind="stable")
-    lo, size = (np.cumsum(counts) - counts)[cls], counts[cls]
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
+    slack = _slack(z.shape[1], sq, sq.max())
+    _, cls = np.unique(labels, return_inverse=True)
+    nearest, star, low, high = _nearest_same_label(z, sq, cls, slack)
+    # a Gram value more than 2s below (above) the nearest one's explicit d^2, less |a|^2, is a point strictly
+    # closer (farther); no same-label point is closer, and a row without one counts nothing. Per query, count
+    # the values below its band (closer) and up to its top (upto); only values up to a top are taken one by one
+    closer, upto = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    for i, j, g in _gram_tiles(z):
+        if j != i:  # the rows j against the columns i, from the same products
+            t = g + sq[i, None]
+            near = np.flatnonzero(t <= high[j])
+            query = near % t.shape[1]
+            closer[j] += np.bincount(query[t.ravel()[near] < low[j][query]], minlength=t.shape[1])
+            upto[j] += np.bincount(query, minlength=t.shape[1])
+        g += sq[j]
+        if j == i:
+            np.fill_diagonal(g, np.inf)
+        near = np.flatnonzero(g <= high[i, None])
+        query = near // g.shape[1]
+        closer[i] += np.bincount(query[g.ravel()[near] < low[i][query]], minlength=g.shape[0])
+        upto[i] += np.bincount(query, minlength=g.shape[0])
+    # a row whose band holds more than its nearest same-label point is counted again, from one set of Gram
+    # values, with explicit distances for the other-label points in its band, ordered by (distance, index)
+    unsure = np.flatnonzero(upto - closer > 1)
+    if unsure.size:
+        for start, stop, g, _ in _gram_blocks(z[unsure], sq[unsure], z, sq):
+            rows = unsure[start:stop]
+            g[np.arange(stop - start), rows] = np.inf
+            below, above = low[rows, None], high[rows, None]
+            local, col = np.nonzero((g >= below) & (g <= above))
+            query = rows[local]
+            other = cls[col] != cls[query]
+            local, query, col = local[other], query[other], col[other]
+            dist = np.sqrt(_pair_sqdist(z, query, z, col))
+            ahead = (dist < nearest[query]) | ((dist == nearest[query]) & (col < star[query]))
+            closer[rows] = np.count_nonzero(g < below, axis=1) + np.bincount(local[ahead], minlength=stop - start)
     first_hit = np.full(n, n)
-    for start, stop, g, slack in _gram_blocks(z, sq, z[order], sq[order]):
-        m = stop - start
-        g[np.arange(m), column[start:stop]] = np.inf
-        # the nearest same-label point, first by (distance, index), lies within 2s of the row's same-label
-        # Gram minimum; a query alone in its class finds only itself there, at inf, and stays a miss
-        width = size[start:stop]
-        offset = np.cumsum(width) - width
-        flat = np.repeat(np.arange(m) * n + lo[start:stop] - offset, width) + np.arange(width.sum())
-        near = np.take(g, flat)
-        least = np.minimum.reduceat(near, offset)
-        cap = np.where(least < np.inf, least + 2.0 * slack, -np.inf)
-        query, col = np.divmod(flat[near <= np.repeat(cap, width)], n)
-        sq_dist = _pair_sqdist(z, start + query, z, order[col])
-        dist = np.sqrt(sq_dist)
-        first = np.lexsort((order[col], dist, query))
-        hit, at = np.unique(query[first], return_index=True)
-        first = first[at]
-        nearest, star = np.empty(m), np.empty(m, dtype=np.intp)
-        nearest[hit], star[hit] = dist[first], order[col[first]]
-        # a Gram value more than 2s below (above) the nearest one's explicit d^2, less |a|^2, is a point
-        # strictly closer (farther); no same-label point is closer, and a row without one counts nothing
-        low, high = np.full(m, -np.inf), np.full(m, -np.inf)
-        centre, band = sq_dist[first] - sq[start + hit], 2.0 * slack[hit]
-        low[hit], high[hit] = centre - band, centre + band
-        closer = np.count_nonzero(g < low[:, None], axis=1)
-        # only a row whose band holds more than its nearest same-label point takes explicit distances,
-        # for the other-label points in the band, ordered by (distance, index) against that point
-        unsure = np.flatnonzero(np.count_nonzero(g <= high[:, None], axis=1) - closer > 1)
-        if unsure.size:
-            part = g[unsure]
-            query, col = np.divmod(np.flatnonzero((part >= low[unsure, None]) & (part <= high[unsure, None])), n)
-            query = unsure[query]
-            other = (col < lo[start + query]) | (col >= lo[start + query] + size[start + query])
-            query, col = query[other], col[other]
-            dist = np.sqrt(_pair_sqdist(z, start + query, z, order[col]))
-            ahead = (dist < nearest[query]) | ((dist == nearest[query]) & (order[col] < star[query]))
-            closer += np.bincount(query[ahead], minlength=m)
-        first_hit[start + hit] = closer[hit]
+    hit = star >= 0
+    first_hit[hit] = closer[hit]
     return {k: float((first_hit < k).mean()) for k in ks}
 
 
@@ -352,17 +436,45 @@ class EvalReport:
 
 
 def evaluate_embeddings(embeddings, labels, ks=(1, 2, 4, 8), kmeans_seed: int = 0) -> EvalReport:
-    """Cluster into as many groups as there are true classes, then score."""
+    """Cluster into as many groups as there are true classes, then score.
+
+    Where the Recall@K sweep has more than one tile and more than one CPU is
+    usable (the rule of `data.write_rows`), `recall_at_k` runs on one worker
+    thread while this thread clusters and scores the clusters; otherwise it
+    runs here, after them. The worker is joined on every exit, and an
+    exception it raised is raised here. The report is the same either way.
+    """
     z = as_matrix(embeddings, "embeddings")
     # both checks come before the clustering, which bad labels or a bad K would waste
     labels = _checked_labels(labels, z.shape[0])
     ks = check_ks("ks", ks, z.shape[0])
     classes = np.unique(labels)
-    assignment = kmeans(z, len(classes), seed=kmeans_seed)
+    retrieval = {}
+
+    def score_retrieval():
+        try:
+            retrieval["recall"] = recall_at_k(z, labels, ks)
+        except BaseException as exc:  # raised again in the calling thread
+            retrieval["error"] = exc
+
+    worker = None
+    if z.shape[0] > _tile_side() and data._usable_cpus() > 1:
+        worker = threading.Thread(target=score_retrieval, name="hardmetric-recall")
+        worker.start()
+    try:
+        assignment = kmeans(z, len(classes), seed=kmeans_seed)
+        scores = nmi(assignment, labels), pairwise_f1(assignment, labels)
+    finally:
+        if worker is not None:
+            worker.join()
+    if worker is None:
+        score_retrieval()
+    if "error" in retrieval:
+        raise retrieval["error"]
     return EvalReport(
-        nmi=nmi(assignment, labels),
-        f1=pairwise_f1(assignment, labels),
-        recall_at=recall_at_k(z, labels, ks),
+        nmi=scores[0],
+        f1=scores[1],
+        recall_at=retrieval["recall"],
         num_test_points=z.shape[0],
         num_test_classes=len(classes),
     )
@@ -385,4 +497,4 @@ def export_embeddings_csv(path, sample_ids, labels, embeddings) -> None:
     header = "sample_id,label," + ",".join(f"z_{i}" for i in range(z.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        write_rows(fh, [sample_ids, labels], z)
+        data.write_rows(fh, [sample_ids, labels], z)

@@ -1,4 +1,5 @@
 import os
+import threading
 
 import pytest
 
@@ -14,3 +15,13 @@ def no_child_process_left():
     except ChildProcessError:  # no child at all
         return
     pytest.fail(f"the test left a child process behind ({f'pid {pid}, exited' if pid else 'still running'})")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fails a test that leaves a thread running that was not running before it."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    if left:
+        pytest.fail(f"the test left threads running: {left}")

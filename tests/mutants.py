@@ -47,7 +47,9 @@ _SINGLES = "tests/test_cli.py::test_one_sample_per_class_exits_one_before_traini
 _UNCAST_K = "tests/test_evaluation.py::TestRecallAtK::test_k_the_integer_cast_would_change_rejected"
 _EXACT = "tests/test_evaluation.py::TestGramExactness"
 _RECALL_EXACT = f"{_EXACT}::test_recall_equals_the_explicit_argsort"
-_RECALL_BLOCKS = f"{_EXACT}AcrossBlocks::test_recall_equals_the_explicit_argsort"
+_RECALL_TILES = f"{_EXACT}AcrossTiles::test_recall_equals_the_explicit_argsort"
+_SAME_REPORT = "tests/test_evaluation.py::test_report_on_one_usable_cpu_is_the_report_on_two"
+_WORKER_RAISES = "tests/test_evaluation.py::test_non_finite_row_raises_through_the_worker_thread"
 _EXPORT_BYTES = "tests/test_evaluation.py::TestReportAndExport::test_embeddings_csv_matches_the_per_value_formatter"
 _RELU_MASK = "tests/test_nn.py::TestDenseBackward::test_relu_mask_through_the_forward_pass_is_pre_greater_than_zero"
 _BY_HAND = "test_gradients_equal_dense_backward_chained_by_hand"
@@ -229,12 +231,12 @@ MUTANTS = [
     Mutant(
         "the Gram block scales by -2 twice", "evaluation.py",
         "        g += sq_b\n", "        g *= -2.0\n        g += sq_b\n",
-        (f"{_RECALL_EXACT}[gaussian]", f"{_EXACT}::test_kmeans_equals_the_explicit_assignment[gaussian]"),
+        (f"{_RECALL_EXACT}[tie-heavy-grid]", f"{_EXACT}::test_kmeans_equals_the_explicit_assignment[gaussian]"),
     ),
     Mutant(
-        "Recall@K breaks an exact tie by class-order position, not by sample index", "evaluation.py",
-        "(dist == nearest[query]) & (order[col] < star[query])", "(dist == nearest[query]) & (col < column[star[query]])",
-        (f"{_RECALL_EXACT}[tied-across-labels]", f"{_RECALL_BLOCKS}[tied-across-labels-13-row-blocks]"),
+        "Recall@K breaks an exact tie toward the higher sample index", "evaluation.py",
+        "(dist == nearest[query]) & (col < star[query])", "(dist == nearest[query]) & (col > star[query])",
+        (f"{_RECALL_EXACT}[tied-across-labels]", f"{_RECALL_TILES}[tied-across-labels-tiles-of-13]"),
     ),
     Mutant(
         "Recall@K counts from the Gram values alone, with no band left to explicit distances", "evaluation.py",
@@ -242,18 +244,38 @@ MUTANTS = [
         (
             "tests/test_evaluation.py::TestRecallAtK::test_two_tight_pairs",
             f"{_RECALL_EXACT}[large-offset]",
-            f"{_RECALL_BLOCKS}[far-blobs-one-row-blocks]",
+            f"{_RECALL_TILES}[far-blobs-tiles-of-1]",
         ),
     ),
     Mutant(
         "Recall@K scores a query without a same-label point as a hit", "evaluation.py",
         "first_hit = np.full(n, n)", "first_hit = np.zeros(n, dtype=int)",
-        (f"{_RECALL_EXACT}[singleton-classes]", f"{_RECALL_BLOCKS}[singleton-classes-13-row-blocks]"),
+        (f"{_RECALL_EXACT}[singleton-classes]", f"{_RECALL_TILES}[singleton-classes-tiles-of-13]"),
     ),
     Mutant(
         "Recall@K takes the nearest same-label point from the Gram minimum alone, without the slack", "evaluation.py",
-        "least + 2.0 * slack, -np.inf)", "least, -np.inf)",
-        (f"{_RECALL_EXACT}[far-blobs]", f"{_RECALL_BLOCKS}[tied-stars-one-row-blocks]"),
+        "least + 2.0 * slack[stack[:, lo:hi]], -np.inf)", "least, -np.inf)",
+        (f"{_RECALL_EXACT}[far-blobs]", f"{_RECALL_TILES}[tied-stars-tiles-of-1]"),
+    ),
+    Mutant(
+        "the transposed count of a Gram tile reads the row side's thresholds", "evaluation.py",
+        "near = np.flatnonzero(t <= high[j])", "near = np.flatnonzero(t <= high[i])",
+        (f"{_RECALL_TILES}[gaussian-tiles-of-13]", f"{_RECALL_TILES}[scattered-labels-tiles-of-1]", _SAME_REPORT),
+    ),
+    Mutant(
+        "a diagonal Gram tile counts the query itself", "evaluation.py",
+        "            np.fill_diagonal(g, np.inf)\n", "            pass\n",
+        (f"{_RECALL_EXACT}[gaussian]", f"{_RECALL_TILES}[string-labels-tiles-of-13]"),
+    ),
+    Mutant(
+        "the tile sweep skips the short last tile", "evaluation.py",
+        "for j in range(i, n, side):", "for j in range(i, n - n % side, side):",
+        (f"{_RECALL_TILES}[gaussian-tiles-of-13]", f"{_RECALL_TILES}[far-blobs-tiles-of-13]", _SAME_REPORT),
+    ),
+    Mutant(
+        "the Recall@K worker's exception is dropped", "evaluation.py",
+        '    if "error" in retrieval:\n        raise retrieval["error"]\n', "",
+        (f"{_WORKER_RAISES}[nan-stubbed]", f"{_WORKER_RAISES}[overflow-stubbed]"),
     ),
     Mutant(
         "evaluation takes NaN labels", "evaluation.py",

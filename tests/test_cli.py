@@ -522,6 +522,23 @@ def test_checkpoint_of_a_normalized_embedder_is_refused(tmp_path, small_dataset,
     assert run_cli("eval", "--checkpoint", str(path), "--data", str(small_dataset), "--out-dir", str(tmp_path / "eval")) == code
     err = capsys.readouterr().err
     assert ("normalize_embeddings = true, and normalized embedders are not supported" in err) == (code == 1)
+    # a well-formed checkpoint that cannot be scored is refused for its reason, not called damaged
+    assert "damaged" not in err
+    if code == 1:
+        assert err.startswith(f"error: {path}: ")
+
+
+def test_checkpoint_of_another_format_version_is_refused(tmp_path, small_dataset, capsys):
+    with np.load(_bare_checkpoint(tmp_path)) as npz:
+        arrays = dict(npz)
+    arrays["format_version"] = np.asarray(2)
+    path = tmp_path / "version-2.npz"
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", str(path), "--data", str(small_dataset), "--out-dir", str(tmp_path / "eval")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: unsupported format version 2")
+    assert "damaged" not in err
 
 
 def test_eval_of_a_checkpoint_with_a_nan_weight_exits_two(tmp_path, small_dataset, capsys):

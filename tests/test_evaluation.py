@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -516,19 +517,43 @@ class _BlockSpy:
         assert set(self.sizes) <= {self.rows, n % self.rows} and self.sizes.count(self.rows) >= n // self.rows
 
 
+class _TileSpy:
+    """Forces square Gram tiles of `side` rows and columns and records every tile served."""
+
+    def __init__(self, monkeypatch, side):
+        self.side, self.tiles = side, []
+        self._inner = evaluation._gram_tiles
+        monkeypatch.setattr(evaluation, "_BLOCK", side * side)
+        monkeypatch.setattr(evaluation, "_gram_tiles", self)
+
+    def __call__(self, z):
+        for i, j, g in self._inner(z):
+            self.tiles.append((i.start, j.start, g.shape))
+            yield i, j, g
+
+    def assert_swept(self, n):
+        # every unordered pair of row slices once, in order: diagonal tiles, transposed ones and short last ones
+        starts = range(0, n, self.side)
+        shape = {i: min(self.side, n - i) for i in starts}
+        assert self.tiles == [(i, j, (shape[i], shape[j])) for i in starts for j in starts if i <= j]
+
+
+@pytest.mark.parametrize("side", [1, 13], ids=["tiles-of-1", "tiles-of-13"])
+@pytest.mark.parametrize("case", list(_exactness_cases()))
+class TestGramExactnessAcrossTiles:
+    def test_recall_equals_the_explicit_argsort(self, case, side, monkeypatch):
+        z, labels = _exactness_cases()[case]
+        assert len(z) % 13, "tiles of 13 must leave a short last tile"
+        tiles, spy = _TileSpy(monkeypatch, side), _PairSpy(monkeypatch)
+        ks = [1, 2, 4, 8]
+        assert recall_at_k(z, labels, ks) == recall_reference(z, labels, ks)
+        tiles.assert_swept(len(z))
+        _assert_ties_explicit_and_every_k_exact(z, labels, spy, case)
+
+
 @pytest.mark.parametrize("rows", [1, 13], ids=["one-row-blocks", "13-row-blocks"])
 @pytest.mark.parametrize("case", list(_exactness_cases()))
 class TestGramExactnessAcrossBlocks:
-    def test_recall_equals_the_explicit_argsort(self, case, rows, monkeypatch):
-        z, labels = _exactness_cases()[case]
-        assert len(z) % 13, "13-row blocks must leave a short last block"
-        blocks, spy = _BlockSpy(monkeypatch, rows), _PairSpy(monkeypatch)
-        blocks.width(len(z))
-        ks = [1, 2, 4, 8]
-        assert recall_at_k(z, labels, ks) == recall_reference(z, labels, ks)
-        _assert_ties_explicit_and_every_k_exact(z, labels, spy, case)
-        blocks.assert_blocked(len(z))
-
     def test_kmeans_equals_the_explicit_assignment(self, case, rows, monkeypatch):
         z, labels = _exactness_cases()[case]
         blocks, spy = _BlockSpy(monkeypatch, rows), _PairSpy(monkeypatch)
@@ -625,6 +650,62 @@ def test_kmeans_memory_stays_bounded_with_many_clusters():
     rng = np.random.default_rng(15)
     pts = np.repeat(rng.uniform(0.0, 1e3, size=(1000, 8)), 3, axis=0) + rng.normal(scale=1e-3, size=(3000, 8))
     assert _traced_peak(lambda: kmeans(pts, 1000, seed=0)) < 16 * 2**20
+
+
+def _recall_threads(monkeypatch):
+    """Records the thread that runs each `recall_at_k` call of `evaluate_embeddings`."""
+    threads, inner = [], evaluation.recall_at_k
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return inner(*args)
+
+    monkeypatch.setattr(evaluation, "recall_at_k", spy)
+    return threads
+
+
+def _blobs_of_600(seed):
+    # 600 points: three tile sides of 256, so with two usable CPUs Recall@K runs on a worker thread. The
+    # classes overlap, so that most queries rank points of other classes first, in every tile
+    rng = np.random.default_rng(seed)
+    labels = np.arange(600) % 12
+    return 0.5 * rng.normal(size=(12, 8))[labels] + rng.normal(size=(600, 8)), labels
+
+
+def test_report_on_one_usable_cpu_is_the_report_on_two(monkeypatch):
+    z, labels = _blobs_of_600(19)
+    threads = _recall_threads(monkeypatch)
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(data, "_usable_cpus", lambda cpus=cpus: cpus)
+        reports.append(evaluate_embeddings(z, labels, ks=(1, 2, 4, 8)))
+    assert threads[0] is threading.main_thread() and threads[1] is not threading.main_thread()
+    assert reports[0] == reports[1]
+    assert reports[1].recall_at == recall_reference(z, labels, (1, 2, 4, 8))
+    assert reports[1].nmi == nmi(kmeans(z, 12, seed=0), labels)
+
+
+def test_one_tile_takes_no_worker_thread(monkeypatch):
+    z, labels = _blobs_of_600(20)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    threads = _recall_threads(monkeypatch)
+    evaluate_embeddings(z[:256], labels[:256])
+    assert threads == [threading.main_thread()]
+
+
+@pytest.mark.parametrize("clustering", ["stubbed", "raises-too"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+def test_non_finite_row_raises_through_the_worker_thread(monkeypatch, value, clustering):
+    z, labels = _blobs_of_600(21)
+    z[17, 2] = value
+    z[300, 0] = value
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    if clustering == "stubbed":  # only the worker meets the row; otherwise k-means raises too, and the worker is joined
+        monkeypatch.setattr(evaluation, "kmeans", lambda points, k, seed: np.arange(len(points)) % k)
+    threads = _recall_threads(monkeypatch)
+    with pytest.raises(NumericalError, match="row 17 "):
+        evaluate_embeddings(z, labels)
+    assert threads and threads[0] is not threading.main_thread()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "overflow"])
