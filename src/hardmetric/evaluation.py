@@ -306,7 +306,7 @@ def _nearest_same_label(z, sq, cls, slack):
         stop = min(start + s * max(1, _BLOCK // (s * s)), np.searchsorted(size, s, "right"))
         stack = order[start:stop].reshape(-1, s)
         a, sq_stack = z[stack], sq[stack][:, None, :]
-        b = np.multiply(a.transpose(0, 2, 1), -2.0, order="C")
+        b = np.multiply(a.transpose(0, 2, 1), -2.0, order="C")  # contiguous: a transposed view halves matmul speed
         step = max(1, _BLOCK // (len(stack) * s))
         for lo in range(0, s, step):
             hi = min(lo + step, s)
