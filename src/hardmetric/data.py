@@ -3,9 +3,10 @@
 The on-disk dataset contract is a UTF-8 CSV with header
 `label,f_0,...,f_{d-1}` and one sample per row. Values are written as
 shortest round-trip decimals, so save/load is lossless for 64-bit floats.
-`write_rows`, the one CSV writer, formats blocks of rows in one process per
-usable CPU (forked children besides the caller; the caller alone without
-`os.fork`). Nothing sets that number, and the bytes are those of one process.
+`write_rows`, the one CSV writer, writes UTF-8 bytes with `\n` line ends to a
+binary file, formatting blocks of rows in one process per usable CPU (forked
+children besides the caller; the caller alone without `os.fork`). Nothing
+sets that number, and the bytes are those of one process.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def _header(dim: int) -> str:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(dataset.input_dim) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{_header(dataset.input_dim)}\n".encode())
         write_rows(fh, [dataset.labels], dataset.samples)
 
 
@@ -153,8 +154,8 @@ _OUT_OF_MEMORY = 3  # a worker's exit status after a MemoryError
 
 
 def write_rows(fh, keys, values: np.ndarray) -> None:
-    """Writes one line `k_0,...,v_0,...` per row of `values`: the row's entry of each integer key
-    array, then its values as shortest round-trip decimals.
+    """Writes one line `k_0,...,v_0,...\n` per row of `values` to the binary file `fh`: the row's entry
+    of each integer key array, then its values as shortest round-trip decimals.
 
     Rows go out in blocks of at most _WRITE_BLOCK values (one row at least), one `write` per block,
     in block order, so the Python objects held at a time do not grow with the file. `repr` costs
@@ -193,11 +194,12 @@ def write_rows(fh, keys, values: np.ndarray) -> None:
                 fh.write(_format_block(keys, values, start, rows))
                 continue
             pid, pipe = children[i % workers - 1]
-            text = _receive(pipe)
-            if text is None:
+            block = _receive(pipe)
+            if block is None:
                 ended_early = pid
                 break
-            fh.write(text)
+            fh.write(block)
+            del block  # before the parent formats its next block, so that it holds one block at a time
     finally:
         for _, pipe in children:  # first, so that a child blocked on a full pipe ends
             pipe.close()
@@ -218,22 +220,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _format_block(keys, values: np.ndarray, start: int, rows: int) -> str:
+def _format_block(keys, values: np.ndarray, start: int, rows: int) -> bytes:
     block = slice(start, start + rows)
     prefixes = map(",".join, zip(*(map(str, k[block].tolist()) for k in keys)))
-    return "".join(f"{p}," + ",".join(map(repr, row)) + "\n" for p, row in zip(prefixes, values[block].tolist()))
+    lines = (f"{p}," + ",".join(map(repr, row)) + "\n" for p, row in zip(prefixes, values[block].tolist()))
+    return "".join(lines).encode()
 
 
-def _receive(pipe) -> str | None:
-    """The next block a worker sent, or None when its stream ended first."""
+def _receive(pipe) -> bytes | None:
+    """The next block a worker sent, as it sent it, or None when its stream ended first."""
     head = pipe.read(8)
     size = int.from_bytes(head, "little")
-    text = pipe.read(size)
-    return text.decode() if len(head) == 8 and len(text) == size else None
+    block = pipe.read(size)
+    return block if len(head) == 8 and len(block) == size else None
 
 
 def _format_in_child(fd: int, read_ends, keys, values: np.ndarray, starts, rows: int):
-    """Sends the blocks at `starts` over `fd` as 8-byte little-endian lengths and UTF-8 text, then exits."""
+    """Sends the blocks at `starts` over `fd` as 8-byte little-endian lengths and their bytes, then exits."""
     status = 1
     try:
         gc.disable()  # a collection could finalize, and so flush, an unreachable file object of the parent
@@ -241,9 +244,9 @@ def _format_in_child(fd: int, read_ends, keys, values: np.ndarray, starts, rows:
             os.close(read_end)
         with open(fd, "wb") as pipe:
             for start in starts:
-                text = _format_block(keys, values, start, rows).encode()
-                pipe.write(len(text).to_bytes(8, "little"))
-                pipe.write(text)
+                block = _format_block(keys, values, start, rows)
+                pipe.write(len(block).to_bytes(8, "little"))
+                pipe.write(block)
         status = 0
     except MemoryError:
         status = _OUT_OF_MEMORY

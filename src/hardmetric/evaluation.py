@@ -60,47 +60,35 @@ def _tile_side() -> int:
 
 
 def _slack(d: int, sq_a, top):
-    """The rounding slack s of `_gram_blocks` for rows of squared norm sq_a against columns of at most top."""
+    """The rounding slack s of a Gram value g = |b|^2 - 2a.b in d dimensions, for rows a of squared norm
+    sq_a against columns b of squared norm at most top: for every pair, |g + |a|^2 - explicit| <= s / 2,
+    and two explicit squared distances with equal square roots differ by <= s / 2.
+
+    The bound holds in any split and summation order, so it covers every Gram value here: the row blocks
+    of `_gram_blocks`, k-means++ seeding, the class stacks of `_nearest_same_label` and the tiles of
+    `_gram_tiles`. Entry (i, j) of z_I.(-2 z_J)^T plus |z_i|^2, which `recall_at_k` also reads, is row z_j
+    against column z_i summed in another order, so row z_j's slack, over max|b|^2 of all points, covers it.
+
+    Why 4(d+2) eps S, with S = |a_i|^2 + max|b|^2 and u = eps/2: a d-term dot product or squared norm is
+    off by at most d u times the sum of its term magnitudes, in any summation order. b is scaled by -2
+    once, which is exact, and sum|2 a_k b_k| <= S, so a.(-2b) is off by at most d u S and |b|^2 by d u S;
+    the one addition adds u of at most 2S. So g + |a|^2 is off by at most (2d + 2) u S = (d+1) eps S from
+    the true squared distance D <= 2S. The explicit sum of d rounded squares of rounded differences is off
+    by at most (d+2) u D <= (d+2) eps S. Together: (2d+3) eps S <= s / 2. Square roots that round to one
+    value come from squared values at most 2 eps of their size apart, <= 4 eps S < s / 2. The subnormal
+    term covers products that underflow, which lose up to half the smallest subnormal each. Callers allow
+    2s: a candidate for a query's nearest same-label point in Recall@K needs s for two Gram-to-explicit
+    gaps plus s / 2 for a collapsed square root, a point counted as strictly closer or farther than that
+    point s / 2 for one gap plus s / 2, a k-means row s for two gaps, and the rest covers second-order
+    rounding terms and, where a caller adds a computed |a|^2 back, its d u |a|^2.
+    """
     return 4 * (d + 2) * (_EPS * (sq_a + top) + _SUBNORMAL)
 
 
 def _gram_blocks(a, sq_a, b, sq_b):
-    """Yields (start, stop, g, slack) over row blocks of at most _BLOCK entries:
-    g = |b|^2 - 2a.b for rows start:stop of a against all of b, from one
-    matrix product and one pass, and a per-row slack s such that, for every
-    pair, |g + |a|^2 - explicit| <= s / 2 and two explicit squared distances
-    with equal square roots differ by <= s / 2. The row term |a|^2 of the
-    squared distance is left out: it shifts a whole row of g equally, so no
-    argmin, K-th value or gap within a row changes. The slack takes max|b|^2
-    over all of b.
-
-    The bound holds however the product is split, into these row blocks,
-    the square tiles of `_gram_tiles` or the class stacks of
-    `_nearest_same_label`, since it holds in any summation order. It also
-    covers the transposed use of a tile in `recall_at_k`: entry (i, j) of
-    z_I.(-2 z_J)^T plus |z_i|^2 is the value of row z_j against column z_i,
-    a dot product of the same two rows summed in another order plus a
-    column's squared norm, so the slack of row z_j covers it. Recall@K
-    takes max|b|^2 over all points for every one of its products.
-
-    Why 4(d+2) eps S, with S = |a_i|^2 + max|b|^2 and u = eps/2: a d-term dot
-    product or squared norm is off by at most d u times the sum of its term
-    magnitudes, in any summation order. b is scaled by -2 once, which is
-    exact, and sum|2 a_k b_k| <= S, so a.(-2b) is off by at most d u S and
-    |b|^2 by d u S; the one addition adds u of at most 2S. So g + |a|^2 is
-    off by at most (2d + 2) u S = (d+1) eps S from the true squared distance
-    D <= 2S. The explicit sum of d rounded squares of rounded differences is
-    off by at most (d+2) u D <= (d+2) eps S. Together: (2d+3) eps S <= s / 2.
-    Square roots that round to one value come from squared values at most
-    2 eps of their size apart, <= 4 eps S < s / 2. The subnormal term covers
-    products that underflow, which lose up to half the smallest subnormal
-    each. Callers allow 2s: a candidate for a query's nearest same-label
-    point in Recall@K needs s for two Gram-to-explicit gaps plus s / 2 for a
-    collapsed square root, a point counted as strictly closer or farther
-    than that point s / 2 for one gap plus s / 2, a k-means row s for two
-    gaps, and the rest covers second-order rounding terms and, where a
-    caller adds a computed |a|^2 back, its d u |a|^2.
-    """
+    """Yields (start, stop, g, slack) over row blocks of at most _BLOCK entries: g = |b|^2 - 2a.b for rows
+    start:stop of a against all of b, from one matrix product, and each row's `_slack` over max|b|^2. The
+    row's |a|^2 is left out: it shifts a whole row of g equally, so no argmin or gap within a row changes."""
     step, top = max(1, _BLOCK // len(b)), sq_b.max()
     b = -2.0 * b
     for start in range(0, len(a), step):
@@ -150,35 +138,33 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
         total = d2.sum()
         idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
         centers[c] = pts[idx]
-        # |c|^2 - 2p.c + |p|^2 is within s of the explicit |p - c|^2 (see _gram_blocks; adding the
+        # |c|^2 - 2p.c + |p|^2 is within s of the explicit |p - c|^2 (see _slack; adding the
         # computed |p|^2 back costs far less than the margin), so where it exceeds d2 + 2s the explicit
         # value exceeds d2 and np.minimum keeps d2 bitwise; only the other rows take explicit differences
         near = np.flatnonzero(pts @ (-2.0 * centers[c]) + sq[idx] + sq <= d2 + 2.0 * _slack(d, sq, sq[idx]))
         d2[near] = np.minimum(d2[near], ((pts[near] - centers[c]) ** 2).sum(axis=1))
 
-    assign = None
+    # every row moves in round 1, so every cluster is stale: it gained rows or is empty (-1 marks the last)
+    assign = np.full(n, -1, dtype=np.intp)
     for _ in range(KMEANS_MAX_ITER):
         new_assign = np.empty(n, dtype=np.intp)
         for start, stop, g, slack in _gram_blocks(pts, sq, centers, np.einsum("ij,ij->i", centers, centers)):
             best = g.argmin(axis=1)
             new_assign[start:stop] = best
-            if k > 1:
-                local = np.arange(stop - start)
-                first = g[local, best]
-                g[local, best] = np.inf
-                close = start + np.flatnonzero(g.min(axis=1) - first <= 2.0 * slack)
-                if close.size:
-                    exact = _pair_sqdist(pts, np.repeat(close, k), centers, np.tile(np.arange(k), close.size))
-                    new_assign[close] = exact.reshape(-1, k).argmin(axis=1)
-        if assign is None:
-            stale = np.ones(k, dtype=bool)
-        else:
-            moved = new_assign != assign
-            if not moved.any():
-                break
-            # a cluster whose rows stayed the same keeps its mean bitwise
-            stale = np.zeros(k, dtype=bool)
-            stale[assign[moved]] = stale[new_assign[moved]] = True
+            # the runner-up is the minimum once the best is masked: +inf with one centre, so no row is close
+            local = np.arange(stop - start)
+            first = g[local, best]
+            g[local, best] = np.inf
+            close = start + np.flatnonzero(g.min(axis=1) - first <= 2.0 * slack)
+            if close.size:
+                exact = _pair_sqdist(pts, np.repeat(close, k), centers, np.tile(np.arange(k), close.size))
+                new_assign[close] = exact.reshape(-1, k).argmin(axis=1)
+        moved = new_assign != assign
+        if not moved.any():
+            break
+        # a cluster whose rows stayed the same keeps its mean bitwise
+        stale = np.zeros(k, dtype=bool)
+        stale[assign[moved]] = stale[new_assign[moved]] = True
         assign = new_assign
         counts = np.bincount(assign, minlength=k)
         # an empty cluster moves to each round's worst-fit point, even where no row moved around it
@@ -288,8 +274,8 @@ def check_ks(name: str, ks, n: int | None = None) -> list[int]:
 def _nearest_same_label(z, sq, cls, slack):
     """Pass 1 of `recall_at_k`: each query's nearest same-label point, first by (distance, index).
 
-    Returns (nearest, star, low, high): its explicit distance and index, and the band of 2s around
-    its explicit squared distance less |a|^2. A query without a same-label point keeps index -1 and
+    Returns (nearest, star, low, high): its explicit distance and index, and the band of 2s (`_slack`)
+    around its explicit squared distance less |a|^2. A query without a same-label point keeps index -1 and
     the empty band low = high = -inf. Whole classes are taken together, grouped by size, so that a
     chunk of classes of one size is one stack of square Gram blocks of at most _BLOCK entries, class
     against class; a class larger than that is taken in blocks of its rows.
@@ -335,8 +321,8 @@ def _gram_tiles(z):
     """Yields (i, j, g) over the upper triangle of square tiles of at most _BLOCK entries:
     g = z[i] @ (-2 z[j]).T for row slices i and j, i at or before j, every pair of slices once.
     The rows i against the columns j read g + |z_j|^2; the rows j against the columns i read
-    g.T + |z_i|^2, a product of the same two rows in another order, which `_gram_blocks`' slack
-    covers. Each g is one buffer, written over by the next tile."""
+    g.T + |z_i|^2, a product of the same two rows in another order, which `_slack` covers.
+    Each g is one buffer, written over by the next tile."""
     n, side = len(z), _tile_side()
     b = -2.0 * z
     buffer = np.empty(min(n, side) ** 2)
@@ -347,26 +333,37 @@ def _gram_tiles(z):
             yield slice(i, i + side), slice(j, j + side), np.matmul(rows, cols.T, out=g)
 
 
+def _ahead(z, inside, nearest, star):
+    """Counts, per query, the band entries of `inside` (emptied) whose point comes before the query's
+    nearest same-label point (`nearest`, `star`) by explicit (distance, index). An entry is a tile side's
+    flat positions, query and point starts, tile width and whether its queries are rows. No same-label
+    point comes before the nearest one, so no label is read, and the nearest one takes no difference."""
+    pos, *scalars = zip(*inside)
+    inside.clear()
+    q0, p0, width, by_row = np.repeat(np.array(scalars), [len(p) for p in pos], axis=1)
+    major, minor = np.divmod(np.concatenate(pos), width)
+    query, point = q0 + np.where(by_row, major, minor), p0 + np.where(by_row, minor, major)
+    other = point != star[query]
+    if not other.any():  # as usual, each band held its nearest point alone
+        return 0
+    query, point = query[other], point[other]
+    dist = np.sqrt(_pair_sqdist(z, query, z, point))
+    ahead = (dist < nearest[query]) | ((dist == nearest[query]) & (point < star[query]))
+    return np.bincount(query[ahead], minlength=len(z))
+
+
 def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
     """Fraction of queries with a same-label point among their K nearest.
 
-    The query itself is excluded; remaining distance ties break by ascending
-    sample index (stable sort), which makes duplicate points deterministic.
-    Each query is reduced to first_hit, the number of points ranked before
-    its nearest same-label point, so Recall@K is the share of queries with
-    first_hit < K, for every K at once; a query without a same-label point
-    is never a hit.
+    The query itself is excluded; distance ties break by ascending sample index. Each query is reduced
+    to first_hit, the number of points ranked before its nearest same-label point, so Recall@K is the
+    share of queries with first_hit < K, for every K at once; a query without a same-label point is
+    never a hit.
 
-    Pass 1 (`_nearest_same_label`) finds each query's nearest same-label
-    point from explicit differences, and the band of 2s around its squared
-    distance. Pass 2 sweeps the upper triangle of Gram tiles
-    (`_gram_tiles`) once: each tile counts, for the rows of one side against
-    the columns of the other and, off the diagonal, the other way round too,
-    the points whose Gram value lies below the band (strictly closer) and
-    those up to its top. A row whose band holds more than its nearest
-    same-label point is counted again from one row block of Gram values,
-    with explicit distances for the other-label points in its band, ordered
-    by (distance, index) against that point.
+    Pass 1 (`_nearest_same_label`) finds each query's nearest same-label point from explicit
+    differences, and the band of 2s around its squared distance. Pass 2 sweeps the upper triangle of
+    Gram tiles (`_gram_tiles`) once, each side's rows against the other's columns: it counts the Gram
+    values below each query's band (strictly closer points) and keeps those inside it for `_ahead`.
     """
     z = as_matrix(embeddings, "embeddings")
     n = z.shape[0]
@@ -377,38 +374,30 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
     _, cls = np.unique(labels, return_inverse=True)
     nearest, star, low, high = _nearest_same_label(z, sq, cls, slack)
     # a Gram value more than 2s below (above) the nearest one's explicit d^2, less |a|^2, is a point strictly
-    # closer (farther); no same-label point is closer, and a row without one counts nothing. Per query, count
-    # the values below its band (closer) and up to its top (upto); only values up to a top are taken one by one
-    closer, upto = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    # closer (farther); a row without one counts nothing. Band entries are settled once n are kept
+    closer, inside, kept = np.zeros(n, dtype=np.intp), [], 0
     for i, j, g in _gram_tiles(z):
+        if kept >= n:
+            closer += _ahead(z, inside, nearest, star)
+            kept = 0
         if j != i:  # the rows j against the columns i, from the same products
             t = g + sq[i, None]
             near = np.flatnonzero(t <= high[j])
             query = near % t.shape[1]
-            closer[j] += np.bincount(query[t.ravel()[near] < low[j][query]], minlength=t.shape[1])
-            upto[j] += np.bincount(query, minlength=t.shape[1])
+            below = t.ravel()[near] < low[j][query]
+            closer[j] += np.bincount(query[below], minlength=t.shape[1])
+            inside.append((near[~below], j.start, i.start, t.shape[1], False))
+            kept += len(inside[-1][0])
         g += sq[j]
         if j == i:
             np.fill_diagonal(g, np.inf)
         near = np.flatnonzero(g <= high[i, None])
         query = near // g.shape[1]
-        closer[i] += np.bincount(query[g.ravel()[near] < low[i][query]], minlength=g.shape[0])
-        upto[i] += np.bincount(query, minlength=g.shape[0])
-    # a row whose band holds more than its nearest same-label point is counted again, from one set of Gram
-    # values, with explicit distances for the other-label points in its band, ordered by (distance, index)
-    unsure = np.flatnonzero(upto - closer > 1)
-    if unsure.size:
-        for start, stop, g, _ in _gram_blocks(z[unsure], sq[unsure], z, sq):
-            rows = unsure[start:stop]
-            g[np.arange(stop - start), rows] = np.inf
-            below, above = low[rows, None], high[rows, None]
-            local, col = np.nonzero((g >= below) & (g <= above))
-            query = rows[local]
-            other = cls[col] != cls[query]
-            local, query, col = local[other], query[other], col[other]
-            dist = np.sqrt(_pair_sqdist(z, query, z, col))
-            ahead = (dist < nearest[query]) | ((dist == nearest[query]) & (col < star[query]))
-            closer[rows] = np.count_nonzero(g < below, axis=1) + np.bincount(local[ahead], minlength=stop - start)
+        below = g.ravel()[near] < low[i][query]
+        closer[i] += np.bincount(query[below], minlength=g.shape[0])
+        inside.append((near[~below], i.start, j.start, g.shape[1], True))
+        kept += len(inside[-1][0])
+    closer += _ahead(z, inside, nearest, star)
     first_hit = np.full(n, n)
     hit = star >= 0
     first_hit[hit] = closer[hit]
@@ -495,6 +484,6 @@ def export_embeddings_csv(path, sample_ids, labels, embeddings) -> None:
     sample_ids = np.asarray(sample_ids, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     header = "sample_id,label," + ",".join(f"z_{i}" for i in range(z.shape[1]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
         data.write_rows(fh, [sample_ids, labels], z)

@@ -48,6 +48,7 @@ _UNCAST_K = "tests/test_evaluation.py::TestRecallAtK::test_k_the_integer_cast_wo
 _EXACT = "tests/test_evaluation.py::TestGramExactness"
 _RECALL_EXACT = f"{_EXACT}::test_recall_equals_the_explicit_argsort"
 _RECALL_TILES = f"{_EXACT}AcrossTiles::test_recall_equals_the_explicit_argsort"
+_DUPLICATED = "tests/test_evaluation.py::test_recall_with_every_point_duplicated_under_another_label"
 _SAME_REPORT = "tests/test_evaluation.py::test_report_on_one_usable_cpu_is_the_report_on_two"
 _WORKER_RAISES = "tests/test_evaluation.py::test_non_finite_row_raises_through_the_worker_thread"
 _EXPORT_BYTES = "tests/test_evaluation.py::TestReportAndExport::test_embeddings_csv_matches_the_per_value_formatter"
@@ -216,8 +217,16 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "the first k-means++ centre is drawn by weight", "evaluation.py",
+        "    centers[0] = pts[rng.integers(n)]\n", "    centers[0] = pts[rng.choice(n, p=sq / sq.sum())]\n",
+        (
+            f"{_EXACT}::test_kmeans_equals_the_explicit_assignment[gaussian]",
+            "tests/test_evaluation.py::test_kmeans_with_k_close_to_n_matches_the_reference",
+        ),
+    ),
+    Mutant(
         "the best-two test leaves the best centre in place", "evaluation.py",
-        "                g[local, best] = np.inf\n", "",
+        "            g[local, best] = np.inf\n", "",
         ("tests/test_evaluation.py::test_kmeans_takes_explicit_differences_only_for_rows_near_a_tie",),
     ),
     Mutant(
@@ -231,12 +240,16 @@ MUTANTS = [
     Mutant(
         "the Gram block scales by -2 twice", "evaluation.py",
         "        g += sq_b\n", "        g *= -2.0\n        g += sq_b\n",
-        (f"{_RECALL_EXACT}[tie-heavy-grid]", f"{_EXACT}::test_kmeans_equals_the_explicit_assignment[gaussian]"),
+        (f"{_EXACT}::test_kmeans_equals_the_explicit_assignment[gaussian]",),
     ),
     Mutant(
         "Recall@K breaks an exact tie toward the higher sample index", "evaluation.py",
-        "(dist == nearest[query]) & (col < star[query])", "(dist == nearest[query]) & (col > star[query])",
-        (f"{_RECALL_EXACT}[tied-across-labels]", f"{_RECALL_TILES}[tied-across-labels-tiles-of-13]"),
+        "(dist == nearest[query]) & (point < star[query])", "(dist == nearest[query]) & (point > star[query])",
+        (
+            f"{_RECALL_EXACT}[tied-across-labels]",
+            f"{_RECALL_TILES}[tied-across-labels-tiles-of-13]",
+            f"{_DUPLICATED}[tiles-of-13]",
+        ),
     ),
     Mutant(
         "Recall@K counts from the Gram values alone, with no band left to explicit distances", "evaluation.py",
@@ -256,6 +269,17 @@ MUTANTS = [
         "Recall@K takes the nearest same-label point from the Gram minimum alone, without the slack", "evaluation.py",
         "least + 2.0 * slack[stack[:, lo:hi]], -np.inf)", "least, -np.inf)",
         (f"{_RECALL_EXACT}[far-blobs]", f"{_RECALL_TILES}[tied-stars-tiles-of-1]"),
+    ),
+    Mutant(
+        "a point inside a band is dropped", "evaluation.py",
+        "inside.append((near[~below], i.start, j.start, g.shape[1], True))",
+        "inside.append((near[:0], i.start, j.start, g.shape[1], True))",
+        (f"{_DUPLICATED}[default-tiles]", f"{_DUPLICATED}[tiles-of-13]", f"{_RECALL_EXACT}[tied-across-labels]"),
+    ),
+    Mutant(
+        "Recall@K keeps every band entry to the end of the sweep", "evaluation.py",
+        "        if kept >= n:\n", "        if False:\n",
+        ("tests/test_evaluation.py::test_recall_memory_stays_bounded_on_collapsed_embeddings",),
     ),
     Mutant(
         "the transposed count of a Gram tile reads the row side's thresholds", "evaluation.py",

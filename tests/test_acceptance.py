@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from bitwise import SEEDS, bench_config, bench_dataset  # the benchmark's runs, which the bitwise gate hashes
 from frozen import freeze
 
 from hardmetric import verify
@@ -33,24 +34,6 @@ from hardmetric.training import (
     run_training,
     train_step,
 )
-
-BENCH = dict(num_classes=20, per_class=25, input_dim=64, center_scale=10.0, noise_sigma=4.0)
-MODEL = dict(batch_size=32, epochs=25, learning_rate=1e-4, embed_dim=32, hidden_dims=(128, 128))
-SEEDS = (0, 1, 2, 3, 4)
-
-
-def bench_dataset(seed):
-    return synth_gaussian_dataset(seed=100 + seed, **BENCH)
-
-
-def bench_config(loss_kind, seed, hardened=True):
-    knobs = {
-        ("triplet", True): dict(alpha=0.04, beta=80.0),
-        ("npair", True): dict(alpha=0.1, beta=150.0),
-        ("triplet", False): dict(alpha=0.0, synthetics=False),
-        ("npair", False): dict(alpha=0.0, synthetics=False),
-    }[(loss_kind, hardened)]
-    return TrainConfig(loss_kind=loss_kind, npair_n=8, seed=seed, split_seed=seed, **MODEL, **knobs)
 
 
 def verdict(number, name, passed, detail=""):

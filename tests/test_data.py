@@ -264,14 +264,14 @@ def _writer_input(rows, dim):
     return keys, values
 
 
-def _written(monkeypatch, workers, rows, dim, block) -> str:
+def _written(monkeypatch, workers, rows, dim, block) -> bytes:
     with monkeypatch.context() as patch:
         patch.setattr(data, "_WRITE_BLOCK", block)
         if workers is None:  # a platform without os.fork
             patch.delattr(os, "fork")
         else:
             patch.setattr(data, "_usable_cpus", lambda: workers)
-        fh = io.StringIO()
+        fh = io.BytesIO()
         data.write_rows(fh, *_writer_input(rows, dim))
         return fh.getvalue()
 
@@ -303,7 +303,7 @@ def _raise(exc):
     return fail
 
 
-class _FailingFile(io.StringIO):
+class _FailingFile(io.BytesIO):
     def __init__(self, good_writes):
         super().__init__()
         self.good_writes = good_writes
@@ -344,8 +344,8 @@ class TestParallelWriter:
     )
     def test_text_is_the_same_for_every_worker_count(self, monkeypatch, rows, dim, block):
         expected = _written(monkeypatch, 1, rows, dim, block)
-        assert expected.count("\n") == rows
-        assert expected.startswith("-9223372036854775808,9223372036854775807,-0.0")
+        assert expected.count(b"\n") == rows
+        assert expected.startswith(b"-9223372036854775808,9223372036854775807,-0.0")
         for workers in (None, 2, 3, 4):
             same = _written(monkeypatch, workers, rows, dim, block) == expected  # outside the assert: no long diff
             assert same, f"{workers} workers"
@@ -373,7 +373,7 @@ class TestParallelWriter:
         monkeypatch.setattr(data, "_WRITE_BLOCK", _SMALL_BLOCK)
         _failing_in_the_last_worker(monkeypatch, 3, failure)
         with pytest.raises(error, match=message):
-            data.write_rows(io.StringIO(), *_writer_input(16 * _SMALL_BLOCK // 512, 512))
+            data.write_rows(io.BytesIO(), *_writer_input(16 * _SMALL_BLOCK // 512, 512))
         assert _no_child_left()
 
 

@@ -551,6 +551,34 @@ class TestGramExactnessAcrossTiles:
         _assert_ties_explicit_and_every_k_exact(z, labels, spy, case)
 
 
+def _duplicated_under_another_label(n=600, seed=23):
+    """n / 2 points of overlapping blobs and a copy of each under the next label: every same-label point of a
+    query has an other-label copy at exactly its distance, which ranks before it when its index is lower."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n // 2) % 12
+    half = 0.5 * rng.normal(size=(12, 8))[labels] + rng.normal(size=(n // 2, 8))
+    return np.vstack([half, half]), np.concatenate([labels, (labels + 1) % 12])
+
+
+def _no_gram_blocks(*args):
+    raise AssertionError("Recall@K took Gram values from outside its tile sweep")
+
+
+@pytest.mark.parametrize("side", [None, 1, 13], ids=["default-tiles", "tiles-of-1", "tiles-of-13"])
+def test_recall_with_every_point_duplicated_under_another_label(side, monkeypatch):
+    z, labels = _duplicated_under_another_label()
+    tiles = _TileSpy(monkeypatch, side) if side else None
+    spy = _PairSpy(monkeypatch)
+    monkeypatch.setattr(evaluation, "_gram_blocks", _no_gram_blocks)
+    every = range(1, len(z))
+    assert recall_at_k(z, labels, every) == recall_reference(z, labels, every)
+    ties = _exact_ties(z, labels)
+    assert len(ties) > len({query for query, _ in ties}), "no query had an exact tie to resolve"
+    assert ties <= spy.pairs()
+    if tiles:
+        tiles.assert_swept(len(z))
+
+
 @pytest.mark.parametrize("rows", [1, 13], ids=["one-row-blocks", "13-row-blocks"])
 @pytest.mark.parametrize("case", list(_exactness_cases()))
 class TestGramExactnessAcrossBlocks:
@@ -584,6 +612,15 @@ def test_recall_takes_the_same_explicit_differences_for_any_k(monkeypatch):
     assert len(spy.calls) == len(smallest)
     for (rows_a, rows_b), (few_a, few_b) in zip(spy.calls, smallest):
         assert np.array_equal(rows_a, few_a) and np.array_equal(rows_b, few_b)
+
+
+@pytest.mark.parametrize("case", ["gaussian", "tie-heavy-grid", "far-blobs"])
+def test_kmeans_with_one_centre_matches_the_reference(case, monkeypatch):
+    z, _ = _exactness_cases()[case]
+    spy = _PairSpy(monkeypatch)
+    for seed in range(2):
+        assert np.array_equal(kmeans(z, 1, seed), kmeans_reference(z, 1, seed))
+    assert spy.calls == []  # with one centre the runner-up is +inf, so no row is close to a tie
 
 
 def test_kmeans_takes_explicit_differences_only_for_rows_near_a_tie(monkeypatch):
@@ -634,6 +671,13 @@ def test_recall_memory_does_not_grow_with_k():
     # the Recall@K of the Stanford Online Products protocol, at the size of the CUB-200-2011 test set
     z = np.random.default_rng(14).normal(size=(5924, 64))
     assert _traced_peak(lambda: recall_at_k(z, np.arange(5924) % 100, [1, 10, 100, 1000])) < 16 * 2**20
+
+
+def test_recall_memory_stays_bounded_on_collapsed_embeddings():
+    # one point 1,500 times over, as a collapsed network embeds: every pair lies in every band, 2,250,000 of them
+    z, labels = np.ones((1500, 4)), np.arange(1500) % 10
+    assert _traced_peak(lambda: recall_at_k(z, labels, [1, 2, 4, 8])) < 16 * 2**20
+    assert recall_at_k(z, labels, [1, 2, 4, 8]) == recall_reference(z, labels, [1, 2, 4, 8])
 
 
 def test_embeddings_csv_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
