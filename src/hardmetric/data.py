@@ -16,6 +16,7 @@ import gc
 import io
 import math
 import os
+import threading
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -218,6 +219,33 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _beside(task, worthwhile: bool, name: str):
+    """Runs `task()` on one worker thread while the with-block runs, when `worthwhile` and more than one
+    CPU is usable; otherwise here, after the block. The caller keeps the two sides off each other's
+    arrays. The worker is joined on every exit, and an exception `task` raised is raised here."""
+    if not worthwhile or _usable_cpus() < 2:
+        yield
+        task()
+        return
+    failure = []
+
+    def run():
+        try:
+            task()
+        except BaseException as exc:  # raised again in the calling thread
+            failure.append(exc)
+
+    worker = threading.Thread(target=run, name=name)
+    worker.start()
+    try:
+        yield
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
 
 
 def _format_block(keys, values: np.ndarray, start: int, rows: int) -> bytes:

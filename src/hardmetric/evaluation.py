@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -441,25 +440,11 @@ def evaluate_embeddings(embeddings, labels, ks=(1, 2, 4, 8), kmeans_seed: int = 
     retrieval = {}
 
     def score_retrieval():
-        try:
-            retrieval["recall"] = recall_at_k(z, labels, ks)
-        except BaseException as exc:  # raised again in the calling thread
-            retrieval["error"] = exc
+        retrieval["recall"] = recall_at_k(z, labels, ks)
 
-    worker = None
-    if z.shape[0] > _tile_side() and data._usable_cpus() > 1:
-        worker = threading.Thread(target=score_retrieval, name="hardmetric-recall")
-        worker.start()
-    try:
+    with data._beside(score_retrieval, z.shape[0] > _tile_side(), "hardmetric-recall"):
         assignment = kmeans(z, len(classes), seed=kmeans_seed)
         scores = nmi(assignment, labels), pairwise_f1(assignment, labels)
-    finally:
-        if worker is not None:
-            worker.join()
-    if worker is None:
-        score_retrieval()
-    if "error" in retrieval:
-        raise retrieval["error"]
     return EvalReport(
         nmi=scores[0],
         f1=scores[1],

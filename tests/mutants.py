@@ -51,6 +51,7 @@ _RECALL_TILES = f"{_EXACT}AcrossTiles::test_recall_equals_the_explicit_argsort"
 _DUPLICATED = "tests/test_evaluation.py::test_recall_with_every_point_duplicated_under_another_label"
 _SAME_REPORT = "tests/test_evaluation.py::test_report_on_one_usable_cpu_is_the_report_on_two"
 _WORKER_RAISES = "tests/test_evaluation.py::test_non_finite_row_raises_through_the_worker_thread"
+_HAND_OVER = "tests/test_training.py::TestHandOver"
 _EXPORT_BYTES = "tests/test_evaluation.py::TestReportAndExport::test_embeddings_csv_matches_the_per_value_formatter"
 _RELU_MASK = "tests/test_nn.py::TestDenseBackward::test_relu_mask_through_the_forward_pass_is_pre_greater_than_zero"
 _BY_HAND = "test_gradients_equal_dense_backward_chained_by_hand"
@@ -297,9 +298,49 @@ MUTANTS = [
         (f"{_RECALL_TILES}[gaussian-tiles-of-13]", f"{_RECALL_TILES}[far-blobs-tiles-of-13]", _SAME_REPORT),
     ),
     Mutant(
-        "the Recall@K worker's exception is dropped", "evaluation.py",
-        '    if "error" in retrieval:\n        raise retrieval["error"]\n', "",
-        (f"{_WORKER_RAISES}[nan-stubbed]", f"{_WORKER_RAISES}[overflow-stubbed]"),
+        "a worker thread's exception is dropped (Recall@K's, the generator update's)", "data.py",
+        "    if failure:\n        raise failure[0]\n", "",
+        (
+            f"{_WORKER_RAISES}[nan-stubbed]",
+            f"{_WORKER_RAISES}[overflow-stubbed]",
+            f"{_HAND_OVER}::test_worker_exception_comes_out_of_the_step[generator-adam]",
+            f"{_HAND_OVER}::test_worker_exception_comes_out_of_the_step[classifier-step]",
+        ),
+    ),
+    Mutant(
+        "a worker thread is not joined when the calling thread's side raises", "data.py",
+        "    try:\n        yield\n    finally:\n        worker.join()\n", "    yield\n    worker.join()\n",
+        (f"{_HAND_OVER}::test_worker_is_joined_when_the_embedder_side_raises",),
+    ),
+    Mutant(
+        "the generator's update starts on its thread before the synthetic loss is checked", "training.py",
+        '        _check_finite(j_syn, "metric loss over synthetic tuples")\n'
+        "\n"
+        "    def update_generator_and_classifier():\n"
+        "        if config.synthetics:\n"
+        "            state.adam_generator.step(generator_backward(models.generator, gen))\n"
+        "            classifier_step(models.classifier, features, labels, state.adam_classifier)\n"
+        "\n"
+        "    beside = config.synthetics and gen.member_features.size >= _BESIDE_ENTRIES\n"
+        '    with data._beside(update_generator_and_classifier, beside, "hardmetric-generator"):\n',
+        "\n"
+        "    def update_generator_and_classifier():\n"
+        "        if config.synthetics:\n"
+        "            state.adam_generator.step(generator_backward(models.generator, gen))\n"
+        "            classifier_step(models.classifier, features, labels, state.adam_classifier)\n"
+        "\n"
+        "    beside = config.synthetics and gen.member_features.size >= _BESIDE_ENTRIES\n"
+        '    with data._beside(update_generator_and_classifier, beside, "hardmetric-generator"):\n'
+        '        _check_finite(j_syn, "metric loss over synthetic tuples")\n',
+        (f"{_HAND_OVER}::test_step_with_a_non_finite_synthetic_loss_updates_nothing[worker]",),
+    ),
+    Mutant(
+        "the generator's update takes a worker thread below its gate, not above", "training.py",
+        "gen.member_features.size >= _BESIDE_ENTRIES", "gen.member_features.size < _BESIDE_ENTRIES",
+        (
+            f"{_HAND_OVER}::test_acceptance_npair_steps_start_no_thread",
+            f"{_HAND_OVER}::test_step_past_the_gate_takes_a_worker_on_two_cpus_only[2]",
+        ),
     ),
     Mutant(
         "evaluation takes NaN labels", "evaluation.py",

@@ -1,12 +1,18 @@
+import dataclasses
+import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
+from bitwise import bench_config, bench_dataset
 from frozen import freeze
 
+from hardmetric import data, training
 from hardmetric.data import synth_gaussian_dataset
 from hardmetric.embedder import embed, embed_backward, project, project_backward
-from hardmetric.errors import InputError
+from hardmetric.errors import InputError, NumericalError
 from hardmetric.generator import generator_loss
 from hardmetric.losses import batch_metric_loss
 from hardmetric.training import (
@@ -293,6 +299,138 @@ class TestTrainStep:
         for _ in range(10):
             train_step(models, x, labels, state, config)
         assert all(0.0 <= row.weight_w <= 1.0 for row in state.history)
+
+
+def hand_over(monkeypatch, forced: bool):
+    """Two usable CPUs and the gate at 0 entries hand the generator's and classifier's updates to a worker
+    thread at every step; one usable CPU keeps every step in the calling thread."""
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2 if forced else 1)
+    if forced:
+        monkeypatch.setattr(training, "_BESIDE_ENTRIES", 0)
+
+
+def thread_starts(monkeypatch) -> list[str]:
+    """Names of the threads started from here on."""
+    names, start = [], threading.Thread.start
+
+    def counted(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return names
+
+
+def partition_bytes(models: Models, state) -> dict:
+    """Every parameter array and Adam slot of the four partitions."""
+    out = model_bytes(models)
+    for name in ("extractor", "projector", "generator", "classifier"):
+        adam = getattr(state, f"adam_{name}")
+        out[f"{name}.t"] = adam.t
+        for i, (m, v) in enumerate(zip(adam.m, adam.v)):
+            out[f"{name}.m.{i}"], out[f"{name}.v.{i}"] = m.tobytes(), v.tobytes()
+    return out
+
+
+class Boom(Exception):
+    pass
+
+
+class TestHandOver:
+    def _step_setup(self):
+        x, labels = toy_batch(np.random.default_rng(12))
+        config = small_config()
+        models = init_models(x.shape[1], 3, config)
+        return x, labels, config, models, init_state(models, config)
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["serial", "worker"])
+    def test_step_with_a_non_finite_synthetic_loss_updates_nothing(self, monkeypatch, forced):
+        hand_over(monkeypatch, forced)
+        x, labels, config, models, state = self._step_setup()
+        train_step(models, x, labels, state, config)  # so that every Adam slot holds values
+        calls = []
+
+        def nan_on_second_call(z, tuples, margin):
+            calls.append(tuples.kind)
+            j, grad = batch_metric_loss(z, tuples, margin)
+            return (math.nan if len(calls) == 2 else j), grad
+
+        monkeypatch.setattr(training, "batch_metric_loss", nan_on_second_call)
+        before = partition_bytes(models, state)
+        starts = thread_starts(monkeypatch)
+        with pytest.raises(NumericalError, match="synthetic tuples"):
+            train_step(models, x, labels, state, config)
+        assert len(calls) == 2 and starts == []
+        assert partition_bytes(models, state) == before
+
+    @pytest.mark.parametrize("where", ["generator-adam", "classifier-step"])
+    def test_worker_exception_comes_out_of_the_step(self, monkeypatch, where):
+        hand_over(monkeypatch, True)
+        x, labels, config, models, state = self._step_setup()
+        threads = []
+
+        def boom(*args):
+            threads.append(threading.current_thread())
+            raise Boom(where)
+
+        if where == "generator-adam":
+            monkeypatch.setattr(state.adam_generator, "step", boom)
+        else:
+            monkeypatch.setattr(training, "classifier_step", boom)
+        with pytest.raises(Boom, match=where):
+            train_step(models, x, labels, state, config)
+        assert threads and threads[0] is not threading.main_thread()
+
+    def test_worker_is_joined_when_the_embedder_side_raises(self, monkeypatch):
+        hand_over(monkeypatch, True)
+        x, labels, config, models, state = self._step_setup()
+        finished = []
+
+        def slow_classifier_step(*args):
+            time.sleep(0.2)
+            finished.append(threading.current_thread())
+
+        def failing_embed_backward(*args):
+            raise Boom("embedder side")
+
+        monkeypatch.setattr(training, "classifier_step", slow_classifier_step)
+        monkeypatch.setattr(training, "embed_backward", failing_embed_backward)
+        with pytest.raises(Boom, match="embedder side"):
+            train_step(models, x, labels, state, config)
+        assert finished and finished[0] is not threading.main_thread()
+
+    def test_acceptance_npair_steps_start_no_thread(self, monkeypatch):
+        # 8 pairs: 16 member rows x 128 features, far below the gate, on two usable CPUs
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        starts = thread_starts(monkeypatch)
+        result = run_training(bench_dataset(0), dataclasses.replace(bench_config("npair", 0), epochs=1))
+        assert result.state.history and starts == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_step_past_the_gate_takes_a_worker_on_two_cpus_only(self, monkeypatch, cpus):
+        # 128 rows that each anchor a triplet: 384 member rows x 256 features, past the gate of 2^16 entries
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        x, labels = toy_batch(np.random.default_rng(13), n_classes=8, per_class=16, dim=16)
+        config = small_config(batch_size=128, hidden_dims=(256,), embed_dim=16)
+        models = init_models(16, 8, config)
+        state = init_state(models, config)
+        starts = thread_starts(monkeypatch)
+        train_step(models, x, labels, state, config)
+        assert starts == (["hardmetric-generator"] if cpus == 2 else [])
+
+    def test_triplet_run_is_the_same_with_the_worker_at_every_step(self, monkeypatch):
+        ds = synth_gaussian_dataset(8, 12, 6, seed=3)
+        outcomes, steps = [], []
+        for forced in (False, True):
+            hand_over(monkeypatch, forced)
+            starts = thread_starts(monkeypatch)
+            result = run_training(ds, small_config(epochs=3))
+            history = [row.as_csv() for row in result.state.history]
+            report = json.dumps(result.final_report.to_dict(), sort_keys=True)
+            outcomes.append((history, result.state.skipped_batches, report, model_bytes(result.models)))
+            steps.append((len(starts), len(history)))
+        assert outcomes[0] == outcomes[1]
+        assert steps[0][0] == 0 and steps[1][0] == steps[1][1] > 0
 
 
 class TestRunTraining:
