@@ -124,7 +124,7 @@ def _cmd_eval(args) -> int:
         raise InputError(f"classes {seen.tolist()} would be evaluated but were training classes of {args.checkpoint}")
     test_rows = np.flatnonzero(np.isin(dataset.labels, split.test_classes))
     test_labels = dataset.labels[test_rows]
-    z = embed(models.embedder, dataset.samples[test_rows])[0].embeddings  # the tapes are dropped before scoring
+    z = embed(models.embedder, dataset.samples[test_rows])[0].embeddings
     report = evaluate_embeddings(z, test_labels, ks=ks, kmeans_seed=args.kmeans_seed)
     os.makedirs(args.out_dir, exist_ok=True)
     metrics_path = os.path.join(args.out_dir, "metrics.json")

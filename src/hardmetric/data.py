@@ -104,8 +104,8 @@ class ZeroShotSplit:
     test_classes: np.ndarray
 
     def __post_init__(self):
-        self.train_classes = np.asarray(self.train_classes, dtype=np.int64)
-        self.test_classes = np.asarray(self.test_classes, dtype=np.int64)
+        self.train_classes = as_int64(self.train_classes, "train_classes")
+        self.test_classes = as_int64(self.test_classes, "test_classes")
         overlap = np.intersect1d(self.train_classes, self.test_classes)
         if overlap.size:
             raise InputError(f"split is not class-disjoint; shared classes {overlap.tolist()}")

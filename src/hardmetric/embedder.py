@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .nn import DenseLayer, GradTape, as_matrix, check_chain, dense_forward, init_dense, stack_backward, stack_forward
+from .nn import DenseLayer, GradTape, as_int64, as_matrix, check_chain, dense_forward, init_dense, stack_backward, stack_forward
 
 
 @dataclass
@@ -27,7 +27,7 @@ class EmbeddingBatch:
     def __post_init__(self):
         self.embeddings = as_matrix(self.embeddings, "embeddings")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = as_int64(self.labels, "labels")
 
 
 @dataclass
@@ -71,11 +71,15 @@ def project_backward(params: EmbedderParams, tape: GradTape, grad_embeddings: np
     return stack_backward([params.projector], [tape], grad_embeddings)
 
 
-def embed(params: EmbedderParams, x, labels=None) -> tuple[EmbeddingBatch, tuple[list[GradTape], GradTape]]:
-    """extract followed by project; returns the batch and (extractor_tapes, projector_tape)."""
-    feats, ext_tapes = extract(params, x)
-    z, proj_tape = project(params, feats)
-    return EmbeddingBatch(z, labels), (ext_tapes, proj_tape)
+def embed(params: EmbedderParams, x, labels=None) -> tuple[EmbeddingBatch, None]:
+    """The scoring forward pass: extract followed by project, keeping neither tape.
+
+    Returns the batch and None, a second value kept only for callers that
+    unpack two. A caller that needs tapes for `embed_backward` takes them
+    from `extract` and `project`, as `train_step` does.
+    """
+    z, _ = project(params, extract(params, x)[0])
+    return EmbeddingBatch(z, labels), None
 
 
 def embed_backward(

@@ -21,7 +21,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -122,8 +122,9 @@ class LogRow:
     lambda_interp: float
 
     def as_csv(self) -> str:
-        # every value is a Python int or float, whose repr is its shortest round-trip form
-        return ",".join(repr(v) for v in astuple(self))
+        # every value is a Python int or float, whose repr is its shortest round-trip form; the
+        # instance dict holds the fields in declaration order, uncopied, unlike `astuple`
+        return ",".join([repr(v) for v in vars(self).values()])
 
 
 CURVE_HEADER = ",".join(f.name for f in fields(LogRow))
@@ -131,12 +132,16 @@ CURVE_HEADER = ",".join(f.name for f in fields(LogRow))
 
 @dataclass
 class TrainState:
-    """Mutable loop state: counters, schedule, optimizer slots, history."""
+    """Mutable loop state: counters, schedule, optimizer slots, history.
+
+    `run_training` sets every optimizer to None once its last epoch ends, so a
+    finished run's state holds no Adam moments and takes no further steps.
+    """
 
     augmentor: AugmentorState
     rng: np.random.Generator
-    adam_extractor: Adam
-    adam_projector: Adam
+    adam_extractor: Adam | None
+    adam_projector: Adam | None
     adam_generator: Adam | None = None
     adam_classifier: Adam | None = None
     epoch: int = 0
@@ -253,7 +258,10 @@ def train_step(models: Models, x, labels, state: TrainState, config: TrainConfig
     share no array with the embedder's; from `_BESIDE_ENTRIES` reconstructed
     entries, on more than one usable CPU, they run on a worker thread beside
     them, else after them, here. The results are the same either way.
+    A finished run's state, whose optimizers are freed, is refused.
     """
+    if state.adam_extractor is None:
+        raise InputError("this state's run has finished and freed its optimizers; it takes no further steps")
     tuples = mine_tuples(labels, config, state.rng)
     if tuples is None:
         state.skipped_batches += 1
@@ -316,6 +324,9 @@ class EvalPoint:
 
 @dataclass
 class TrainResult:
+    """A finished run: what its checkpoint holds, plus the split, scores and
+    the loop state's counters, schedule and history; no optimizer state."""
+
     models: Models
     state: TrainState
     config: TrainConfig
@@ -352,8 +363,11 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
     The class-disjoint guarantee of the split is asserted on every run. The
     epoch-mean original-tuple loss is published to the hardness schedule at
     each epoch boundary. Every batch, a short tail included, goes to
-    `train_step`; one that yields no tuple counts in `skipped_batches`. With
-    out_dir set, writes curves.csv, manifest.json, and checkpoint.npz there.
+    `train_step`; one that yields no tuple counts in `skipped_batches`. Once
+    the last epoch ends, the optimizers are freed before the final
+    evaluation, which reuses their memory; the returned state takes no
+    further steps. With out_dir set, writes curves.csv, manifest.json, and
+    checkpoint.npz there.
     """
     if dataset.num_samples == 0:
         raise InputError("dataset is empty")
@@ -394,6 +408,8 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
         if config.eval_every and (epoch + 1) % config.eval_every == 0 and epoch + 1 < config.epochs:
             eval_history.append(EvalPoint(epoch, _evaluate(models, dataset.samples[test_rows], test_labels, config)))
 
+    # nothing reads the Adam moments after the last step, and the checkpoint omits them
+    state.adam_extractor = state.adam_projector = state.adam_generator = state.adam_classifier = None
     final_report = _evaluate(models, dataset.samples[test_rows], test_labels, config)
     eval_history.append(EvalPoint(config.epochs - 1 if config.epochs else -1, final_report))
     result = TrainResult(
@@ -412,7 +428,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
 
 
 def _evaluate(models: Models, test_x, test_labels, config: TrainConfig) -> EvalReport:
-    z = embed(models.embedder, test_x)[0].embeddings  # the tapes are dropped before scoring
+    z = embed(models.embedder, test_x)[0].embeddings
     return evaluate_embeddings(z, test_labels, ks=config.recall_ks, kmeans_seed=0)
 
 

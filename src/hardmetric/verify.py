@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embedder import embed, embed_backward, init_embedder, pairwise_distances
+from .embedder import embed, embed_backward, extract, init_embedder, pairwise_distances, project
 from .errors import InputError, check_nonnegative, check_positive
 from .generator import generator_loss, init_generator
 from .losses import TupleBatch, batch_metric_loss
@@ -50,11 +50,11 @@ def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator):
             labels = np.repeat(np.arange(n_classes), 2)
             tuples = TupleBatch.npair(2 * np.arange(n_classes), 2 * np.arange(n_classes) + 1, labels)
 
-        emb, (ext_tapes, _) = embed(embedder, x)
+        feats, ext_tapes = extract(embedder, x)
         pres = [t.x @ layer.weight.T + layer.bias for layer, t in zip(embedder.extractor, ext_tapes)]  # tapes hold outputs
         if any(np.abs(pre).min() < KINK_MARGIN for pre in pres if pre.size):
             continue
-        z = emb.embeddings
+        z, _ = project(embedder, feats)
         dist = pairwise_distances(z[np.unique(tuples.rows)])
         if dist[~np.eye(len(dist), dtype=bool)].min() < 1e-3:
             continue
@@ -72,8 +72,9 @@ def embedder_metric_fragment(loss_kind: str, rng: np.random.Generator):
         names = _stack_names("extractor", embedder.extractor) + ["projector.weight", "projector.bias"]
 
         def grads_fn(embedder=embedder, x=x, tuples=tuples, names=names) -> dict[str, np.ndarray]:
-            e, (ext_tapes, proj_tape) = embed(embedder, x)
-            _, gz = batch_metric_loss(e.embeddings, tuples, margin)
+            feats, ext_tapes = extract(embedder, x)
+            z, proj_tape = project(embedder, feats)
+            _, gz = batch_metric_loss(z, tuples, margin)
             ext_grads, proj_grads = embed_backward(embedder, ext_tapes, proj_tape, gz)
             return dict(zip(names, ext_grads + proj_grads))
 

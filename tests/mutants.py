@@ -59,6 +59,8 @@ _FRAGMENT = "tests/test_verify.py::TestFragments::test_{}_fragment_passes_gradch
 _SAME_TEXT = "tests/test_data.py::TestParallelWriter::test_text_is_the_same_for_every_worker_count"
 _PIPED_STDOUT = "tests/test_cli.py::TestSynthData::test_workers_leave_a_piped_stdout_alone"
 _WORKER_FAILS = "tests/test_data.py::TestParallelWriter::test_failed_worker_is_an_error_and_no_child_is_left"
+_PINNED = "tests/test_reference_runs.py::test_hardened_run_reproduces_its_pinned_curves"
+_FINISHED = "tests/test_training.py::TestRunTraining::test_finished_state_takes_no_further_step"
 
 MUTANTS = [
     Mutant(
@@ -102,6 +104,17 @@ MUTANTS = [
         "Dataset truncates fractional labels", "data.py",
         'self.labels = as_int64(self.labels, "labels")', "self.labels = np.asarray(self.labels).astype(np.int64)",
         ("tests/test_data.py::TestDatasetIO::test_dataset_refuses_labels_the_integer_cast_would_change[fraction]",),
+    ),
+    Mutant(
+        "EmbeddingBatch truncates fractional labels", "embedder.py",
+        'self.labels = as_int64(self.labels, "labels")', "self.labels = np.asarray(self.labels, dtype=np.int64)",
+        ("tests/test_embedder.py::TestEmbed::test_batch_refuses_labels_the_integer_cast_would_change[fraction]",),
+    ),
+    Mutant(
+        "ZeroShotSplit truncates fractional class ids", "data.py",
+        'self.train_classes = as_int64(self.train_classes, "train_classes")',
+        "self.train_classes = np.asarray(self.train_classes, dtype=np.int64)",
+        ("tests/test_data.py::TestZeroShotSplit::test_split_refuses_classes_the_integer_cast_would_change[fractional-train]",),
     ),
     Mutant(
         "the integer cast lets a changed value through", "nn.py",
@@ -424,6 +437,44 @@ MUTANTS = [
             f"tests/test_generator.py::TestGeneratorLoss::{_BY_HAND}",
             _FRAGMENT.format("generator"),
         ),
+    ),
+    Mutant(
+        "embed returns its tapes again, pinning both extractor activations", "embedder.py",
+        "    z, _ = project(params, extract(params, x)[0])\n    return EmbeddingBatch(z, labels), None\n",
+        "    feats, ext_tapes = extract(params, x)\n    z, proj_tape = project(params, feats)\n"
+        "    return EmbeddingBatch(z, labels), (ext_tapes, proj_tape)\n",
+        (
+            "tests/test_embedder.py::test_kept_embed_result_holds_the_embeddings_alone",
+            "tests/test_embedder.py::TestEmbed::test_returns_the_batch_and_no_tapes",
+        ),
+    ),
+    Mutant(
+        "run_training keeps its optimizers in the returned state", "training.py",
+        "    state.adam_extractor = state.adam_projector = state.adam_generator = state.adam_classifier = None\n", "",
+        ("tests/test_training.py::TestRunTraining::test_kept_result_holds_its_parameters_and_no_optimizer_state", _FINISHED),
+    ),
+    Mutant(
+        "a finished run's state is not refused a further step", "training.py",
+        "    if state.adam_extractor is None:\n", "    if False:\n",
+        (_FINISHED,),
+    ),
+    Mutant(
+        "the original-tuple loss is weighted by 1 - w instead of w", "training.py",
+        "embed_backward(models.embedder, ext_tapes, proj_tape, w * grad_z_m)",
+        "embed_backward(models.embedder, ext_tapes, proj_tape, (1.0 - w) * grad_z_m)",
+        (f"{_PINNED}[triplet]", f"{_PINNED}[npair]"),
+    ),
+    Mutant(
+        "the classifier is stepped on the synthetic features", "training.py",
+        "classifier_step(models.classifier, features, labels, state.adam_classifier)",
+        "classifier_step(models.classifier, gen.hardened_features, aug.negative_labels.reshape(-1), state.adam_classifier)",
+        (f"{_PINNED}[triplet]", f"{_PINNED}[npair]"),
+    ),
+    Mutant(
+        "j_avg is published after every step instead of at the epoch boundary", "training.py",
+        "    row = LogRow(state.step, state.epoch, j_m, j_syn, *gen_terms, w, lam)\n",
+        "    state.augmentor.j_avg = j_m\n    row = LogRow(state.step, state.epoch, j_m, j_syn, *gen_terms, w, lam)\n",
+        ("tests/test_training.py::TestRunTraining::test_j_avg_equals_epoch_mean_of_logged_j_m", f"{_PINNED}[triplet]"),
     ),
     Mutant(
         "eval scores a checkpoint whose embedder normalized its embeddings", "checkpoint.py",

@@ -10,6 +10,7 @@ any training and the triplet hinge never activates; sigma 4 leaves the
 structure learnable but the comparison meaningful.
 """
 
+import dataclasses
 import math
 import time
 
@@ -190,6 +191,19 @@ def benchmark_runs():
     return results
 
 
+def reference_recalls(loss_kind):
+    """Mean test R@1 over the benchmark's seeds of the untrained network (the plain config at
+    `epochs = 0`) and of the raw input vectors, on the same class splits; reported, not judged."""
+    untrained, raw = [], []
+    for seed in SEEDS:
+        dataset = bench_dataset(seed)
+        res = run_training(dataset, dataclasses.replace(bench_config(loss_kind, seed, hardened=False), epochs=0))
+        untrained.append(res.final_report.recall_at[1])
+        test_x, test_labels = take_classes(dataset, res.split.test_classes)
+        raw.append(recall_at_k(test_x, test_labels, [1])[1])
+    return float(np.mean(untrained)), float(np.mean(raw))
+
+
 class TestCriterion6DirectionalImprovement:
     def test_hardened_training_beats_baseline_on_both_losses(self, benchmark_runs):
         ok = True
@@ -200,9 +214,10 @@ class TestCriterion6DirectionalImprovement:
             deltas = [h - b for h, b in zip(hard, base)]
             wins = sum(d > 0 for d in deltas)
             mean = float(np.mean(deltas))
+            untrained, raw = reference_recalls(loss_kind)
             details.append(
                 f"{loss_kind}: base {np.mean(base):.4f} hardened {np.mean(hard):.4f} "
-                f"mean delta {mean:+.4f} wins {wins}/{len(SEEDS)}"
+                f"mean delta {mean:+.4f} wins {wins}/{len(SEEDS)}; untrained {untrained:.4f} raw inputs {raw:.4f}"
             )
             ok = ok and mean >= 0.0 and wins >= 3
         elapsed = benchmark_runs["elapsed"]

@@ -15,6 +15,7 @@ from hardmetric import data
 from hardmetric.config import parse_config_text
 from hardmetric.data import (
     Dataset,
+    ZeroShotSplit,
     load_dataset,
     save_dataset,
     split_zero_shot,
@@ -130,6 +131,20 @@ class TestZeroShotSplit:
         split = split_zero_shot(ds, 0.4, seed=1)
         covered = set(split.train_classes.tolist()) | set(split.test_classes.tolist())
         assert covered == set(range(7))
+
+    @pytest.mark.parametrize(
+        "train, test, side",
+        [([0.5, 1.2], [2.9], "train_classes"), ([0, 1], [2.5], "test_classes"), ([0, np.nan], [2], "train_classes")],
+        ids=["fractional-train", "fractional-test", "nan-train"],
+    )
+    def test_split_refuses_classes_the_integer_cast_would_change(self, train, test, side):
+        # cast to int64, the first would read [0, 1] / [2]
+        with pytest.raises(InputError, match=f"{side} must be integers"):
+            ZeroShotSplit(train, test)
+
+    def test_split_keeps_integral_float_classes(self):
+        split = ZeroShotSplit([0.0, 3.0], [1.0])
+        assert split.train_classes.dtype == np.int64 and split.train_classes.tolist() == [0, 3]
 
 
 class TestDatasetIO:

@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from test_evaluation import _traced_peak
+from test_evaluation import _traced_kept, _traced_peak
 from test_nn import chain_by_hand, same_bits
 
 from hardmetric.checkpoint import Models, load_checkpoint, save_checkpoint
 from hardmetric.embedder import (
     EmbedderParams,
+    EmbeddingBatch,
     embed,
     embed_backward,
     extract,
@@ -110,18 +111,25 @@ class TestPairwiseDistances:
             pairwise_distances(np.zeros((0, 3)))
 
 
+def taped_forward(params, x):
+    """extract then project, keeping both stages' tapes: the embeddings plus what `embed_backward` takes."""
+    feats, ext_tapes = extract(params, x)
+    z, proj_tape = project(params, feats)
+    return z, ext_tapes, proj_tape
+
+
 class TestEmbedBackward:
     def test_gradient_reaches_all_partitions(self):
         rng = np.random.default_rng(8)
         params = init_embedder(4, hidden_dims=(5,), embed_dim=3, rng=rng)
-        emb, (ext_tapes, proj_tape) = embed(params, rng.normal(size=(6, 4)))
-        ext_grads, proj_grads = embed_backward(params, ext_tapes, proj_tape, np.ones_like(emb.embeddings))
+        z, ext_tapes, proj_tape = taped_forward(params, rng.normal(size=(6, 4)))
+        ext_grads, proj_grads = embed_backward(params, ext_tapes, proj_tape, np.ones_like(z))
         assert len(ext_grads) == 2 * len(params.extractor)
         assert ext_grads[0].shape == params.extractor[0].weight.shape
         assert proj_grads[0].shape == params.projector.weight.shape
         # the input gradient, which embed_backward never forms, from the same chain by hand
-        _, (ext_tapes, proj_tape) = embed(params, rng.normal(size=(6, 4)))
-        input_grad, _, _ = dense_backward(params.projector, proj_tape, np.ones_like(emb.embeddings))
+        _, ext_tapes, proj_tape = taped_forward(params, rng.normal(size=(6, 4)))
+        input_grad, _, _ = dense_backward(params.projector, proj_tape, np.ones_like(z))
         for layer, tape in zip(reversed(params.extractor), reversed(ext_tapes)):
             input_grad, _, _ = dense_backward(layer, tape, input_grad)
         assert input_grad.shape == (6, 4)
@@ -130,23 +138,54 @@ class TestEmbedBackward:
         rng = np.random.default_rng(11)
         params = init_embedder(6, hidden_dims=(8, 7), embed_dim=5, rng=rng)
         x, gz = rng.normal(size=(9, 6)), rng.normal(size=(9, 5))
-        _, (ext_tapes, proj_tape) = embed(params, x)
+        _, ext_tapes, proj_tape = taped_forward(params, x)
         ext_grads, proj_grads = embed_backward(params, ext_tapes, proj_tape, gz)
-        _, (ext_tapes, proj_tape) = embed(params, x)
+        _, ext_tapes, proj_tape = taped_forward(params, x)
         want = chain_by_hand(params.extractor + [params.projector], ext_tapes + [proj_tape], gz)
         assert len(ext_grads + proj_grads) == len(want)
         assert all(same_bits(a, b) for a, b in zip(ext_grads + proj_grads, want))
-        _, (_, proj_tape) = embed(params, x)
+        _, _, proj_tape = taped_forward(params, x)
         assert all(same_bits(a, b) for a, b in zip(project_backward(params, proj_tape, gz), want[-2:]))
 
 
-def test_embed_holds_at_most_two_activations():
-    # the test shape of the triplet-scale benchmark; a tape holding pre-activation and output would need four
+class TestEmbed:
+    def test_returns_the_batch_and_no_tapes(self):
+        rng = np.random.default_rng(9)
+        params = init_embedder(6, hidden_dims=(8, 7), embed_dim=5, rng=rng)
+        x = rng.normal(size=(9, 6))
+        batch, tapes = embed(params, x, labels=np.arange(9) % 3)
+        assert isinstance(batch, EmbeddingBatch) and tapes is None
+        assert same_bits(batch.embeddings, taped_forward(params, x)[0])
+        assert batch.labels.tolist() == [0, 1, 2] * 3
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [1.0, np.nan]], ids=["fraction", "nan"])
+    def test_batch_refuses_labels_the_integer_cast_would_change(self, labels):
+        with pytest.raises(InputError, match="labels must be integers"):
+            EmbeddingBatch(np.zeros((2, 3)), labels)
+
+    def test_batch_keeps_integral_float_labels(self):
+        assert EmbeddingBatch(np.zeros((2, 3)), [2.0, 7.0]).labels.tolist() == [2, 7]
+
+
+# the test shape of the triplet-scale benchmark
+def _scale_embedder():
     rng = np.random.default_rng(12)
-    params = init_embedder(256, hidden_dims=(256, 256), embed_dim=64, rng=rng)
-    x = rng.normal(size=(1500, 256))
+    return init_embedder(256, hidden_dims=(256, 256), embed_dim=64, rng=rng), rng.normal(size=(1500, 256))
+
+
+def test_embed_holds_at_most_two_activations():
+    # a tape holding pre-activation and output would need four
+    params, x = _scale_embedder()
     activation = 1500 * 256 * 8
     assert _traced_peak(lambda: embed(params, x)) <= 2 * activation + 2**20
+
+
+def test_kept_embed_result_holds_the_embeddings_alone():
+    # kept tapes would pin both (1500, 256) activations, 6.1 MB, for as long as the result lives
+    params, x = _scale_embedder()
+    (batch, tapes), held = _traced_kept(lambda: embed(params, x))
+    assert tapes is None
+    assert held <= batch.embeddings.nbytes + 64 * 2**10
 
 
 class TestCheckpoint:

@@ -661,6 +661,16 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+def _traced_kept(call):
+    """What `call` returns, and the traced bytes still allocated while it is kept."""
+    tracemalloc.start()
+    try:
+        kept = call()
+        return kept, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 # a full (n, n) or (n, k) float64 matrix alone would break these bounds
 def test_recall_memory_stays_bounded_at_dataset_size():
     z = np.random.default_rng(14).normal(size=(5924, 64))  # the size of the CUB-200-2011 test set: 281 MB for (n, n)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from bitwise import bench_config, bench_dataset
 from frozen import freeze
+from test_evaluation import _traced_kept
 
 from hardmetric import data, training
 from hardmetric.data import synth_gaussian_dataset
@@ -15,6 +16,7 @@ from hardmetric.embedder import embed, embed_backward, project, project_backward
 from hardmetric.errors import InputError, NumericalError
 from hardmetric.generator import generator_loss
 from hardmetric.losses import batch_metric_loss
+from hardmetric.nn import stack_params
 from hardmetric.training import (
     LogRow,
     Models,
@@ -488,6 +490,26 @@ class TestRunTraining:
         for a, b in zip(epochs[1:], epochs[2:]):
             if javg[b - 1] <= javg[a - 1]:
                 assert lam[b] <= lam[a]
+
+    def test_kept_result_holds_its_parameters_and_no_optimizer_state(self):
+        # the acceptance triplet run for one epoch: 325 KB of parameters, and Adam moments twice that
+        dataset, config = bench_dataset(0), dataclasses.replace(bench_config("triplet", 0), epochs=1)
+        result, held = _traced_kept(lambda: run_training(dataset, config))
+        state, models = result.state, result.models
+        assert [state.adam_extractor, state.adam_projector, state.adam_generator, state.adam_classifier] == [None] * 4
+        layers = models.embedder.extractor + [models.embedder.projector] + models.generator + [models.classifier]
+        # the margin covers the split, label map, reports and eight logged rows
+        assert held <= sum(p.nbytes for p in stack_params(layers)) + 64 * 2**10
+
+    def test_finished_state_takes_no_further_step(self):
+        ds = synth_gaussian_dataset(6, 8, 5, seed=1)
+        config = small_config(epochs=1, batch_size=12)
+        result = run_training(ds, config)
+        before = model_bytes(result.models), result.state.rng.bit_generator.state, len(result.state.history)
+        x, labels = ds.samples[:12], ds.labels[:12]
+        with pytest.raises(InputError, match="run has finished"):
+            train_step(result.models, x, labels, result.state, config)
+        assert (model_bytes(result.models), result.state.rng.bit_generator.state, len(result.state.history)) == before
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):
