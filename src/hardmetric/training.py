@@ -122,8 +122,8 @@ class LogRow:
     lambda_interp: float
 
     def as_csv(self) -> str:
-        # every value is a Python int or float, whose repr is its shortest round-trip form; the
-        # instance dict holds the fields in declaration order, uncopied, unlike `astuple`
+        # every value is a Python int or float, whose repr is its shortest round-trip form;
+        # the instance dict holds the fields in declaration order
         return ",".join([repr(v) for v in vars(self).values()])
 
 

@@ -167,22 +167,20 @@ class TestEmbed:
         assert EmbeddingBatch(np.zeros((2, 3)), [2.0, 7.0]).labels.tolist() == [2, 7]
 
 
-# the test shape of the triplet-scale benchmark
-def _scale_embedder():
-    rng = np.random.default_rng(12)
-    return init_embedder(256, hidden_dims=(256, 256), embed_dim=64, rng=rng), rng.normal(size=(1500, 256))
-
-
 def test_embed_holds_at_most_two_activations():
-    # a tape holding pre-activation and output would need four
-    params, x = _scale_embedder()
+    # the test shape of the triplet-scale benchmark; a tape holding pre-activation and output would need four
+    rng = np.random.default_rng(12)
+    params = init_embedder(256, hidden_dims=(256, 256), embed_dim=64, rng=rng)
+    x = rng.normal(size=(1500, 256))
     activation = 1500 * 256 * 8
     assert _traced_peak(lambda: embed(params, x)) <= 2 * activation + 2**20
 
 
 def test_kept_embed_result_holds_the_embeddings_alone():
-    # kept tapes would pin both (1500, 256) activations, 6.1 MB, for as long as the result lives
-    params, x = _scale_embedder()
+    # the same shape; kept tapes would pin both (1500, 256) activations, 6.1 MB, for as long as the result lives
+    rng = np.random.default_rng(12)
+    params = init_embedder(256, hidden_dims=(256, 256), embed_dim=64, rng=rng)
+    x = rng.normal(size=(1500, 256))
     (batch, tapes), held = _traced_kept(lambda: embed(params, x))
     assert tapes is None
     assert held <= batch.embeddings.nbytes + 64 * 2**10
