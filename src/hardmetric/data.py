@@ -4,9 +4,11 @@ The on-disk dataset contract is a UTF-8 CSV with header
 `label,f_0,...,f_{d-1}` and one sample per row. Values are written as
 shortest round-trip decimals, so save/load is lossless for 64-bit floats.
 `write_rows`, the one CSV writer, writes UTF-8 bytes with `\n` line ends to a
-binary file, formatting blocks of rows in one process per usable CPU (forked
-children besides the caller; the caller alone without `os.fork`). Nothing
-sets that number, and the bytes are those of one process.
+binary file, formatting small blocks of rows in one process per usable CPU
+(forked children besides the caller; the caller alone without `os.fork`, or for
+a small file). Nothing sets that number, and the bytes are those of one process.
+Each dataset-file operation holds the samples once: the C reader's parse is
+compacted in its own buffer, and the parse sidecar is written from the arrays.
 """
 
 from __future__ import annotations
@@ -150,7 +152,8 @@ def save_dataset(dataset: Dataset, path) -> None:
         write_rows(fh, [dataset.labels], dataset.samples)
 
 
-_WRITE_BLOCK = 1 << 16  # values formatted per write
+_WRITE_BLOCK = 1 << 13  # values formatted per write
+_WORKER_VALUES = 1 << 16  # W is at most the number of blocks of this many values
 _OUT_OF_MEMORY = 3  # a worker's exit status after a MemoryError
 
 
@@ -160,11 +163,12 @@ def write_rows(fh, keys, values: np.ndarray) -> None:
 
     Rows go out in blocks of at most _WRITE_BLOCK values (one row at least), one `write` per block,
     in block order, so the Python objects held at a time do not grow with the file. `repr` costs
-    about 1 µs a value, so W = min(blocks, usable CPUs) workers format the blocks, block i by worker
-    i mod W: worker 0 is the caller, the others `os.fork` children that send their blocks back over a
-    pipe each and end with `os._exit`, so they never flush a buffer they inherited. Nothing sets W;
-    it is 1, with no child, for one block, on one usable CPU or without `os.fork`. The bytes are
-    those of one process. Every child is waited for on every exit path; a failed one raises
+    about 1 µs a value, so W workers format the blocks, block i by worker i mod W: worker 0 is the
+    caller, the others `os.fork` children that send their blocks back over a pipe each and end with
+    `os._exit`, so they never flush a buffer they inherited. W = min(blocks of _WORKER_VALUES values,
+    usable CPUs), so that a file too small to repay a fork is formatted here. Nothing sets W; it is 1,
+    with no child, for one such block, on one usable CPU or without `os.fork`. The bytes are those of
+    one process. Every child is waited for on every exit path; a failed one raises
     `MemoryError` if it ran out of memory, else `ChildProcessError`.
 
     From a multi-threaded host: a child holds only the calling thread, so a lock another thread held
@@ -173,7 +177,8 @@ def write_rows(fh, keys, values: np.ndarray) -> None:
     """
     rows = max(1, _WRITE_BLOCK // max(1, values.shape[1]))
     starts = range(0, len(values), rows)
-    workers = min(len(starts), _usable_cpus()) if hasattr(os, "fork") else 1
+    shares = range(0, len(values), max(1, _WORKER_VALUES // max(1, values.shape[1])))
+    workers = min(len(shares), _usable_cpus()) if hasattr(os, "fork") else 1
     children = []  # (pid, read end of its pipe) of workers 1 .. W-1
     ended_early = None
     try:
@@ -290,6 +295,8 @@ def load_dataset(path) -> Dataset:
 
     The sidecar is keyed by the SHA-256 of the file, and its arrays pass the checks a parse
     makes. A FIFO or a terminal can be read only once, so only a regular file has a sidecar.
+    The sidecar holds the bytes `np.savez` would write, but each array goes out from its own
+    buffer (`_write_npz`), so a first load of a file the C reader takes holds the samples once.
     """
     if not os.path.isfile(path):  # the parse names a missing file or a directory
         return _parse_csv(path)
@@ -309,7 +316,7 @@ def load_dataset(path) -> Dataset:
         tmp = f"{sidecar}.{os.urandom(8).hex()}.tmp"
         try:
             with open(tmp, "xb") as fh:
-                np.savez(fh, version=_SIDECAR_VERSION, digest=digest, samples=dataset.samples, labels=dataset.labels)
+                _write_npz(fh, version=_SIDECAR_VERSION, digest=digest, samples=dataset.samples, labels=dataset.labels)
             os.replace(tmp, sidecar)
         except OSError:  # a read-only directory or a full disk: the next load parses again
             pass
@@ -317,6 +324,17 @@ def load_dataset(path) -> Dataset:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
     return dataset
+
+
+def _write_npz(fh, **arrays) -> None:
+    """The bytes `np.savez(fh, **arrays)` writes, each array's data written from its own buffer:
+    `np.savez` writes a zip member through a `tobytes` copy of the whole array."""
+    with zipfile.ZipFile(fh, "w") as npz:
+        for name, value in arrays.items():
+            array = np.asarray(value, order="C")
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
+                member.write(memoryview(array.reshape(-1).view(np.uint8)))
 
 
 def _sha256(path) -> str:
@@ -334,6 +352,8 @@ def _parse_csv(path) -> Dataset:
     The C reader accepts a subset of the line parser's input, with the same values; any
     refusal, warning or failed check re-reads the text with the one parser that words faults.
     The file is opened once: a FIFO or a terminal cannot be reopened, so its text is kept.
+    The C reader's table is compacted in place (`_compact`), so its samples are held once; the
+    line parser holds Python lists of the values and is not bounded that way.
     """
     try:
         with open(path, "r", encoding="utf-8") as raw:
@@ -349,11 +369,24 @@ def _parse_csv(path) -> Dataset:
                         dtype=[("label", np.int64), ("f", np.float64, (dim,))],
                     )
                     # contiguous, as `_load_lines` returns them; `Dataset` refuses non-finite samples and negative labels
-                    return Dataset(np.ascontiguousarray(table["f"]), np.ascontiguousarray(table["label"]))
+                    labels = table["label"].copy()
+                    return Dataset(_compact(table), labels)
             fh.seek(0)
             return _load_lines(fh)
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _compact(table) -> np.ndarray:
+    """The (n, d) features of a (label, f) table as a C-contiguous view of its own buffer: each row's
+    features move to the front, in blocks of rows in ascending order, which is safe because no row's
+    destination reaches a later row's source. The labels are overwritten."""
+    n, dim = len(table), table.dtype["f"].shape[0]
+    samples = table.view(np.float64)[: n * dim].reshape(n, dim)
+    step = max(1, _WRITE_BLOCK // dim)  # numpy copies a block that overlaps its own source through a buffer
+    for start in range(0, n, step):
+        samples[start : start + step] = table["f"][start : start + step]
+    return samples
 
 
 def _unsplit_lines(fh):

@@ -374,11 +374,11 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
     nearest, star, low, high = _nearest_same_label(z, sq, cls, slack)
     # a Gram value more than 2s below (above) the nearest one's explicit d^2, less |a|^2, is a point strictly
     # closer (farther); a row without one counts nothing. Band entries are settled once n are kept
-    closer, inside, kept = np.zeros(n, dtype=np.intp), [], 0
+    closer, inside, kept, settled = np.zeros(n, dtype=np.intp), [], 0, False
     for i, j, g in _gram_tiles(z):
         if kept >= n:
             closer += _ahead(z, inside, nearest, star)
-            kept = 0
+            kept, settled = 0, True
         if j != i:  # the rows j against the columns i, from the same products
             t = g + sq[i, None]
             near = np.flatnonzero(t <= high[j])
@@ -396,9 +396,12 @@ def recall_at_k(embeddings, labels, ks) -> dict[int, float]:
         closer[i] += np.bincount(query[below], minlength=g.shape[0])
         inside.append((near[~below], i.start, j.start, g.shape[1], True))
         kept += len(inside[-1][0])
-    closer += _ahead(z, inside, nearest, star)
-    first_hit = np.full(n, n)
     hit = star >= 0
+    # each band holds its query's nearest same-label point, so with nothing settled and no other entry kept
+    # there is nothing to order
+    if settled or kept > np.count_nonzero(hit):
+        closer += _ahead(z, inside, nearest, star)
+    first_hit = np.full(n, n)
     first_hit[hit] = closer[hit]
     return {k: float((first_hit < k).mean()) for k in ks}
 

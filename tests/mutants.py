@@ -61,6 +61,9 @@ _PIPED_STDOUT = "tests/test_cli.py::TestSynthData::test_workers_leave_a_piped_st
 _WORKER_FAILS = "tests/test_data.py::TestParallelWriter::test_failed_worker_is_an_error_and_no_child_is_left"
 _PINNED = "tests/test_reference_runs.py::test_hardened_run_reproduces_its_pinned_curves"
 _FINISHED = "tests/test_training.py::TestRunTraining::test_finished_state_takes_no_further_step"
+_FIRST_LOAD = "tests/test_data.py::TestDatasetIO::test_first_load_holds_the_samples_once"
+_DECODED = "tests/test_evaluation.py::test_band_entries_are_decoded_only_when_a_band_holds_another_point"
+_SPLIT = "tests/test_data.py::TestZeroShotSplit"
 
 MUTANTS = [
     Mutant(
@@ -498,6 +501,68 @@ MUTANTS = [
         (
             "tests/test_cli.py::TestSynthData::test_output_bytes_are_pinned",
             "tests/test_data.py::TestSynthDataset::test_matches_the_per_class_reference[shape0]",
+        ),
+    ),
+    Mutant(
+        "the C reader's table is compacted in descending row order, over rows not yet moved", "data.py",
+        "    for start in range(0, n, step):\n", "    for start in reversed(range(0, n, step)):\n",
+        (_FIRST_LOAD, "tests/test_data.py::TestCReaderAgreesWithTheLineParser::test_large_file_takes_the_c_reader"),
+    ),
+    Mutant(
+        "the parse sidecar is written through np.savez, which copies each array whole", "data.py",
+        "                _write_npz(fh, version=", "                np.savez(fh, version=",
+        (_FIRST_LOAD,),
+    ),
+    Mutant(
+        "the writer's worker count is taken from its 2**13-value blocks, which forks for a small file", "data.py",
+        "    workers = min(len(shares), _usable_cpus())", "    workers = min(len(starts), _usable_cpus())",
+        (
+            "tests/test_evaluation.py::test_small_embeddings_csv_is_written_in_one_process",
+            f"{_SAME_TEXT}[module-blocks]",
+        ),
+    ),
+    Mutant(
+        "Recall@K skips the band decode whenever n entries are kept", "evaluation.py",
+        "    if settled or kept > np.count_nonzero(hit):\n", "    if kept != n:\n",
+        (f"{_DECODED}[tie-beside-a-singleton]",),
+    ),
+    Mutant(
+        "the synthetic anchors' and positives' gradient reaches the extractor as the originals'", "training.py",
+        "        ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, w * grad_z_m)\n",
+        "        grad_z = w * grad_z_m\n"
+        "        if syn_grad is not None:\n"
+        "            np.add.at(grad_z, member_idx[: 2 * aug.size], syn_grad[: 2 * aug.size])\n"
+        "        ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, grad_z)\n",
+        (
+            "tests/test_training.py::TestTrainStep::test_extractor_takes_the_gradient_of_the_original_tuples_alone",
+            f"{_PINNED}[triplet]",
+            f"{_PINNED}[npair]",
+        ),
+    ),
+    Mutant(
+        "a split that shares a class is let through", "data.py",
+        "        if overlap.size:\n", "        if False:\n",
+        (f"{_SPLIT}::test_split_that_shares_a_class_is_refused",),
+    ),
+    Mutant(
+        "split_zero_shot gives its last train class to test as well", "data.py",
+        "np.sort(order[n_train:])", "np.sort(order[n_train - 1 :])",
+        (f"{_SPLIT}::test_half_split_counts", f"{_SPLIT}::test_union_covers_all_classes"),
+    ),
+    Mutant(
+        "the pulling coefficient grows as the epoch's average loss falls", "augmentor.py",
+        "math.exp(-state.alpha / state.j_avg)", "math.exp(-state.alpha * state.j_avg)",
+        (
+            "tests/test_augmentor.py::TestPullingLambda::test_monotone_in_average_loss",
+            "tests/test_augmentor.py::TestPullingLambda::test_matched_alpha_and_average_give_inverse_e",
+        ),
+    ),
+    Mutant(
+        "hardening pulls a negative to lambda * d, inside the reference distance", "augmentor.py",
+        "    target = lambda_interp * d + (1.0 - lambda_interp) * d_plus\n", "    target = lambda_interp * d\n",
+        (
+            "tests/test_augmentor.py::TestAugmentNegative::test_worked_example_on_the_axis",
+            "tests/test_augmentor.py::TestAugmentTuples::test_hardening_bounds_hold_per_batch",
         ),
     ),
 ]

@@ -126,6 +126,10 @@ class TestZeroShotSplit:
         assert not set(test_labels.tolist()) & set(train_labels.tolist())
         assert len(train_x) + len(test_x) == ds.num_samples
 
+    def test_split_that_shares_a_class_is_refused(self):
+        with pytest.raises(InputError, match=r"split is not class-disjoint; shared classes \[1\]"):
+            ZeroShotSplit([0, 1], [1, 2])
+
     def test_union_covers_all_classes(self):
         ds = synth_gaussian_dataset(7, 2, 3, seed=0)
         split = split_zero_shot(ds, 0.4, seed=1)
@@ -162,7 +166,7 @@ class TestDatasetIO:
         row = [-0.0, 5e-324, 1e-300, 0.1, 1e16]
         ds = Dataset(np.array([np.roll(row, i) for i in range(7)]), np.array([1, 0, 3, 2, 5, 4, 6]))
         if block:
-            monkeypatch.setattr(data, "_WRITE_BLOCK", block)
+            _blocks_of(monkeypatch, block)
         save_dataset(ds, tmp_path / "data.csv")
         expected = "label,f_0,f_1,f_2,f_3,f_4\n" + "".join(
             f"{label}," + ",".join(repr(float(v)) for v in values) + "\n" for label, values in zip(ds.labels, ds.samples)
@@ -170,17 +174,39 @@ class TestDatasetIO:
         assert (tmp_path / "data.csv").read_bytes() == expected.encode("utf-8")
 
     def test_writer_memory_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
-        # the dataset of the cli-roundtrip benchmark: formatting all rows at once holds 31.4 MiB.
-        # One CPU, so that this process formats every block; tracemalloc does not see forked workers
+        # the dataset of the cli-roundtrip benchmark: formatting all rows at once holds 31.4 MiB, blocks of
+        # 2**16 values 3.2 MiB. One CPU, so that this process formats every block; tracemalloc does not see
+        # forked workers
         monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
         ds = synth_gaussian_dataset(40, 50, 512, noise_sigma=3.0)
-        assert _traced_peak(lambda: save_dataset(ds, tmp_path / "data.csv")) <= 8 * 2**20
+        assert _traced_peak(lambda: save_dataset(ds, tmp_path / "data.csv")) <= 2**20
 
     def test_writer_memory_of_the_parent_does_not_grow_on_the_forked_path(self, tmp_path, monkeypatch):
         # the parent formats every other block and writes the rest as its worker sends them
         monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
         ds = synth_gaussian_dataset(40, 50, 512, noise_sigma=3.0)
-        assert _traced_peak(lambda: save_dataset(ds, tmp_path / "data.csv")) <= 8 * 2**20
+        assert _traced_peak(lambda: save_dataset(ds, tmp_path / "data.csv")) <= 2**20
+
+    def test_cli_roundtrip_dataset_forks_one_child_on_two_cpus(self, monkeypatch):
+        # 1,024,000 values: 16 blocks of 2**16 values, so W = min(16, 2)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        children = _counted_forks(monkeypatch)
+        ds = synth_gaussian_dataset(40, 50, 512, noise_sigma=3.0)
+        data.write_rows(io.BytesIO(), [ds.labels], ds.samples)
+        assert len(children) == 1
+
+    def test_first_load_holds_the_samples_once(self, tmp_path):
+        # the C reader's table is compacted in its own buffer and the sidecar is written from the arrays: a
+        # contiguous copy of the features and a `tobytes` copy for the sidecar peaked at 2.01x the samples
+        ds = synth_gaussian_dataset(40, 50, 512, noise_sigma=3.0)
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        loaded = {}
+        peak = _traced_peak(lambda: loaded.update(ds=load_dataset(path)))
+        assert _sidecar(path).is_file()
+        assert peak <= 1.3 * ds.samples.nbytes
+        assert np.array_equal(loaded["ds"].samples.view(np.int64), ds.samples.view(np.int64))
+        assert np.array_equal(loaded["ds"].labels, ds.labels)
 
     def test_wrong_column_count_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -273,22 +299,47 @@ _BLOCK_ROWS_512 = 2**16 // 512  # rows of 512 values in one block
 _SMALL_BLOCK = 2**12  # 8 rows of 512 values, 77 kB of text: more than a pipe holds
 
 
+def _blocks_of(monkeypatch, values):
+    """Formats blocks of `values` values and lets each block have a worker of its own."""
+    monkeypatch.setattr(data, "_WRITE_BLOCK", values)
+    monkeypatch.setattr(data, "_WORKER_VALUES", values)
+
+
+def _counted_forks(monkeypatch) -> list:
+    """The pids of the children `os.fork` starts from this process, as it starts them."""
+    children, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return children
+
+
 def _writer_input(rows, dim):
     keys = [np.resize([_INT64.min, _INT64.max, 0, -1], rows), np.resize([_INT64.max, -1, _INT64.min, 7], rows)]
     values = np.resize([-0.0, 5e-324, 1e308, 0.1, -2.5], (rows, dim))
     return keys, values
 
 
-def _written(monkeypatch, workers, rows, dim, block) -> bytes:
+def _written(monkeypatch, workers, rows, dim, block) -> tuple[bytes, int]:
+    """The bytes written on `workers` usable CPUs (None: without os.fork), and the children forked;
+    with blocks of `block` values, each its own worker's, or with the module's blocks for None."""
     with monkeypatch.context() as patch:
-        patch.setattr(data, "_WRITE_BLOCK", block)
+        if block:
+            _blocks_of(patch, block)
         if workers is None:  # a platform without os.fork
             patch.delattr(os, "fork")
+            children = []
         else:
             patch.setattr(data, "_usable_cpus", lambda: workers)
+            children = _counted_forks(patch)
         fh = io.BytesIO()
         data.write_rows(fh, *_writer_input(rows, dim))
-        return fh.getvalue()
+        return fh.getvalue(), len(children)
 
 
 def _no_child_left() -> bool:
@@ -354,22 +405,27 @@ class TestParallelWriter:
             (_BLOCK_ROWS_512 + 1, 512, 2**16),
             (16 * _SMALL_BLOCK // 512, 512, _SMALL_BLOCK),
             (2 * _SMALL_BLOCK + 3, 1, _SMALL_BLOCK),
+            # the module's blocks: 9 blocks of 16 rows over 2 blocks of 2**16 values, so W is at most 2
+            (_BLOCK_ROWS_512 + 8, 512, None),
         ],
-        ids=["one-row", "one-block", "one-block-and-a-row", "16-blocks", "dim-1"],
+        ids=["one-row", "one-block", "one-block-and-a-row", "16-blocks", "dim-1", "module-blocks"],
     )
     def test_text_is_the_same_for_every_worker_count(self, monkeypatch, rows, dim, block):
-        expected = _written(monkeypatch, 1, rows, dim, block)
+        expected, _ = _written(monkeypatch, 1, rows, dim, block)
         assert expected.count(b"\n") == rows
         assert expected.startswith(b"-9223372036854775808,9223372036854775807,-0.0")
+        shares = -(-rows // max(1, (block or data._WORKER_VALUES) // dim))
         for workers in (None, 2, 3, 4):
-            same = _written(monkeypatch, workers, rows, dim, block) == expected  # outside the assert: no long diff
+            text, children = _written(monkeypatch, workers, rows, dim, block)
+            same = text == expected  # outside the assert: no long diff
             assert same, f"{workers} workers"
+            assert children == (min(workers, shares) - 1 if workers else 0), f"{workers} workers"
         assert _no_child_left()
 
     def test_no_child_is_left_when_the_file_write_fails(self, monkeypatch):
         # each block fills a pipe, so the workers are blocked on a write when the parent stops
         monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(data, "_WRITE_BLOCK", _SMALL_BLOCK)
+        _blocks_of(monkeypatch, _SMALL_BLOCK)
         with pytest.raises(OSError, match="No space left on device"):
             data.write_rows(_FailingFile(good_writes=4), *_writer_input(16 * _SMALL_BLOCK // 512, 512))
         assert _no_child_left()
@@ -385,7 +441,7 @@ class TestParallelWriter:
     )
     def test_failed_worker_is_an_error_and_no_child_is_left(self, monkeypatch, failure, error, message):
         # worker 1 runs on until the parent stops reading; the error is worker 2's
-        monkeypatch.setattr(data, "_WRITE_BLOCK", _SMALL_BLOCK)
+        _blocks_of(monkeypatch, _SMALL_BLOCK)
         _failing_in_the_last_worker(monkeypatch, 3, failure)
         with pytest.raises(error, match=message):
             data.write_rows(io.BytesIO(), *_writer_input(16 * _SMALL_BLOCK // 512, 512))
@@ -467,7 +523,8 @@ def _outcome(load, path):
         ds = load(path)
     except DatasetParseError as exc:
         return "refused", str(exc), exc.line
-    return "loaded", ds.samples.dtype, ds.labels.dtype, ds.samples.view(np.int64).tolist(), ds.labels.tolist()
+    contiguous = ds.samples.flags.c_contiguous and ds.labels.flags.c_contiguous
+    return "loaded", ds.samples.dtype, ds.labels.dtype, contiguous, ds.samples.view(np.int64).tolist(), ds.labels.tolist()
 
 
 class TestCReaderAgreesWithTheLineParser:
@@ -593,6 +650,27 @@ class TestParsedSidecar:
         assert second.samples.flags.c_contiguous and second.labels.flags.c_contiguous
         assert np.array_equal(second.samples.view(np.int64), first.samples.view(np.int64))
         assert np.array_equal(second.labels, first.labels)
+
+    def test_sidecar_holds_the_bytes_np_savez_writes(self, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset(Dataset(np.array([[-0.0, 5e-324, 0.1], [1e308, -2.5, 3.0]]), [1, 0]), path)
+        loaded = load_dataset(path)
+        with np.load(_sidecar(path)) as npz:
+            members = {key: (npz[key].dtype.str, npz[key].shape) for key in npz}
+        assert members == {"version": ("<i8", ()), "digest": ("<U64", ()), "samples": ("<f8", (2, 3)), "labels": ("<i8", (2,))}
+        written = io.BytesIO()
+        np.savez(written, version=1, digest=data._sha256(path), samples=loaded.samples, labels=loaded.labels)
+        assert _sidecar(path).read_bytes() == written.getvalue()
+
+    def test_sidecar_written_by_np_savez_is_read_bitwise(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        ds = Dataset(np.array([[-0.0, 5e-324, 0.1], [1e308, -2.5, 3.0]]), [1, 0])
+        save_dataset(ds, path)
+        np.savez(_sidecar(path), version=1, digest=data._sha256(path), samples=ds.samples, labels=ds.labels)
+        _parse_refused(monkeypatch)
+        loaded = load_dataset(path)
+        assert np.array_equal(loaded.samples.view(np.int64), ds.samples.view(np.int64))
+        assert np.array_equal(loaded.labels, ds.labels)
 
     def test_edit_in_place_with_the_same_size_and_mtime_is_read(self, tmp_path, monkeypatch):
         path = tmp_path / "data.csv"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import threading
 import tracemalloc
 
@@ -300,6 +301,7 @@ class TestReportAndExport:
         ids, labels = np.array([7, 3, 12, 0, 9, 4, 5]), np.array([1, 0, 3, 2, 5, 4, 6])
         if block:
             monkeypatch.setattr(data, "_WRITE_BLOCK", block)
+            monkeypatch.setattr(data, "_WORKER_VALUES", block)
         export_embeddings_csv(tmp_path / "emb.csv", ids, labels, z)
         expected = "sample_id,label,z_0,z_1,z_2,z_3,z_4\n" + "".join(
             f"{sid},{lab}," + ",".join(repr(float(v)) for v in values) + "\n" for sid, lab, values in zip(ids, labels, z)
@@ -579,6 +581,36 @@ def test_recall_with_every_point_duplicated_under_another_label(side, monkeypatc
         tiles.assert_swept(len(z))
 
 
+def _pairs_far_apart(pairs=20, dim=4):
+    """Pairs 100 apart, each of one label, its two points about 1 apart: each band holds its nearest point."""
+    rng = np.random.default_rng(24)
+    centres = 100.0 * np.arange(pairs)[:, None] * np.eye(dim)[0] + rng.normal(size=(pairs, dim))
+    return np.repeat(centres, 2, axis=0) + 0.5 * rng.normal(size=(2 * pairs, dim)), np.repeat(np.arange(pairs), 2)
+
+
+# query 1's nearest same-label point, 2, ties with 0 of another label at distance 1, and 0 is alone in its
+# class: three band entries for three queries, one of them ahead of its query's nearest point
+_TIE_BESIDE_A_SINGLETON = (np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), np.array([5, 3, 3]))
+
+
+@pytest.mark.parametrize(
+    "case, decodes",
+    [
+        (_pairs_far_apart(), False),
+        (_TIE_BESIDE_A_SINGLETON, True),
+        (_duplicated_under_another_label(), True),
+    ],
+    ids=["nearest-points-alone", "tie-beside-a-singleton", "duplicated-under-another-label"],
+)
+def test_band_entries_are_decoded_only_when_a_band_holds_another_point(case, decodes, monkeypatch):
+    z, labels = case
+    decoded, ahead = [], evaluation._ahead
+    monkeypatch.setattr(evaluation, "_ahead", lambda *args: decoded.append(True) or ahead(*args))
+    every = range(1, len(z))
+    assert recall_at_k(z, labels, every) == recall_reference(z, labels, every)
+    assert bool(decoded) == decodes
+
+
 @pytest.mark.parametrize("rows", [1, 13], ids=["one-row-blocks", "13-row-blocks"])
 @pytest.mark.parametrize("case", list(_exactness_cases()))
 class TestGramExactnessAcrossBlocks:
@@ -697,6 +729,18 @@ def test_embeddings_csv_memory_does_not_grow_with_the_file(tmp_path, monkeypatch
     z = np.random.default_rng(16).normal(size=(2000, 512))
     ids, labels = np.arange(2000), np.arange(2000) % 40
     assert _traced_peak(lambda: export_embeddings_csv(tmp_path / "emb.csv", ids, labels, z)) <= 8 * 2**20
+
+
+def test_small_embeddings_csv_is_written_in_one_process(tmp_path, monkeypatch):
+    # the 1,000 x 32 export of cli-roundtrip: 32,000 values, one block of 2**16 values, so W = 1 on any CPU
+    # count; 2**13-value blocks are four, and two workers would fork. Blocks of 2**16 values held 1.75 MiB
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    children, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: children.append(True) or fork())
+    z = np.random.default_rng(17).normal(size=(1000, 32))
+    ids, labels = np.arange(1000), np.arange(1000) % 10
+    assert _traced_peak(lambda: export_embeddings_csv(tmp_path / "emb.csv", ids, labels, z)) <= 2**20
+    assert not children
 
 
 def test_kmeans_memory_stays_bounded_with_many_clusters():

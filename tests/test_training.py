@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -194,6 +195,25 @@ class TestTrainStep:
                 assert after[key] == before[key], f"{key} changed under metric-only backward"
             else:
                 assert after[key] != before[key], f"{key} did not move under the metric update"
+
+    def test_extractor_takes_the_gradient_of_the_original_tuples_alone(self):
+        # the synthetic tuples are generator outputs: their loss reaches the projector, never the extractor
+        rng = np.random.default_rng(10)
+        x, labels = toy_batch(rng)
+        config = small_config()
+        models = init_models(x.shape[1], 3, config)
+        state = init_state(models, config)
+        from hardmetric.embedder import extract
+
+        feats, ext_tapes = extract(models.embedder, x)
+        z, proj_tape = project(models.embedder, feats)
+        _, grad_z_m = batch_metric_loss(z, mine_tuples(labels, config, copy.deepcopy(state.rng)), config.margin)
+        stepped = []
+        freeze(state, "projector", "generator", "classifier").adam_extractor.step = stepped.append
+        row = train_step(models, x, labels, state, config)
+        assert row.j_syn > 0.0 and row.weight_w < 1.0, "the synthetic loss took no part in the step"
+        expected, _ = embed_backward(models.embedder, ext_tapes, proj_tape, row.weight_w * grad_z_m)
+        assert all(np.array_equal(got, want) for got, want in zip(stepped[0], expected, strict=True))
 
     def test_generator_only_update_leaves_embedder_and_classifier_bitwise(self):
         rng = np.random.default_rng(7)
