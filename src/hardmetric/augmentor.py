@@ -7,7 +7,9 @@ driven by a schedule on the previous epoch's average metric loss: as the
 model improves (loss falls), the interpolation coefficient shrinks and the
 synthesized tuples get harder. Anchors and positives pass through untouched,
 and nothing here participates in backpropagation; outputs are constants to
-every downstream objective.
+every downstream objective. `augment_tuples` returns the hardened negatives
+with the batch rows of the tuple `members` the generator reconstructs, and
+the `synthetic` tuple batch over [anchors; positives; hardened negatives].
 """
 
 from __future__ import annotations
@@ -77,31 +79,35 @@ def _harden(z, z_neg, d_plus, lambda_interp: float) -> np.ndarray:
 
 @dataclass
 class AugmentedTuple:
-    """A tuple batch after negative hardening.
+    """A tuple batch after negative hardening, and the synthetic tuples it yields.
 
     Anchors and positives are rows of the embedding batch, unaltered. For
-    triplets the per-negative arrays are (T,) and (T, D); for N-pair tuples
-    they are (N, N-1) and (N, N-1, D) because every anchor gets its own
-    hardened copy of each other pair's positive. `degenerate` lists tuple
-    rows (triplet) or anchor rows (npair) whose reference distance was
-    zero: triplet rows are dropped, npair anchors keep their negatives
-    unhardened so the tuple structure survives.
+    triplets the negative arrays are (T,) and (T, D); for N-pair tuples they
+    are (N, N-1) and (N, N-1, D) because every anchor gets its own hardened
+    copy of each other pair's positive. A triplet whose reference distance
+    is zero is dropped; such an N-pair anchor keeps its negatives
+    unhardened, so the tuple structure survives. `synthetic` indexes rows
+    [anchors; positives; hardened negatives in row-major order], labels kept.
     """
 
     kind: str
-    lambda_interp: float
     anchor_idx: np.ndarray
     positive_idx: np.ndarray
     negative_idx: np.ndarray
     hardened_negatives: np.ndarray
-    reference_distances: np.ndarray
-    anchor_labels: np.ndarray
-    negative_labels: np.ndarray
-    degenerate: np.ndarray
+    synthetic: TupleBatch
 
     @property
     def size(self) -> int:
         return self.anchor_idx.shape[0]
+
+    @property
+    def members(self) -> np.ndarray:
+        """Batch rows of the unaltered tuple members: the anchors, then the
+        positives, then, for triplets, the original negatives; N-pair
+        negatives are other pairs' positives already."""
+        negatives = [self.negative_idx] if self.kind == "triplet" else []
+        return np.concatenate([self.anchor_idx, self.positive_idx, *negatives])
 
 
 def augment_tuples(embeddings, tuples: TupleBatch, state: AugmentorState) -> AugmentedTuple:
@@ -111,30 +117,23 @@ def augment_tuples(embeddings, tuples: TupleBatch, state: AugmentorState) -> Aug
     embeddings only; gradients never flow through the returned arrays.
     """
     z = np.asarray(embeddings, dtype=np.float64)
-    lam = pulling_lambda(state)
     anchors, positives, negatives = tuples.anchors, tuples.positives, tuples.negatives
     d_plus = np.sqrt(((z[anchors] - z[positives]) ** 2).sum(axis=-1))
-    degenerate = np.flatnonzero(d_plus <= 0.0)
     if tuples.kind == "triplet":
         # a triplet without a reference distance is dropped
         kept = np.flatnonzero(d_plus > 0.0)
         anchors, positives, negatives, d_plus = anchors[kept], positives[kept], negatives[kept], d_plus[kept]
     # an N-pair anchor without one keeps its negatives: nothing lies beyond an infinite reference
     reach = np.where(d_plus > 0.0, d_plus, np.inf)[:, None]
-    hardened = _harden(z[anchors][:, None, :], z[negatives], reach, lam)
-    refs = np.broadcast_to(d_plus[:, None], negatives.shape).copy()
-    negative_labels = tuples.labels[negatives]
-    if tuples.kind == "triplet":
-        negatives, hardened, refs, negative_labels = negatives[:, 0], hardened[:, 0], refs[:, 0], negative_labels[:, 0]
-    return AugmentedTuple(
-        kind=tuples.kind,
-        lambda_interp=lam,
-        anchor_idx=anchors,
-        positive_idx=positives,
-        negative_idx=negatives,
-        hardened_negatives=hardened,
-        reference_distances=refs,
-        anchor_labels=tuples.labels[anchors],
-        negative_labels=negative_labels,
-        degenerate=degenerate,
+    hardened = _harden(z[anchors][:, None, :], z[negatives], reach, pulling_lambda(state))
+    t = anchors.size
+    synthetic = TupleBatch(
+        tuples.kind,
+        np.arange(t),
+        t + np.arange(t),
+        2 * t + np.arange(negatives.size).reshape(negatives.shape),
+        tuples.labels[np.concatenate([anchors, positives, negatives.ravel()])],
     )
+    if tuples.kind == "triplet":
+        negatives, hardened = negatives[:, 0], hardened[:, 0]
+    return AugmentedTuple(tuples.kind, anchors, positives, negatives, hardened, synthetic)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import data
-from .augmentor import AugmentorState, AugmentedTuple, augment_tuples, pulling_lambda
+from .augmentor import AugmentorState, augment_tuples, pulling_lambda
 from .checkpoint import Models, save_checkpoint
 from .data import Dataset, ZeroShotSplit, check_train_fraction, split_zero_shot
 from .embedder import embed, embed_backward, extract, init_embedder, project, project_backward
@@ -222,32 +222,6 @@ def _check_finite(value: float, component: str) -> float:
     return value
 
 
-def _member_rows(aug: AugmentedTuple) -> tuple[np.ndarray, np.ndarray]:
-    """Batch rows of the unaltered tuple members, plus the hardened
-    embeddings flattened to a matrix.
-
-    Members are the anchors, the positives and, for triplets, the original
-    negatives; N-pair negatives are other pairs' positives already.
-    """
-    members = [aug.anchor_idx, aug.positive_idx] + ([aug.negative_idx] if aug.kind == "triplet" else [])
-    hardened = aug.hardened_negatives
-    return np.concatenate(members), hardened.reshape(-1, hardened.shape[-1])
-
-
-def _synthetic_tuples(aug: AugmentedTuple, member_features: np.ndarray, hardened_features: np.ndarray):
-    """Stack synthetic features into one matrix and index a tuple batch over it.
-
-    Member features arrive in `_member_rows` order: anchors, then positives
-    (then, for triplets, the reconstructed original negatives, which take no
-    part in the synthetic tuple). Hardened rows are appended at the end.
-    """
-    t = aug.size
-    rows = np.vstack([member_features[: 2 * t], hardened_features])
-    negatives = 2 * t + np.arange(aug.negative_idx.size).reshape(aug.negative_idx.shape)
-    labels = np.concatenate([aug.anchor_labels, aug.anchor_labels, aug.negative_labels.ravel()])
-    return rows, TupleBatch(aug.kind, np.arange(t), t + np.arange(t), negatives, labels)
-
-
 def train_step(models: Models, x, labels, state: TrainState, config: TrainConfig) -> LogRow | None:
     """One simultaneous update of all parameter partitions on one batch.
 
@@ -277,21 +251,21 @@ def train_step(models: Models, x, labels, state: TrainState, config: TrainConfig
     w, j_syn, gen_terms, syn_grad = 1.0, 0.0, (0.0, 0.0, 0.0), None
     if config.synthetics:
         aug = augment_tuples(z, tuples, state.augmentor)
-        member_idx, hardened_emb = _member_rows(aug)
+        members, hardened, t = aug.members, aug.hardened_negatives, aug.size
         gen = generator_forward(
             models.generator,
             models.classifier,
-            features[member_idx],
-            z[member_idx],
-            hardened_emb,
-            aug.negative_labels.reshape(-1),
+            features[members],
+            z[members],
+            hardened.reshape(-1, hardened.shape[-1]),
+            aug.synthetic.labels[2 * t :],
             config.lambda_balance,
         )
         gen_terms = (gen.j_gen, gen.j_recon, gen.j_soft)
         w = metric_weight(gen.j_gen, config.beta)
-        syn_rows, syn_tuples = _synthetic_tuples(aug, gen.member_features, gen.hardened_features)
-        syn_z, syn_tape = project(models.embedder, syn_rows)
-        j_syn, grad_z_syn = batch_metric_loss(syn_z, syn_tuples, config.margin)
+        # the synthetic rows: reconstructed anchors and positives, then the decoded hardened negatives
+        syn_z, syn_tape = project(models.embedder, np.vstack([gen.member_features[: 2 * t], gen.hardened_features]))
+        j_syn, grad_z_syn = batch_metric_loss(syn_z, aug.synthetic, config.margin)
         syn_grad = (1.0 - w) * grad_z_syn
         _check_finite(j_syn, "metric loss over synthetic tuples")
 

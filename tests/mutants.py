@@ -11,7 +11,8 @@ one passes.
 
 It prints one line per row and exits 1 when a row survived or an id could not be run.
 `tests/test_mutants.py` checks, within tier-1, only that each old text still occurs
-exactly once, so that a refactor carries its rows forward.
+exactly once, so that a refactor carries its rows forward, and that each mutated file
+still parses, so that no row is killed by a syntax error.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ _FINISHED = "tests/test_training.py::TestRunTraining::test_finished_state_takes_
 _FIRST_LOAD = "tests/test_data.py::TestDatasetIO::test_first_load_holds_the_samples_once"
 _DECODED = "tests/test_evaluation.py::test_band_entries_are_decoded_only_when_a_band_holds_another_point"
 _SPLIT = "tests/test_data.py::TestZeroShotSplit"
+_SYNTHETIC = "tests/test_augmentor.py::TestAugmentTuples::test_synthetic_is_the_explicit_construction"
 
 MUTANTS = [
     Mutant(
@@ -470,7 +472,7 @@ MUTANTS = [
     Mutant(
         "the classifier is stepped on the synthetic features", "training.py",
         "classifier_step(models.classifier, features, labels, state.adam_classifier)",
-        "classifier_step(models.classifier, gen.hardened_features, aug.negative_labels.reshape(-1), state.adam_classifier)",
+        "classifier_step(models.classifier, gen.hardened_features, aug.synthetic.labels[2 * t :], state.adam_classifier)",
         (f"{_PINNED}[triplet]", f"{_PINNED}[npair]"),
     ),
     Mutant(
@@ -531,7 +533,7 @@ MUTANTS = [
         "        ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, w * grad_z_m)\n",
         "        grad_z = w * grad_z_m\n"
         "        if syn_grad is not None:\n"
-        "            np.add.at(grad_z, member_idx[: 2 * aug.size], syn_grad[: 2 * aug.size])\n"
+        "            np.add.at(grad_z, members[: 2 * t], syn_grad[: 2 * t])\n"
         "        ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, grad_z)\n",
         (
             "tests/test_training.py::TestTrainStep::test_extractor_takes_the_gradient_of_the_original_tuples_alone",
@@ -562,8 +564,27 @@ MUTANTS = [
         "    target = lambda_interp * d + (1.0 - lambda_interp) * d_plus\n", "    target = lambda_interp * d\n",
         (
             "tests/test_augmentor.py::TestAugmentNegative::test_worked_example_on_the_axis",
-            "tests/test_augmentor.py::TestAugmentTuples::test_hardening_bounds_hold_per_batch",
+            "tests/test_augmentor.py::TestAugmentTuples::test_hardening_bounds_hold_per_batch[triplet]",
+            "tests/test_augmentor.py::TestAugmentTuples::test_hardening_bounds_hold_per_batch[npair]",
         ),
+    ),
+    Mutant(
+        "the tuple members leave out the triplets' original negatives", "augmentor.py",
+        '        negatives = [self.negative_idx] if self.kind == "triplet" else []\n',
+        "        negatives = []\n",
+        (f"{_SYNTHETIC}[triplet]", f"{_PINNED}[triplet]"),
+    ),
+    Mutant(
+        "the synthetic N-pair negatives index the hardened rows in column-major order", "augmentor.py",
+        "2 * t + np.arange(negatives.size).reshape(negatives.shape),",
+        "2 * t + np.arange(negatives.size).reshape(negatives.shape[::-1]).T,",
+        (f"{_SYNTHETIC}[npair]", f"{_PINNED}[npair]"),
+    ),
+    Mutant(
+        "the synthetic tuples swap their anchors and positives", "augmentor.py",
+        "        np.arange(t),\n        t + np.arange(t),\n",
+        "        t + np.arange(t),\n        np.arange(t),\n",
+        (f"{_SYNTHETIC}[triplet]", f"{_SYNTHETIC}[npair]", f"{_PINNED}[triplet]"),
     ),
 ]
 

@@ -244,7 +244,7 @@ class TestCriterion7LabelPreservation:
         tuples = mine_tuples(train_labels, config, np.random.default_rng(99))
         aug = augment_tuples(emb.embeddings, tuples, res.state.augmentor)
         hard_feats, _ = stack_forward(res.models.generator, aug.hardened_negatives)
-        synth_acc = accuracy(hard_feats, aug.negative_labels)
+        synth_acc = accuracy(hard_feats, aug.synthetic.labels[2 * aug.size :])
         ok = synth_acc >= 0.8 * real_acc
         verdict(
             7,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardmetric.augmentor import AugmentorState, augment_tuples
+from hardmetric.augmentor import AugmentorState, augment_tuples, pulling_lambda
 from hardmetric.errors import DimensionError, InputError
 from hardmetric.losses import TupleBatch, batch_metric_loss, npair_loss, triplet_loss
 
@@ -167,16 +167,13 @@ class TestBatchMetricLoss:
             tuples = npair_batch(labels, 4)
         margin = 1.0
         base, _ = batch_metric_loss(z, tuples, margin)
-        aug = augment_tuples(z, tuples, AugmentorState(alpha=1.0, j_avg=0.8))
-        assert aug.lambda_interp < 1.0
-        # rebuild the tuple geometry with hardened negatives substituted
-        t = aug.size
+        state = AugmentorState(alpha=1.0, j_avg=0.8)
+        assert pulling_lambda(state) < 1.0
+        aug = augment_tuples(z, tuples, state)
+        # the tuple geometry with hardened negatives substituted
         dim = aug.hardened_negatives.shape[-1]
         stacked = np.vstack([z[aug.anchor_idx], z[aug.positive_idx], aug.hardened_negatives.reshape(-1, dim)])
-        negatives = 2 * t + np.arange(aug.negative_idx.size).reshape(aug.negative_idx.shape)
-        labels2 = np.concatenate([aug.anchor_labels, aug.anchor_labels, aug.negative_labels.ravel()])
-        hard_tuples = TupleBatch(kind, np.arange(t), t + np.arange(t), negatives, labels2)
-        hardened, _ = batch_metric_loss(stacked, hard_tuples, margin)
+        hardened, _ = batch_metric_loss(stacked, aug.synthetic, margin)
         assert hardened >= base - 1e-12
 
 

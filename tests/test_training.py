@@ -256,19 +256,18 @@ class TestTrainStep:
         tuples = mine_tuples(labels, config, state.rng)
         from hardmetric.augmentor import augment_tuples
         from hardmetric.embedder import extract
-        from hardmetric.training import _member_rows, _synthetic_tuples
 
         feats, ext_tapes = extract(models.embedder, x)
         emb, proj_tape = project(models.embedder, feats)
         aug = augment_tuples(emb, tuples, state.augmentor)
-        member_idx, hardened = _member_rows(aug)
+        t, members, syn_tuples = aug.size, aug.members, aug.synthetic
         gen_result = generator_loss(
             models.generator, models.classifier,
-            feats[member_idx], emb[member_idx],
-            hardened, aug.negative_labels.reshape(-1), config.lambda_balance,
+            feats[members], emb[members],
+            aug.hardened_negatives.reshape(-1, emb.shape[1]), syn_tuples.labels[2 * t :], config.lambda_balance,
         )
         w = 0.7  # frozen blend weight
-        syn_rows, syn_tuples = _synthetic_tuples(aug, gen_result.member_features, gen_result.hardened_features)
+        syn_rows = np.vstack([gen_result.member_features[: 2 * t], gen_result.hardened_features])
 
         def objective():
             e, _ = embed(models.embedder, x)
@@ -593,17 +592,17 @@ class TestGradientScopeProbe:
         def current_j_gen():
             from hardmetric.augmentor import augment_tuples
             from hardmetric.embedder import extract
-            from hardmetric.training import _member_rows
 
             feats, _ = extract(models.embedder, x)
             emb, _ = project(models.embedder, feats)
             tuples = mine_tuples(labels, config, np.random.default_rng(0))
             aug = augment_tuples(emb, tuples, state.augmentor)
-            member_idx, hardened = _member_rows(aug)
+            members = aug.members
             result = generator_loss(
                 models.generator, models.classifier,
-                feats[member_idx], emb[member_idx],
-                hardened, aug.negative_labels.reshape(-1), config.lambda_balance,
+                feats[members], emb[members],
+                aug.hardened_negatives.reshape(-1, emb.shape[1]), aug.synthetic.labels[2 * aug.size :],
+                config.lambda_balance,
             )
             return result.j_gen
 
@@ -629,19 +628,17 @@ class TestAlphaZeroDegeneracy:
         from hardmetric.augmentor import augment_tuples
         from hardmetric.embedder import extract
         from hardmetric.nn import stack_forward
-        from hardmetric.training import _member_rows, _synthetic_tuples
 
         feats, _ = extract(models.embedder, x)
         emb, _ = project(models.embedder, feats)
         tuples = mine_tuples(labels, config, np.random.default_rng(1))
         aug = augment_tuples(emb, tuples, state.augmentor)
         assert np.array_equal(aug.hardened_negatives, emb[aug.negative_idx])
-        member_idx, hardened = _member_rows(aug)
-        member_feats, _ = stack_forward(models.generator, emb[member_idx])
-        hard_feats, _ = stack_forward(models.generator, hardened)
-        syn_rows, syn_tuples = _synthetic_tuples(aug, member_feats, hard_feats)
+        member_feats, _ = stack_forward(models.generator, emb[aug.members])
+        hard_feats, _ = stack_forward(models.generator, aug.hardened_negatives.reshape(-1, emb.shape[1]))
+        syn_rows = np.vstack([member_feats[: 2 * aug.size], hard_feats])
         syn_emb, _ = project(models.embedder, syn_rows)
-        j_syn, _ = batch_metric_loss(syn_emb, syn_tuples, config.margin)
+        j_syn, _ = batch_metric_loss(syn_emb, aug.synthetic, config.margin)
         # oracle: re-embed the reconstructions of the raw tuple members directly
         recon, _ = stack_forward(models.generator, emb)
         recon_emb, _ = project(models.embedder, recon)
