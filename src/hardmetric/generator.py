@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, InputError, NumericalError, check_nonnegative
 from .nn import (
-    DenseLayer, GradTape, as_matrix, dense_forward, init_dense, softmax_xent, squared_error, stack_backward, stack_forward,
+    DenseLayer, as_matrix, dense_forward, init_dense, softmax_xent, squared_error, stack_backward, stack_forward,
 )
 
 
@@ -31,16 +31,16 @@ def init_generator(
 
 
 @dataclass
-class GeneratorForward:
+class GeneratorLossResult:
     """Reconstruction and softmax terms, j_gen = j_recon + lambda_balance * j_soft,
-    the synthetic features, and what `generator_backward` reads."""
+    with the generator gradients and the synthetic features."""
 
     j_recon: float
     j_soft: float
     j_gen: float
+    grads: list[np.ndarray]  # of j_gen, in `stack_params(gen)` order
     member_features: np.ndarray
     hardened_features: np.ndarray
-    upstream: list[tuple[list[GradTape], np.ndarray]]  # per generator pass: its tapes and output gradient
 
     def __post_init__(self):
         for name in ("j_recon", "j_soft", "j_gen"):
@@ -49,12 +49,7 @@ class GeneratorForward:
                 raise NumericalError(f"non-finite generator loss component {name} = {value}")
 
 
-@dataclass
-class GeneratorLossResult(GeneratorForward):
-    grads: list[np.ndarray]  # of j_gen, in `stack_params(gen)` order
-
-
-def generator_forward(
+def generator_loss(
     gen: list[DenseLayer],
     clf: DenseLayer,
     real_features,
@@ -62,17 +57,15 @@ def generator_forward(
     hardened_embeddings,
     hardened_labels,
     lambda_balance: float,
-) -> GeneratorForward:
-    """The generator objective's terms, the synthetic features and the
-    gradients at the generator's outputs: the forward half of `generator_loss`.
+) -> GeneratorLossResult:
+    """Generator objective and its gradients, which touch generator layers only.
 
     j_recon is the batch-mean squared reconstruction error of the unaltered
     members; j_soft is the softmax loss of the hardened synthetics against
     their original labels under the (frozen) classifier, which must be an
     identity-activation head. The embeddings and the classifier are constants
-    here: the decoder adapts to the encoder, never the other way around. The
-    softmax gradient passes the head's weights here, so that nothing after
-    this call reads the head, which may then be updated.
+    here: the decoder adapts to the encoder, never the other way around.
+    `train_step` steps the head only after this call has read it.
 
     Returns the synthetic features as well so callers do not need a second
     forward pass to build the synthetic tuple.
@@ -89,7 +82,8 @@ def generator_forward(
 
     member_features, member_tapes = stack_forward(gen, member_embeddings)
     j_recon, (_, grad_member_features) = squared_error(real_features, member_features)
-    upstream = [(member_tapes, grad_member_features)]
+    # embeddings are constants here, so no gradient reaches them
+    grads = stack_backward(gen, member_tapes, grad_member_features)
 
     hardened_embeddings = np.asarray(hardened_embeddings, dtype=np.float64)
     if hardened_embeddings.size:
@@ -97,30 +91,14 @@ def generator_forward(
         logits, _ = dense_forward(clf, hardened_features)
         j_soft, grad_logits = softmax_xent(logits, hardened_labels)
         # the input gradient of a linear head alone: the classifier is frozen here
-        upstream.append((hardened_tapes, lambda_balance * (grad_logits @ clf.weight)))
+        soft_grads = stack_backward(gen, hardened_tapes, lambda_balance * (grad_logits @ clf.weight))
+        grads = [a + b for a, b in zip(grads, soft_grads)]
     else:
         hardened_features = np.empty((0, gen[-1].out_dim))
         j_soft = 0.0
 
     j_gen = j_recon + lambda_balance * j_soft
-    return GeneratorForward(j_recon, j_soft, j_gen, member_features, hardened_features, upstream)
-
-
-def generator_backward(gen: list[DenseLayer], forward: GeneratorForward) -> list[np.ndarray]:
-    """The generator gradients of j_gen in `stack_params(gen)` order: the backward
-    half of `generator_loss`. It reads the generator's weights and the forward's
-    tapes, which it consumes, and no embedding or head weight."""
-    grads = stack_backward(gen, *forward.upstream[0])
-    for tapes, upstream in forward.upstream[1:]:
-        grads = [a + b for a, b in zip(grads, stack_backward(gen, tapes, upstream))]
-    return grads
-
-
-def generator_loss(gen: list[DenseLayer], clf: DenseLayer, *args, **kwargs) -> GeneratorLossResult:
-    """Generator objective and its gradients: `generator_forward` on these
-    arguments, then `generator_backward`."""
-    forward = generator_forward(gen, clf, *args, **kwargs)
-    return GeneratorLossResult(**vars(forward), grads=generator_backward(gen, forward))
+    return GeneratorLossResult(j_recon, j_soft, j_gen, grads, member_features, hardened_features)
 
 
 def classifier_step(clf: DenseLayer, features, labels, optimizer) -> float:

@@ -25,20 +25,17 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import data
 from .augmentor import AugmentorState, augment_tuples, pulling_lambda
 from .checkpoint import Models, save_checkpoint
 from .data import Dataset, ZeroShotSplit, check_train_fraction, split_zero_shot
 from .embedder import embed, embed_backward, extract, init_embedder, project, project_backward
 from .errors import InputError, NumericalError, check_nonnegative, check_positive
 from .evaluation import EvalReport, check_ks, evaluate_embeddings
-from .generator import classifier_step, generator_backward, generator_forward, init_generator
+from .generator import classifier_step, generator_loss, init_generator
 from .losses import TupleBatch, batch_metric_loss
 from .nn import Adam, init_dense, stack_params
 
 log = logging.getLogger(__name__)
-
-_BESIDE_ENTRIES = 1 << 16  # reconstructed entries from which the generator's update pays for a thread (README)
 
 
 @dataclass
@@ -228,11 +225,9 @@ def train_step(models: Models, x, labels, state: TrainState, config: TrainConfig
     Returns the logged row, or None when no tuples could be mined. Each
     partition is updated by its own optimizer in `state`, once every loss of
     the step has proved finite: a step that raises `NumericalError` updates
-    nothing. The generator's backward and update and the classifier step
-    share no array with the embedder's; from `_BESIDE_ENTRIES` reconstructed
-    entries, on more than one usable CPU, they run on a worker thread beside
-    them, else after them, here. The results are the same either way.
-    A finished run's state, whose optimizers are freed, is refused.
+    nothing. The partitions are stepped in the order extractor, projector,
+    generator, classifier; the classifier last, once `generator_loss` has
+    read it. A finished run's state, whose optimizers are freed, is refused.
     """
     if state.adam_extractor is None:
         raise InputError("this state's run has finished and freed its optimizers; it takes no further steps")
@@ -252,7 +247,7 @@ def train_step(models: Models, x, labels, state: TrainState, config: TrainConfig
     if config.synthetics:
         aug = augment_tuples(z, tuples, state.augmentor)
         members, hardened, t = aug.members, aug.hardened_negatives, aug.size
-        gen = generator_forward(
+        gen = generator_loss(
             models.generator,
             models.classifier,
             features[members],
@@ -269,20 +264,16 @@ def train_step(models: Models, x, labels, state: TrainState, config: TrainConfig
         syn_grad = (1.0 - w) * grad_z_syn
         _check_finite(j_syn, "metric loss over synthetic tuples")
 
-    def update_generator_and_classifier():
-        if config.synthetics:
-            state.adam_generator.step(generator_backward(models.generator, gen))
-            classifier_step(models.classifier, features, labels, state.adam_classifier)
-
-    beside = config.synthetics and gen.member_features.size >= _BESIDE_ENTRIES
-    with data._beside(update_generator_and_classifier, beside, "hardmetric-generator"):
-        # original path reaches the extractor; both paths reach the projector
-        ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, w * grad_z_m)
-        if syn_grad is not None:
-            syn_proj_grads = project_backward(models.embedder, syn_tape, syn_grad)
-            proj_grads = [g + s for g, s in zip(proj_grads, syn_proj_grads)]
-        state.adam_extractor.step(ext_grads)
-        state.adam_projector.step(proj_grads)
+    # original path reaches the extractor; both paths reach the projector
+    ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, w * grad_z_m)
+    if syn_grad is not None:
+        syn_proj_grads = project_backward(models.embedder, syn_tape, syn_grad)
+        proj_grads = [g + s for g, s in zip(proj_grads, syn_proj_grads)]
+    state.adam_extractor.step(ext_grads)
+    state.adam_projector.step(proj_grads)
+    if config.synthetics:
+        state.adam_generator.step(gen.grads)
+        classifier_step(models.classifier, features, labels, state.adam_classifier)
 
     row = LogRow(state.step, state.epoch, j_m, j_syn, *gen_terms, w, lam)
     state.step += 1

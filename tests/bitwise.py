@@ -5,10 +5,6 @@ both losses, seeds 0-4, hardened and plain. A run's hash covers its `curves.csv`
 count and its final `EvalReport`; the last line hashes the 20 run hashes in order. Two trees that print
 the same last line trained and scored every run identically.
 
-Each run is hashed twice: serially, with one usable CPU, and with the generator's and classifier's
-updates handed to a worker thread at every step (two usable CPUs, the training gate at 0 entries),
-since no acceptance step reaches that gate. The script exits 1 when the two hashes of a run differ.
-
     PYTHONPATH=src python tests/bitwise.py
 
 The package is imported from PYTHONPATH, so pointing it at another checkout's `src` measures that tree
@@ -17,13 +13,11 @@ with this script; the first line names the package that was measured. Pytest doe
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import sys
 
 import hardmetric
-from hardmetric import data, training
 from hardmetric.data import synth_gaussian_dataset
 from hardmetric.training import TrainConfig, run_training
 
@@ -56,37 +50,17 @@ def run_hash(loss_kind: str, seed: int, hardened: bool) -> str:
     return sha.hexdigest()
 
 
-@contextlib.contextmanager
-def hand_over(forced: bool):
-    """Training with the generator's and classifier's updates on a worker thread at every step, or at none."""
-    saved = data._usable_cpus, getattr(training, "_BESIDE_ENTRIES", None)
-    data._usable_cpus = (lambda: 2) if forced else (lambda: 1)
-    training._BESIDE_ENTRIES = 0 if forced else saved[1]
-    try:
-        yield
-    finally:
-        data._usable_cpus, training._BESIDE_ENTRIES = saved
-
-
 def main() -> int:
     print(f"hardmetric from {hardmetric.__file__}")
     overall = hashlib.sha256()
-    differ = 0
     for loss_kind in ("triplet", "npair"):
         for hardened in (False, True):
             for seed in SEEDS:
-                digests = []
-                for forced in (False, True):
-                    with hand_over(forced):
-                        digests.append(run_hash(loss_kind, seed, hardened))
-                overall.update(digests[0].encode())
-                name = f"{loss_kind} {'hardened' if hardened else 'plain'} seed {seed}"
-                if digests[1] != digests[0]:
-                    differ += 1
-                    print(f"{digests[1]}  {name}, worker thread at every step: differs from the serial run")
-                print(f"{digests[0]}  {name}")
+                digest = run_hash(loss_kind, seed, hardened)
+                overall.update(digest.encode())
+                print(f"{digest}  {loss_kind} {'hardened' if hardened else 'plain'} seed {seed}")
     print(f"{overall.hexdigest()}  all 20 runs")
-    return 1 if differ else 0
+    return 0
 
 
 if __name__ == "__main__":

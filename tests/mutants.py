@@ -52,7 +52,7 @@ _RECALL_TILES = f"{_EXACT}AcrossTiles::test_recall_equals_the_explicit_argsort"
 _DUPLICATED = "tests/test_evaluation.py::test_recall_with_every_point_duplicated_under_another_label"
 _SAME_REPORT = "tests/test_evaluation.py::test_report_on_one_usable_cpu_is_the_report_on_two"
 _WORKER_RAISES = "tests/test_evaluation.py::test_non_finite_row_raises_through_the_worker_thread"
-_HAND_OVER = "tests/test_training.py::TestHandOver"
+_STEP = "tests/test_training.py::TestStepUpdates"
 _EXPORT_BYTES = "tests/test_evaluation.py::TestReportAndExport::test_embeddings_csv_matches_the_per_value_formatter"
 _RELU_MASK = "tests/test_nn.py::TestDenseBackward::test_relu_mask_through_the_forward_pass_is_pre_greater_than_zero"
 _BY_HAND = "test_gradients_equal_dense_backward_chained_by_hand"
@@ -66,6 +66,38 @@ _FIRST_LOAD = "tests/test_data.py::TestDatasetIO::test_first_load_holds_the_samp
 _DECODED = "tests/test_evaluation.py::test_band_entries_are_decoded_only_when_a_band_holds_another_point"
 _SPLIT = "tests/test_data.py::TestZeroShotSplit"
 _SYNTHETIC = "tests/test_augmentor.py::TestAugmentTuples::test_synthetic_is_the_explicit_construction"
+
+# `train_step` from the generator's loss to its last update, in three pieces that the step-order rows rearrange
+_GENERATOR_LOSS = (
+    "        gen = generator_loss(\n"
+    "            models.generator,\n"
+    "            models.classifier,\n"
+    "            features[members],\n"
+    "            z[members],\n"
+    "            hardened.reshape(-1, hardened.shape[-1]),\n"
+    "            aug.synthetic.labels[2 * t :],\n"
+    "            config.lambda_balance,\n"
+    "        )\n"
+    "        gen_terms = (gen.j_gen, gen.j_recon, gen.j_soft)\n"
+    "        w = metric_weight(gen.j_gen, config.beta)\n"
+    "        # the synthetic rows: reconstructed anchors and positives, then the decoded hardened negatives\n"
+    "        syn_z, syn_tape = project(models.embedder, np.vstack([gen.member_features[: 2 * t], gen.hardened_features]))\n"
+    "        j_syn, grad_z_syn = batch_metric_loss(syn_z, aug.synthetic, config.margin)\n"
+    "        syn_grad = (1.0 - w) * grad_z_syn\n"
+)
+_SYN_CHECK = '        _check_finite(j_syn, "metric loss over synthetic tuples")\n'
+_UPDATES = (
+    "    # original path reaches the extractor; both paths reach the projector\n"
+    "    ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, w * grad_z_m)\n"
+    "    if syn_grad is not None:\n"
+    "        syn_proj_grads = project_backward(models.embedder, syn_tape, syn_grad)\n"
+    "        proj_grads = [g + s for g, s in zip(proj_grads, syn_proj_grads)]\n"
+    "    state.adam_extractor.step(ext_grads)\n"
+    "    state.adam_projector.step(proj_grads)\n"
+    "    if config.synthetics:\n"
+    "        state.adam_generator.step(gen.grads)\n"
+)
+_CLASSIFIER_STEP = "        classifier_step(models.classifier, features, labels, state.adam_classifier)\n"
 
 MUTANTS = [
     Mutant(
@@ -316,49 +348,26 @@ MUTANTS = [
         (f"{_RECALL_TILES}[gaussian-tiles-of-13]", f"{_RECALL_TILES}[far-blobs-tiles-of-13]", _SAME_REPORT),
     ),
     Mutant(
-        "a worker thread's exception is dropped (Recall@K's, the generator update's)", "data.py",
+        "a worker thread's exception is dropped (Recall@K's)", "data.py",
         "    if failure:\n        raise failure[0]\n", "",
-        (
-            f"{_WORKER_RAISES}[nan-stubbed]",
-            f"{_WORKER_RAISES}[overflow-stubbed]",
-            f"{_HAND_OVER}::test_worker_exception_comes_out_of_the_step[generator-adam]",
-            f"{_HAND_OVER}::test_worker_exception_comes_out_of_the_step[classifier-step]",
-        ),
+        (f"{_WORKER_RAISES}[nan-stubbed]", f"{_WORKER_RAISES}[overflow-stubbed]"),
     ),
     Mutant(
         "a worker thread is not joined when the calling thread's side raises", "data.py",
         "    try:\n        yield\n    finally:\n        worker.join()\n", "    yield\n    worker.join()\n",
-        (f"{_HAND_OVER}::test_worker_is_joined_when_the_embedder_side_raises",),
+        ("tests/test_evaluation.py::test_recall_worker_finishes_before_a_clustering_error_leaves_the_evaluation",),
     ),
     Mutant(
-        "the generator's update starts on its thread before the synthetic loss is checked", "training.py",
-        '        _check_finite(j_syn, "metric loss over synthetic tuples")\n'
-        "\n"
-        "    def update_generator_and_classifier():\n"
-        "        if config.synthetics:\n"
-        "            state.adam_generator.step(generator_backward(models.generator, gen))\n"
-        "            classifier_step(models.classifier, features, labels, state.adam_classifier)\n"
-        "\n"
-        "    beside = config.synthetics and gen.member_features.size >= _BESIDE_ENTRIES\n"
-        '    with data._beside(update_generator_and_classifier, beside, "hardmetric-generator"):\n',
-        "\n"
-        "    def update_generator_and_classifier():\n"
-        "        if config.synthetics:\n"
-        "            state.adam_generator.step(generator_backward(models.generator, gen))\n"
-        "            classifier_step(models.classifier, features, labels, state.adam_classifier)\n"
-        "\n"
-        "    beside = config.synthetics and gen.member_features.size >= _BESIDE_ENTRIES\n"
-        '    with data._beside(update_generator_and_classifier, beside, "hardmetric-generator"):\n'
-        '        _check_finite(j_syn, "metric loss over synthetic tuples")\n',
-        (f"{_HAND_OVER}::test_step_with_a_non_finite_synthetic_loss_updates_nothing[worker]",),
+        "the synthetic loss is checked only after the partitions are stepped", "training.py",
+        _SYN_CHECK + "\n" + _UPDATES + _CLASSIFIER_STEP,
+        "\n" + _UPDATES + _CLASSIFIER_STEP + _SYN_CHECK[4:],
+        (f"{_STEP}::test_step_with_a_non_finite_synthetic_loss_updates_no_partition",),
     ),
     Mutant(
-        "the generator's update takes a worker thread below its gate, not above", "training.py",
-        "gen.member_features.size >= _BESIDE_ENTRIES", "gen.member_features.size < _BESIDE_ENTRIES",
-        (
-            f"{_HAND_OVER}::test_acceptance_npair_steps_start_no_thread",
-            f"{_HAND_OVER}::test_step_past_the_gate_takes_a_worker_on_two_cpus_only[2]",
-        ),
+        "the classifier is stepped before generator_loss reads it", "training.py",
+        _GENERATOR_LOSS + _SYN_CHECK + "\n" + _UPDATES + _CLASSIFIER_STEP,
+        _CLASSIFIER_STEP + _GENERATOR_LOSS + _SYN_CHECK + "\n" + _UPDATES,
+        (f"{_STEP}::test_generator_loss_reads_the_head_before_classifier_step_updates_it",),
     ),
     Mutant(
         "evaluation takes NaN labels", "evaluation.py",
@@ -530,11 +539,11 @@ MUTANTS = [
     ),
     Mutant(
         "the synthetic anchors' and positives' gradient reaches the extractor as the originals'", "training.py",
-        "        ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, w * grad_z_m)\n",
-        "        grad_z = w * grad_z_m\n"
-        "        if syn_grad is not None:\n"
-        "            np.add.at(grad_z, members[: 2 * t], syn_grad[: 2 * t])\n"
-        "        ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, grad_z)\n",
+        "    ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, w * grad_z_m)\n",
+        "    grad_z = w * grad_z_m\n"
+        "    if syn_grad is not None:\n"
+        "        np.add.at(grad_z, members[: 2 * t], syn_grad[: 2 * t])\n"
+        "    ext_grads, proj_grads = embed_backward(models.embedder, ext_tapes, proj_tape, grad_z)\n",
         (
             "tests/test_training.py::TestTrainStep::test_extractor_takes_the_gradient_of_the_original_tuples_alone",
             f"{_PINNED}[triplet]",

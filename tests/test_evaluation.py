@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -804,6 +805,27 @@ def test_non_finite_row_raises_through_the_worker_thread(monkeypatch, value, clu
     with pytest.raises(NumericalError, match="row 17 "):
         evaluate_embeddings(z, labels)
     assert threads and threads[0] is not threading.main_thread()
+
+
+def test_recall_worker_finishes_before_a_clustering_error_leaves_the_evaluation(monkeypatch):
+    z, labels = _blobs_of_600(22)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    finished, inner = [], evaluation.recall_at_k
+
+    def slow_recall(*args):
+        time.sleep(0.2)
+        result = inner(*args)
+        finished.append(threading.current_thread())
+        return result
+
+    def failing_kmeans(points, k, seed):
+        raise RuntimeError("clustering failed")
+
+    monkeypatch.setattr(evaluation, "recall_at_k", slow_recall)
+    monkeypatch.setattr(evaluation, "kmeans", failing_kmeans)
+    with pytest.raises(RuntimeError, match="clustering failed"):
+        evaluate_embeddings(z, labels)
+    assert finished and finished[0] is not threading.main_thread()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "overflow"])
