@@ -344,12 +344,74 @@ def partition_bytes(models: Models, state) -> dict:
     return out
 
 
+class Boom(Exception):
+    pass
+
+
 class TestStepUpdates:
     def _step_setup(self):
         x, labels = toy_batch(np.random.default_rng(12))
         config = small_config()
         models = init_models(x.shape[1], 3, config)
         return x, labels, config, models, init_state(models, config)
+
+    def test_step_with_a_non_finite_original_loss_updates_no_partition(self, monkeypatch):
+        x, labels, config, models, state = self._step_setup()
+        train_step(models, x, labels, state, config)  # so that every Adam slot holds values
+        calls = []
+
+        def nan_on_first_call(z, tuples, margin):
+            calls.append(tuples.kind)
+            j, grad = batch_metric_loss(z, tuples, margin)
+            return (math.nan if len(calls) == 1 else j), grad
+
+        monkeypatch.setattr(training, "batch_metric_loss", nan_on_first_call)
+        before = partition_bytes(models, state)
+        with pytest.raises(NumericalError, match="original tuples"):
+            train_step(models, x, labels, state, config)
+        assert len(calls) == 1
+        assert partition_bytes(models, state) == before
+
+    def test_step_with_a_non_finite_generator_loss_updates_no_partition(self):
+        x, labels, config, models, state = self._step_setup()
+        train_step(models, x, labels, state, config)
+        models.generator[-1].weight[0, 0] = math.nan  # every reconstruction's first column is NaN
+        before = partition_bytes(models, state)
+        with pytest.raises(NumericalError, match="generator loss component j_recon"):
+            train_step(models, x, labels, state, config)
+        assert partition_bytes(models, state) == before
+
+    def test_partitions_are_stepped_extractor_projector_generator_classifier(self, monkeypatch):
+        x, labels, config, models, state = self._step_setup()
+        order = []
+        for name in ("extractor", "projector", "generator", "classifier"):
+            adam = getattr(state, f"adam_{name}")
+
+            def recorded(grads, name=name, step=adam.step):
+                order.append(name)
+                step(grads)
+
+            monkeypatch.setattr(adam, "step", recorded)
+        assert train_step(models, x, labels, state, config) is not None
+        assert order == ["extractor", "projector", "generator", "classifier"]
+
+    @pytest.mark.parametrize("where", ["generator-adam", "classifier-step"])
+    def test_update_exception_comes_out_of_the_step(self, monkeypatch, where):
+        x, labels, config, models, state = self._step_setup()
+        threads = []
+
+        def boom(*args):
+            threads.append(threading.current_thread())
+            raise Boom(where)
+
+        if where == "generator-adam":
+            monkeypatch.setattr(state.adam_generator, "step", boom)
+        else:
+            monkeypatch.setattr(training, "classifier_step", boom)
+        starts = thread_starts(monkeypatch)
+        with pytest.raises(Boom, match=where):
+            train_step(models, x, labels, state, config)
+        assert threads == [threading.main_thread()] and starts == []
 
     def test_step_with_a_non_finite_synthetic_loss_updates_no_partition(self, monkeypatch):
         x, labels, config, models, state = self._step_setup()
@@ -384,6 +446,13 @@ class TestStepUpdates:
         # the logged softmax term is the one under the head the step started from, not under the stepped head
         assert row.j_soft == generator_loss(decoder, head, *args).j_soft
         assert row.j_soft != generator_loss(decoder, models.classifier, *args).j_soft
+
+    def test_acceptance_npair_steps_start_no_thread(self, monkeypatch):
+        # 8 pairs: 16 member rows x 128 features, on two usable CPUs
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        starts = thread_starts(monkeypatch)
+        result = run_training(bench_dataset(0), dataclasses.replace(bench_config("npair", 0), epochs=1))
+        assert result.state.history and starts == []
 
     def test_step_of_the_triplet_scale_shape_starts_no_thread(self, monkeypatch):
         # 128 rows that each anchor a triplet: 384 member rows x 256 features, on two usable CPUs
