@@ -9,11 +9,11 @@ index).
 Ranking and clustering are defined on explicit-difference distances,
 sqrt(sum((a - b)**2)), the arithmetic of `embedder.pairwise_distances`.
 Within each query row they are compared as |b|^2 - 2a.b, from matrix
-products over row blocks (k-means) or square tiles (Recall@K) of bounded
-size, which is off by at most a known rounding bound; only the pairs that
-bound cannot order are recomputed from explicit differences, so every
-result is bitwise the one the explicit definition gives. No (n, n) or
-(n, k) matrix is ever held.
+products over centre-major tiles (k-means) or square tiles (Recall@K) of
+bounded size, which is off by at most a known rounding bound; only the
+pairs that bound cannot order are recomputed from explicit differences, so
+every result is bitwise the one the explicit definition gives. No (n, n)
+or (n, k) matrix is ever held.
 
 Recall@K rests on one integer per query, the rank of its nearest
 same-label point, so its work and memory do not depend on K. It computes
@@ -40,7 +40,7 @@ _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 # a Gram entry or explicit squared distance is at most 2(|a|^2 + |b|^2): finite below this
 _MAX_SQUARED_NORM = np.finfo(np.float64).max / 16
-_BLOCK = 1 << 16  # float64 elements per temporary: a block of Gram rows, a Gram tile or explicit differences
+_BLOCK = 1 << 16  # float64 elements per temporary: a Gram tile of k-means or Recall@K, or explicit differences
 KMEANS_MAX_ITER = 300
 
 
@@ -63,8 +63,8 @@ def _slack(d: int, sq_a, top):
     sq_a against columns b of squared norm at most top: for every pair, |g + |a|^2 - explicit| <= s / 2,
     and two explicit squared distances with equal square roots differ by <= s / 2.
 
-    The bound holds in any split and summation order, so it covers every Gram value here: the row blocks
-    of `_gram_blocks`, k-means++ seeding, the class stacks of `_nearest_same_label` and the tiles of
+    The bound holds in any split and summation order, so it covers every Gram value here: the centre-major
+    tiles of `kmeans`, k-means++ seeding, the class stacks of `_nearest_same_label` and the tiles of
     `_gram_tiles`. Entry (i, j) of z_I.(-2 z_J)^T plus |z_i|^2, which `recall_at_k` also reads, is row z_j
     against column z_i summed in another order, so row z_j's slack, over max|b|^2 of all points, covers it.
 
@@ -84,19 +84,6 @@ def _slack(d: int, sq_a, top):
     return 4 * (d + 2) * (_EPS * (sq_a + top) + _SUBNORMAL)
 
 
-def _gram_blocks(a, sq_a, b, sq_b):
-    """Yields (start, stop, g, slack) over row blocks of at most _BLOCK entries: g = |b|^2 - 2a.b for rows
-    start:stop of a against all of b, from one matrix product, and each row's `_slack` over max|b|^2. The
-    row's |a|^2 is left out: it shifts a whole row of g equally, so no argmin or gap within a row changes."""
-    step, top = max(1, _BLOCK // len(b)), sq_b.max()
-    b = -2.0 * b
-    for start in range(0, len(a), step):
-        stop = min(start + step, len(a))
-        g = a[start:stop] @ b.T
-        g += sq_b
-        yield start, stop, g, _slack(a.shape[1], sq_a[start:stop], top)
-
-
 def _pair_sqdist(a, rows_a, b, rows_b) -> np.ndarray:
     """Explicit-difference squared distances |a[rows_a[i]] - b[rows_b[i]]|^2,
     summed exactly as `embedder.pairwise_distances` sums them, in blocks."""
@@ -111,15 +98,14 @@ def _pair_sqdist(a, rows_a, b, rows_b) -> np.ndarray:
 def kmeans(points, k: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm with distance-weighted seeding, deterministic per seed.
 
-    Iterates to an assignment fixpoint or KMEANS_MAX_ITER. Ties in assignment break
-    toward the lowest center index; a cluster that empties is reseeded at
-    the point currently farthest from its own center. Assignments are those
-    of explicit-difference squared distances: the Gram argmin stands where
-    its best center wins by more than the rounding bound, and the other rows
-    are assigned from explicit differences. Seeding keeps each row's explicit
-    squared distance to its nearest center so far, and recomputes it only for
-    the rows whose Gram value cannot rule out the new center. A center is
-    recomputed only when its cluster gained or lost a row, or is empty.
+    Iterates to an assignment fixpoint or KMEANS_MAX_ITER. Ties in assignment break toward the lowest center
+    index; a cluster that empties is reseeded at the point currently farthest from its own center. Assignments
+    are those of explicit-difference squared distances. Each round sweeps tiles of the centre-major Gram
+    product |c|^2 - 2c.p, width = min(k, _tile_side()) centers by _BLOCK // width rows, for each row's best two
+    values: the Gram argmin stands where its best center wins by more than the rounding bound, and the other
+    rows are assigned from explicit differences. Seeding keeps each row's explicit squared distance to its
+    nearest center so far, and recomputes it only for the rows whose Gram value cannot rule out the new
+    center. A center is recomputed only when its cluster gained or lost a row, or is empty.
     """
     pts = as_matrix(points, "points")
     n, d = pts.shape
@@ -145,16 +131,26 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
 
     # every row moves in round 1, so every cluster is stale: it gained rows or is empty (-1 marks the last)
     assign = np.full(n, -1, dtype=np.intp)
+    width = min(k, _tile_side())
+    step = _BLOCK // width
     for _ in range(KMEANS_MAX_ITER):
         new_assign = np.empty(n, dtype=np.intp)
-        for start, stop, g, slack in _gram_blocks(pts, sq, centers, np.einsum("ij,ij->i", centers, centers)):
-            best = g.argmin(axis=1)
-            new_assign[start:stop] = best
-            # the runner-up is the minimum once the best is masked: +inf with one centre, so no row is close
-            local = np.arange(stop - start)
-            first = g[local, best]
-            g[local, best] = np.inf
-            close = start + np.flatnonzero(g.min(axis=1) - first <= 2.0 * slack)
+        sq_c, scaled = np.einsum("ij,ij->i", centers, centers), -2.0 * centers
+        for r0 in range(0, n, step):
+            rows, best = pts[r0 : r0 + step].T, new_assign[r0 : r0 + step]
+            # each row's best two Gram values over the tiles so far, from +inf: one centre leaves no row close
+            first, second = np.full((2, len(best)), np.inf)
+            for c0 in range(0, k, width):
+                g = np.matmul(scaled[c0 : c0 + width], rows)
+                g += sq_c[c0 : c0 + width, None]
+                least = g.min(axis=0)
+                at = (g == least).argmax(axis=0)  # the first centre at the minimum: argmin along axis 0 is slower
+                # the tile's runner-up is its minimum once its best is masked; a tie keeps the earlier tile's centre
+                g[at, np.arange(len(best))] = np.inf
+                second = np.minimum(np.minimum(second, g.min(axis=0)), np.maximum(first, least))
+                np.copyto(best, at + c0, where=least < first)
+                first = np.minimum(first, least)
+            close = r0 + np.flatnonzero(second - first <= 2.0 * _slack(d, sq[r0 : r0 + step], sq_c.max()))
             if close.size:
                 exact = _pair_sqdist(pts, np.repeat(close, k), centers, np.tile(np.arange(k), close.size))
                 new_assign[close] = exact.reshape(-1, k).argmin(axis=1)

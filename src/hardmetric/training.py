@@ -172,7 +172,7 @@ def _why_no_tuple(class_counts: np.ndarray, config: TrainConfig) -> str | None:
 
 
 def mine_tuples(labels, config: TrainConfig, rng: np.random.Generator) -> TupleBatch | None:
-    """Random `config.loss_kind` tuples from one batch; None (with a warning) when infeasible.
+    """Random `config.loss_kind` tuples from one batch; None (its reason logged at DEBUG) when infeasible.
 
     triplet: every sample whose class occurs twice in the batch anchors one
     triplet with a random positive and a random negative. npair: npair_n
@@ -182,7 +182,7 @@ def mine_tuples(labels, config: TrainConfig, rng: np.random.Generator) -> TupleB
     classes, counts = np.unique(labels, return_counts=True)
     reason = _why_no_tuple(counts, config)
     if reason is not None:
-        log.warning("batch skipped: %s", reason)
+        log.debug("batch skipped: %s", reason)
         return None
     if config.loss_kind == "triplet":
         same = labels[:, None] == labels[None, :]
@@ -353,7 +353,7 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
 
     n = len(train_rows)
     for epoch in range(config.epochs):
-        epoch_start_rows = len(state.history)
+        epoch_start_rows, skipped = len(state.history), state.skipped_batches
         order = state.rng.permutation(n)
         for start in range(0, n, config.batch_size):
             rows = order[start : start + config.batch_size]
@@ -362,12 +362,15 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
         if epoch_rows:
             # the schedule sees the epoch mean only at the boundary
             state.augmentor.j_avg = float(np.mean([r.j_m for r in epoch_rows]))
+        if skipped := state.skipped_batches - skipped:
+            log.warning("epoch %d: skipped batches: %d (no tuple could be mined from them)", epoch, skipped)
         log.info(
-            "epoch %d: j_m=%.4f lambda=%.4f steps=%d",
+            "epoch %d: j_m=%.4f lambda=%.4f steps=%d skipped=%d",
             epoch,
             state.augmentor.j_avg if epoch_rows else float("nan"),
             pulling_lambda(state.augmentor),
             len(epoch_rows),
+            skipped,
         )
         state.epoch += 1
         if config.eval_every and (epoch + 1) % config.eval_every == 0 and epoch + 1 < config.epochs:

@@ -5,6 +5,12 @@ both losses, seeds 0-4, hardened and plain. A run's hash covers its `curves.csv`
 count and its final `EvalReport`; the last line hashes the 20 run hashes in order. Two trees that print
 the same last line trained and scored every run identically.
 
+The acceptance runs score 250 test points in 10 clusters, which never leave one Gram tile, so one more
+line hashes the `kmeans` assignments and the `evaluate_embeddings` reports of a fixed 1,500 x 64 blob
+embedding of 30 classes, k-means seeds 0-2, at the default tiles and again with `evaluation._BLOCK`
+forced to 13 x 13, where k-means sweeps several centre tiles per row block and Recall@K many tiles.
+The two hashes must agree; the script exits 1 when they do not.
+
     PYTHONPATH=src python tests/bitwise.py
 
 The package is imported from PYTHONPATH, so pointing it at another checkout's `src` measures that tree
@@ -17,7 +23,10 @@ import hashlib
 import json
 import sys
 
+import numpy as np
+
 import hardmetric
+from hardmetric import evaluation
 from hardmetric.data import synth_gaussian_dataset
 from hardmetric.training import TrainConfig, run_training
 
@@ -50,8 +59,29 @@ def run_hash(loss_kind: str, seed: int, hardened: bool) -> str:
     return sha.hexdigest()
 
 
+def evaluation_hash(block: int) -> str:
+    rng = np.random.default_rng(1500)
+    labels = np.arange(1500) % 30
+    z = rng.normal(size=(30, 64))[labels] + rng.normal(size=(1500, 64))
+    default, evaluation._BLOCK = evaluation._BLOCK, block
+    try:
+        sha = hashlib.sha256()
+        for seed in range(3):
+            sha.update(evaluation.kmeans(z, 30, seed).tobytes())
+            report = evaluation.evaluate_embeddings(z, labels, kmeans_seed=seed)
+            sha.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+        return sha.hexdigest()
+    finally:
+        evaluation._BLOCK = default
+
+
 def main() -> int:
     print(f"hardmetric from {hardmetric.__file__}")
+    tiled = {evaluation_hash(block) for block in (evaluation._BLOCK, 13 * 13)}
+    if len(tiled) != 1:
+        print(f"evaluation differs between the default and 13 x 13 tiles: {sorted(tiled)}")
+        return 1
+    print(f"{tiled.pop()}  evaluation of 1,500 x 64 blobs, k-means seeds 0-2, default and 13 x 13 tiles")
     overall = hashlib.sha256()
     for loss_kind in ("triplet", "npair"):
         for hardened in (False, True):

@@ -49,6 +49,8 @@ _UNCAST_K = "tests/test_evaluation.py::TestRecallAtK::test_k_the_integer_cast_wo
 _EXACT = "tests/test_evaluation.py::TestGramExactness"
 _RECALL_EXACT = f"{_EXACT}::test_recall_equals_the_explicit_argsort"
 _RECALL_TILES = f"{_EXACT}AcrossTiles::test_recall_equals_the_explicit_argsort"
+_CENTRE_TILES = f"{_EXACT}AcrossCentreTiles::test_kmeans_equals_the_explicit_assignment"
+_RESEED_TILES = "tests/test_evaluation.py::test_kmeans_reseed_across_centre_tiles_matches_the_reference"
 _DUPLICATED = "tests/test_evaluation.py::test_recall_with_every_point_duplicated_under_another_label"
 _SAME_REPORT = "tests/test_evaluation.py::test_report_on_one_usable_cpu_is_the_report_on_two"
 _WORKER_RAISES = "tests/test_evaluation.py::test_non_finite_row_raises_through_the_worker_thread"
@@ -264,7 +266,7 @@ MUTANTS = [
         "<= d2 + 2.0 * _slack(d, sq, sq[idx]))", "<= d2)",
         (
             f"{_EXACT}::test_kmeans_equals_the_explicit_assignment[far-blobs]",
-            f"{_EXACT}AcrossBlocks::test_kmeans_equals_the_explicit_assignment[far-blobs-13-row-blocks]",
+            f"{_CENTRE_TILES}[far-blobs-tiles-of-4]",
         ),
     ),
     Mutant(
@@ -277,7 +279,7 @@ MUTANTS = [
     ),
     Mutant(
         "the best-two test leaves the best centre in place", "evaluation.py",
-        "            g[local, best] = np.inf\n", "",
+        "                g[at, np.arange(len(best))] = np.inf\n", "",
         ("tests/test_evaluation.py::test_kmeans_takes_explicit_differences_only_for_rows_near_a_tie",),
     ),
     Mutant(
@@ -285,13 +287,33 @@ MUTANTS = [
         "        stale |= counts == 0\n", "",
         (
             "tests/test_evaluation.py::test_kmeans_reseed_of_an_emptied_cluster_matches_the_reference[empty-for-many-rounds]",
-            "tests/test_evaluation.py::test_kmeans_reseed_across_blocks_matches_the_reference[empty-for-many-rounds-5-row-blocks]",
+            f"{_RESEED_TILES}[empty-for-many-rounds-tiles-of-13]",
         ),
     ),
     Mutant(
-        "the Gram block scales by -2 twice", "evaluation.py",
-        "        g += sq_b\n", "        g *= -2.0\n        g += sq_b\n",
+        "a centre tile scales by -2 twice", "evaluation.py",
+        "                g += sq_c[c0 : c0 + width, None]\n",
+        "                g *= -2.0\n                g += sq_c[c0 : c0 + width, None]\n",
         (f"{_EXACT}::test_kmeans_equals_the_explicit_assignment[gaussian]",),
+    ),
+    Mutant(
+        "the k-means runner-up loses the max(first, least) term", "evaluation.py",
+        "np.minimum(np.minimum(second, g.min(axis=0)), np.maximum(first, least))", "np.minimum(second, g.min(axis=0))",
+        (
+            f"{_CENTRE_TILES}[tied-stars-tiles-of-13]",
+            f"{_CENTRE_TILES}[far-blobs-tiles-of-4]",
+            f"{_RESEED_TILES}[empty-for-many-rounds-tiles-of-1]",
+        ),
+    ),
+    Mutant(
+        "the k-means sweep skips the short last centre tile", "evaluation.py",
+        "for c0 in range(0, k, width):", "for c0 in range(0, k - k % width, width):",
+        (f"{_CENTRE_TILES}[gaussian-tiles-of-13]", f"{_RESEED_TILES}[empty-for-many-rounds-tiles-of-13]"),
+    ),
+    Mutant(
+        "a centre tile's best centre is not offset by the tile's first centre", "evaluation.py",
+        "np.copyto(best, at + c0, where=least < first)", "np.copyto(best, at, where=least < first)",
+        (f"{_CENTRE_TILES}[gaussian-tiles-of-13]", f"{_RESEED_TILES}[stolen-members-tiles-of-1]"),
     ),
     Mutant(
         "Recall@K breaks an exact tie toward the higher sample index", "evaluation.py",

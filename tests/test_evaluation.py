@@ -499,25 +499,51 @@ def test_kmeans_reseed_of_an_emptied_cluster_matches_the_reference(monkeypatch, 
     assert reseeds, "no cluster emptied"
 
 
-class _BlockSpy:
-    """Forces `rows` Gram rows per block and records the rows of every block served."""
+def _address(array):
+    return array.__array_interface__["data"][0]
 
-    def __init__(self, monkeypatch, rows):
-        self.rows, self.sizes = rows, []
-        self._monkeypatch, self._inner = monkeypatch, evaluation._gram_blocks
-        monkeypatch.setattr(evaluation, "_gram_blocks", self)
 
-    def width(self, columns):
-        self._monkeypatch.setattr(evaluation, "_BLOCK", self.rows * columns)
+class _NumpyWith:
+    """The numpy module with some of its functions replaced, for a module under test to import as `np`."""
 
-    def __call__(self, a, sq_a, b, sq_b):
-        for block in self._inner(a, sq_a, b, sq_b):
-            self.sizes.append(block[1] - block[0])
-            yield block
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
 
-    def assert_blocked(self, n):
-        # every block holds `rows` rows but the short last one of each pass
-        assert set(self.sizes) <= {self.rows, n % self.rows} and self.sizes.count(self.rows) >= n // self.rows
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class _CentreTileSpy:
+    """Forces k-means tiles of at most `side` centres by side * side // width rows, and records every tile that
+    `kmeans` serves as (first centre, centres, first row, rows), read from where its two operands lie: the
+    centres are a slice of the round's scaled centres, the rows a transposed slice of `points`."""
+
+    def __init__(self, monkeypatch, side, points):
+        self.side, self.points, self.tiles = side, points, []
+        monkeypatch.setattr(evaluation, "_BLOCK", side * side)
+        monkeypatch.setattr(evaluation, "np", _NumpyWith(matmul=self.matmul))
+
+    def matmul(self, centres, rows):
+        assert np.shares_memory(rows, self.points), "a k-means tile took rows that are not the points"
+        c0 = (_address(centres) - _address(centres.base)) // centres.strides[0]
+        r0 = (_address(rows) - _address(self.points)) // self.points.strides[0]
+        self.tiles.append((c0, len(centres), r0, rows.shape[1]))
+        return np.matmul(centres, rows)
+
+    def assert_swept(self, k):
+        """Each round served every (row, centre) pair once, in tiles of at most min(k, side) centres by
+        side * side // width rows; returns the number of centre tiles per round."""
+        n, width = len(self.points), min(k, self.side)
+        starts = [i for i, (c0, _, r0, _) in enumerate(self.tiles) if c0 == r0 == 0]
+        assert starts and starts[0] == 0
+        for start, stop in zip(starts, starts[1:] + [len(self.tiles)]):
+            served = np.zeros((k, n), dtype=int)
+            for c0, centres, r0, rows in self.tiles[start:stop]:
+                assert centres <= width and rows <= self.side * self.side // width
+                served[c0 : c0 + centres, r0 : r0 + rows] += 1
+            assert (served == 1).all(), "a round left a (row, centre) pair out or served it twice"
+        swept, self.tiles = len({c0 for c0, *_ in self.tiles}), []
+        return swept
 
 
 class _TileSpy:
@@ -563,16 +589,11 @@ def _duplicated_under_another_label(n=600, seed=23):
     return np.vstack([half, half]), np.concatenate([labels, (labels + 1) % 12])
 
 
-def _no_gram_blocks(*args):
-    raise AssertionError("Recall@K took Gram values from outside its tile sweep")
-
-
 @pytest.mark.parametrize("side", [None, 1, 13], ids=["default-tiles", "tiles-of-1", "tiles-of-13"])
 def test_recall_with_every_point_duplicated_under_another_label(side, monkeypatch):
     z, labels = _duplicated_under_another_label()
     tiles = _TileSpy(monkeypatch, side) if side else None
     spy = _PairSpy(monkeypatch)
-    monkeypatch.setattr(evaluation, "_gram_blocks", _no_gram_blocks)
     every = range(1, len(z))
     assert recall_at_k(z, labels, every) == recall_reference(z, labels, every)
     ties = _exact_ties(z, labels)
@@ -612,18 +633,18 @@ def test_band_entries_are_decoded_only_when_a_band_holds_another_point(case, dec
     assert bool(decoded) == decodes
 
 
-@pytest.mark.parametrize("rows", [1, 13], ids=["one-row-blocks", "13-row-blocks"])
+# side 13 sweeps several centre tiles where 2k > 13; side 4 does so in every case, the rounding-heavy ones included
+@pytest.mark.parametrize("side", [4, 13], ids=["tiles-of-4", "tiles-of-13"])
 @pytest.mark.parametrize("case", list(_exactness_cases()))
-class TestGramExactnessAcrossBlocks:
-    def test_kmeans_equals_the_explicit_assignment(self, case, rows, monkeypatch):
+class TestGramExactnessAcrossCentreTiles:
+    def test_kmeans_equals_the_explicit_assignment(self, case, side, monkeypatch):
         z, labels = _exactness_cases()[case]
-        blocks, spy = _BlockSpy(monkeypatch, rows), _PairSpy(monkeypatch)
+        tiles, spy = _CentreTileSpy(monkeypatch, side, z), _PairSpy(monkeypatch)
         k = len(np.unique(labels))
         for seed in range(3):
             for clusters in (k, 2 * k):
-                blocks.width(clusters)
                 assert np.array_equal(kmeans(z, clusters, seed), kmeans_reference(z, clusters, seed))
-        blocks.assert_blocked(len(z))
+                assert tiles.assert_swept(clusters) == -(-clusters // side)
         fallback = [query for query, _ in spy.calls if not np.array_equal(query, np.arange(len(z)))]
         if case == "tie-heavy-grid":
             assert fallback, "no row took the explicit-difference assignment"
@@ -674,14 +695,12 @@ def test_labels_of_another_length_are_refused_before_clustering(monkeypatch):
     assert clustered == []
 
 
-@pytest.mark.parametrize("rows", [1, 5], ids=["one-row-blocks", "5-row-blocks"])
+@pytest.mark.parametrize("side", [1, 13], ids=["tiles-of-1", "tiles-of-13"])
 @_RESEED_CASES
-def test_kmeans_reseed_across_blocks_matches_the_reference(monkeypatch, pts, k, seed, rows):
-    assert len(pts) % 5, "5-row blocks must leave a short last block"
-    blocks, spy = _BlockSpy(monkeypatch, rows), _PairSpy(monkeypatch)
-    blocks.width(k)
+def test_kmeans_reseed_across_centre_tiles_matches_the_reference(monkeypatch, pts, k, seed, side):
+    tiles, spy = _CentreTileSpy(monkeypatch, side, pts), _PairSpy(monkeypatch)
     assert np.array_equal(kmeans(pts, k, seed), kmeans_reference(pts, k, seed))
-    blocks.assert_blocked(len(pts))
+    assert tiles.assert_swept(k) == -(-k // side)
     assert any(np.array_equal(query, np.arange(len(pts))) for query, _ in spy.calls), "no cluster emptied"
 
 

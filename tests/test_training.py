@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import logging
 import math
 import threading
 
@@ -491,6 +492,23 @@ class TestRunTraining:
         result = run_training(ds, small_config(batch_size=11, epochs=3))
         assert len(result.state.history) == 12
         assert result.state.skipped_batches == 3
+
+    @pytest.mark.parametrize("batch_size, skipped", [(11, 1), (9, 0)], ids=["one-row-tails", "no-tail"])
+    def test_skipped_batches_are_logged_once_per_epoch(self, caplog, batch_size, skipped):
+        # 45 rows in batches of 11 leave a one-row tail per epoch, which has no triplet; batches of 9 leave none.
+        # Each skipped batch's reason goes to DEBUG, its epoch's count to one WARNING and to the INFO epoch line
+        ds = synth_gaussian_dataset(6, 15, 5, seed=0)
+        with caplog.at_level(logging.DEBUG, logger="hardmetric.training"):
+            run_training(ds, small_config(batch_size=batch_size, epochs=3))
+
+        def logged(level):
+            return [record.getMessage() for record in caplog.records if record.levelno == level]
+
+        assert logged(logging.DEBUG) == ["batch skipped: triplets need at least 2 classes, got 1"] * 3 * skipped
+        warnings = [f"epoch {epoch}: skipped batches: 1 (no tuple could be mined from them)" for epoch in range(3)]
+        assert logged(logging.WARNING) == warnings * skipped
+        epochs = logged(logging.INFO)
+        assert len(epochs) == 3 and all(line.endswith(f" steps={5 - skipped} skipped={skipped}") for line in epochs)
 
     def test_alpha_zero_keeps_lambda_at_one_and_tuples_unhardened(self):
         ds = synth_gaussian_dataset(6, 8, 5, seed=1)
