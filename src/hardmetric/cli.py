@@ -17,10 +17,9 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .config import load_config
 from .data import check_train_fraction, load_dataset, save_dataset, split_zero_shot, synth_gaussian_dataset
-from .embedder import embed
 from .errors import ConfigError, DatasetParseError, DimensionError, InputError, NumericalError, check_nonnegative
-from .evaluation import check_ks, evaluate_embeddings, export_embeddings_csv, save_metrics_json
-from .training import run_training
+from .evaluation import check_ks, export_embeddings_csv, save_metrics_json
+from .training import run_training, score_classes
 from .verify import run_gradcheck_suite
 
 USAGE_ERROR = 1
@@ -122,15 +121,12 @@ def _cmd_eval(args) -> int:
     seen = np.intersect1d(split.test_classes, meta.get("train_classes", []))
     if seen.size:
         raise InputError(f"classes {seen.tolist()} would be evaluated but were training classes of {args.checkpoint}")
-    test_rows = np.flatnonzero(np.isin(dataset.labels, split.test_classes))
-    test_labels = dataset.labels[test_rows]
-    z = embed(models.embedder, dataset.samples[test_rows])[0].embeddings
-    report = evaluate_embeddings(z, test_labels, ks=ks, kmeans_seed=args.kmeans_seed)
+    report, test_rows, z = score_classes(models.embedder, dataset, split.test_classes, ks, args.kmeans_seed)
     os.makedirs(args.out_dir, exist_ok=True)
     metrics_path = os.path.join(args.out_dir, "metrics.json")
     embeddings_path = os.path.join(args.out_dir, "embeddings.csv")
     save_metrics_json(report, metrics_path, extra={"kmeans_seed": args.kmeans_seed, "split_seed": split_seed})
-    export_embeddings_csv(embeddings_path, test_rows, test_labels, z)
+    export_embeddings_csv(embeddings_path, test_rows, dataset.labels[test_rows], z)
     recalls = " ".join(f"R@{k}={v:.4f}" for k, v in sorted(report.recall_at.items()))
     print(f"NMI={report.nmi:.4f} F1={report.f1:.4f} {recalls}")
     print(f"wrote {metrics_path} and {embeddings_path}")

@@ -28,7 +28,7 @@ import numpy as np
 from .augmentor import AugmentorState, augment_tuples, pulling_lambda
 from .checkpoint import Models, save_checkpoint
 from .data import Dataset, ZeroShotSplit, check_train_fraction, split_zero_shot
-from .embedder import embed, embed_backward, extract, init_embedder, project, project_backward
+from .embedder import EmbedderParams, embed, embed_backward, extract, init_embedder, project, project_backward
 from .errors import InputError, NumericalError, check_nonnegative, check_positive
 from .evaluation import EvalReport, check_ks, evaluate_embeddings
 from .generator import classifier_step, generator_loss, init_generator
@@ -60,7 +60,6 @@ class TrainConfig:
     fc_lr_multiplier: float = 10.0
     seed: int = 0
     embed_dim: int = 64
-    eval_every: int = 0
     hidden_dims: tuple[int, ...] = (256, 256)
     generator_hidden_dim: int | None = None
     train_fraction: float = 0.5
@@ -72,7 +71,7 @@ class TrainConfig:
         if self.loss_kind not in ("triplet", "npair"):
             raise InputError(f"loss_kind must be 'triplet' or 'npair', got {self.loss_kind!r}")
         # counts, widths and seeds feed `range`, array shapes and generators, which take no float; a bool is no count
-        names = ("npair_n", "batch_size", "epochs", "eval_every", "embed_dim", "seed", "split_seed")
+        names = ("npair_n", "batch_size", "epochs", "embed_dim", "seed", "split_seed")
         integers = [(name, getattr(self, name)) for name in names] + [("hidden_dims", w) for w in self.hidden_dims]
         if self.generator_hidden_dim is not None:
             integers.append(("generator_hidden_dim", self.generator_hidden_dim))
@@ -81,7 +80,7 @@ class TrainConfig:
                 raise InputError(f"{name} must be an integer, got {value!r}")
         for name in ("learning_rate", "fc_lr_multiplier", "beta", "embed_dim"):
             check_positive(name, getattr(self, name))
-        for name in ("alpha", "lambda_balance", "margin", "seed", "split_seed", "epochs", "eval_every"):
+        for name in ("alpha", "lambda_balance", "margin", "seed", "split_seed", "epochs"):
             check_nonnegative(name, getattr(self, name))
         if self.generator_hidden_dim is not None:
             check_positive("generator_hidden_dim", self.generator_hidden_dim)
@@ -282,12 +281,6 @@ def train_step(models: Models, x, labels, state: TrainState, config: TrainConfig
 
 
 @dataclass
-class EvalPoint:
-    epoch: int
-    report: EvalReport
-
-
-@dataclass
 class TrainResult:
     """A finished run: what its checkpoint holds, plus the split, scores and
     the loop state's counters, schedule and history; no optimizer state."""
@@ -298,7 +291,6 @@ class TrainResult:
     split: ZeroShotSplit
     label_map: dict[int, int]
     final_report: EvalReport
-    eval_history: list[EvalPoint]
     elapsed_seconds: float
 
 
@@ -329,10 +321,10 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
     epoch-mean original-tuple loss is published to the hardness schedule at
     each epoch boundary. Every batch, a short tail included, goes to
     `train_step`; one that yields no tuple counts in `skipped_batches`. Once
-    the last epoch ends, the optimizers are freed before the final
-    evaluation, which reuses their memory; the returned state takes no
-    further steps. With out_dir set, writes curves.csv, manifest.json, and
-    checkpoint.npz there.
+    the last epoch ends, the optimizers are freed and the test classes are
+    scored, this once, by `score_classes`, which reuses their memory; the
+    returned state takes no further steps. With out_dir set, writes
+    curves.csv, manifest.json, and checkpoint.npz there.
     """
     if dataset.num_samples == 0:
         raise InputError("dataset is empty")
@@ -340,16 +332,13 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
     split = split_zero_shot(dataset, config.train_fraction, config.split_seed)
     assert not np.intersect1d(split.train_classes, split.test_classes).size, "zero-shot guarantee violated"
 
-    # steps and evaluations index through these: no copy of either side is held between them
+    # steps index through these: no copy of the training rows is held between them
     train_rows = np.flatnonzero(np.isin(dataset.labels, split.train_classes))
-    test_rows = np.flatnonzero(np.isin(dataset.labels, split.test_classes))
-    test_labels = dataset.labels[test_rows]
     train_labels, label_map = _remap_labels(dataset.labels[train_rows])
-    _check_runnable(config, np.bincount(train_labels), len(test_labels))
+    _check_runnable(config, np.bincount(train_labels), int(np.isin(dataset.labels, split.test_classes).sum()))
 
     models = init_models(dataset.input_dim, len(split.train_classes), config)
     state = init_state(models, config)
-    eval_history: list[EvalPoint] = []
 
     n = len(train_rows)
     for epoch in range(config.epochs):
@@ -373,31 +362,29 @@ def run_training(dataset: Dataset, config: TrainConfig, out_dir=None) -> TrainRe
             skipped,
         )
         state.epoch += 1
-        if config.eval_every and (epoch + 1) % config.eval_every == 0 and epoch + 1 < config.epochs:
-            eval_history.append(EvalPoint(epoch, _evaluate(models, dataset.samples[test_rows], test_labels, config)))
 
     # nothing reads the Adam moments after the last step, and the checkpoint omits them
     state.adam_extractor = state.adam_projector = state.adam_generator = state.adam_classifier = None
-    final_report = _evaluate(models, dataset.samples[test_rows], test_labels, config)
-    eval_history.append(EvalPoint(config.epochs - 1 if config.epochs else -1, final_report))
-    result = TrainResult(
-        models,
-        state,
-        config,
-        split,
-        label_map,
-        final_report,
-        eval_history,
-        time.monotonic() - started,
-    )
+    final_report = score_classes(models.embedder, dataset, split.test_classes, config.recall_ks)[0]
+    result = TrainResult(models, state, config, split, label_map, final_report, time.monotonic() - started)
     if out_dir is not None:
         write_artifacts(result, out_dir, dataset)
     return result
 
 
-def _evaluate(models: Models, test_x, test_labels, config: TrainConfig) -> EvalReport:
-    z = embed(models.embedder, test_x)[0].embeddings
-    return evaluate_embeddings(z, test_labels, ks=config.recall_ks, kmeans_seed=0)
+def score_classes(
+    embedder: EmbedderParams, dataset: Dataset, classes, ks, kmeans_seed: int = 0
+) -> tuple[EvalReport, np.ndarray, np.ndarray]:
+    """Score the embedder on every row of the given classes: `embed`, then `evaluate_embeddings`.
+
+    Returns the report, the scored rows of `dataset` in ascending order and
+    their embeddings. The gathered samples are dropped once embedded, so the
+    evaluation holds the embeddings alone. A run's `final_metrics` and
+    `hardmetric eval`'s `metrics.json` both come from here.
+    """
+    rows = np.flatnonzero(np.isin(dataset.labels, classes))
+    z = embed(embedder, dataset.samples[rows])[0].embeddings
+    return evaluate_embeddings(z, dataset.labels[rows], ks=ks, kmeans_seed=kmeans_seed), rows, z
 
 
 def write_curves(history: list[LogRow], path) -> None:
@@ -425,7 +412,6 @@ def write_artifacts(result: TrainResult, out_dir, dataset: Dataset) -> None:
         "label_map": {str(k): v for k, v in result.label_map.items()},
         "skipped_batches": result.state.skipped_batches,
         "final_metrics": result.final_report.to_dict(),
-        "eval_history": [{"epoch": point.epoch, **point.report.to_dict()} for point in result.eval_history],
         "elapsed_seconds": result.elapsed_seconds,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:

@@ -68,6 +68,7 @@ _FIRST_LOAD = "tests/test_data.py::TestDatasetIO::test_first_load_holds_the_samp
 _DECODED = "tests/test_evaluation.py::test_band_entries_are_decoded_only_when_a_band_holds_another_point"
 _SPLIT = "tests/test_data.py::TestZeroShotSplit"
 _SYNTHETIC = "tests/test_augmentor.py::TestAugmentTuples::test_synthetic_is_the_explicit_construction"
+_LABELS_KEPT = "tests/test_acceptance.py::TestCriterion7LabelPreservation::test_classifier_accuracy_on_hardened_synthetics"
 
 # `train_step` from the generator's loss to its last update, in three pieces that the step-order rows rearrange
 _GENERATOR_LOSS = (
@@ -616,6 +617,31 @@ MUTANTS = [
         "        np.arange(t),\n        t + np.arange(t),\n",
         "        t + np.arange(t),\n        np.arange(t),\n",
         (f"{_SYNTHETIC}[triplet]", f"{_SYNTHETIC}[npair]", f"{_PINNED}[triplet]"),
+    ),
+    Mutant(
+        "the generator is never stepped, so it stays as initialised", "training.py",
+        "        state.adam_generator.step(gen.grads)\n", "        pass\n",
+        (_LABELS_KEPT,),
+    ),
+    Mutant(
+        "the synthetic tuples carry their classes' labels shuffled", "augmentor.py",
+        "        tuples.labels[np.concatenate([anchors, positives, negatives.ravel()])],\n",
+        "        np.random.default_rng(0).permutation(np.unique(tuples.labels))[\n"
+        "            np.searchsorted(np.unique(tuples.labels), tuples.labels[np.concatenate([anchors, positives, negatives.ravel()])])\n"
+        "        ],\n",
+        (_LABELS_KEPT,),
+    ),
+    Mutant(
+        "a run's final metrics score its training classes", "training.py",
+        "score_classes(models.embedder, dataset, split.test_classes, config.recall_ks)",
+        "score_classes(models.embedder, dataset, split.train_classes, config.recall_ks)",
+        ("tests/test_cli.py::TestTrainAndEval::test_eval_on_the_recorded_split_repeats_the_final_metrics",),
+    ),
+    Mutant(
+        "score_classes holds the gathered samples through the evaluation", "training.py",
+        "    z = embed(embedder, dataset.samples[rows])[0].embeddings\n",
+        "    gathered = dataset.samples[rows]\n    z = embed(embedder, gathered)[0].embeddings\n",
+        ("tests/test_training.py::TestScoreClasses::test_gathered_samples_are_freed_before_the_evaluation",),
     ),
 ]
 

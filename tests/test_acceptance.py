@@ -3,11 +3,16 @@ PASS/FAIL verdict line (run with `pytest tests/test_acceptance.py -v -s`).
 
 The directional-improvement and label-preservation criteria run on the
 bundled synthetic benchmark: 20 Gaussian classes (25 samples each, input
-dim 64, center side 10, noise sigma 4.0), split 10/10 zero-shot. The noise
-level is higher than the data module's default because at sigma 1 the
-classes are so separable that nearest-neighbor retrieval is perfect before
-any training and the triplet hinge never activates; sigma 4 leaves the
-structure learnable but the comparison meaningful.
+dim 64, center side 10, noise sigma 4.0), split 10/10 zero-shot. At sigma 1
+the classes are so separable that nearest-neighbor retrieval is perfect
+before any training and the triplet hinge never activates. At sigma 4 the
+network fits its training classes, but isotropic classes share no
+structure, so nothing learned transfers to the test classes: trained runs
+score about what the untrained network scores (criterion 6 prints both),
+and the raw inputs beat them all. Criterion 6 therefore compares hardened
+and plain training around an untrained network. Criterion 9 runs on the
+transfer protocol of `transfer.py`, where classes share a signal subspace,
+and requires that training beat the untrained network and the raw inputs.
 """
 
 import dataclasses
@@ -18,6 +23,7 @@ import numpy as np
 import pytest
 from bitwise import SEEDS, bench_config, bench_dataset  # the benchmark's runs, which the bitwise gate hashes
 from frozen import freeze
+from transfer import transfer_config, transfer_dataset
 
 from hardmetric import verify
 from hardmetric.augmentor import AugmentorState, _harden, augment_tuples, pulling_lambda
@@ -290,3 +296,29 @@ class TestCriterion8DeterminismAndIO:
         except DatasetParseError as exc:
             ok = ok and "no header" in str(exc)
         verdict(8, "determinism and I/O", ok)
+
+
+TRANSFER_SEEDS = tuple(range(10, 20))  # held out: seeds 0-4 chose the config
+
+
+class TestCriterion9LearningTransfers:
+    def test_training_beats_the_untrained_network_and_raw_inputs(self):
+        started = time.monotonic()
+        recalls = {"plain": [], "hardened": [], "untrained": [], "raw": []}
+        for seed in TRANSFER_SEEDS:
+            dataset = transfer_dataset(seed)
+            for arm, config in (
+                ("plain", transfer_config("triplet", seed, hardened=False)),
+                ("hardened", transfer_config("triplet", seed, hardened=True)),
+                ("untrained", transfer_config("triplet", seed, hardened=False, epochs=0)),
+            ):
+                res = run_training(dataset, config)
+                recalls[arm].append(res.final_report.recall_at[1])
+            test_x, test_labels = take_classes(dataset, res.split.test_classes)
+            recalls["raw"].append(recall_at_k(test_x, test_labels, [1])[1])
+        r = {arm: np.asarray(values) for arm, values in recalls.items()}
+        wins = {(arm, ref): int((r[arm] > r[ref]).sum()) for arm in ("plain", "hardened") for ref in ("untrained", "raw")}
+        ok = all(count >= 9 for count in wins.values())
+        means = " ".join(f"{arm} {values.mean():.4f}" for arm, values in r.items())
+        counts = ", ".join(f"{arm} > {ref} {count}/{len(TRANSFER_SEEDS)}" for (arm, ref), count in wins.items())
+        verdict(9, "learning transfers", ok, f"mean R@1 {means}; {counts} (threshold 9); {time.monotonic() - started:.1f}s")

@@ -108,6 +108,17 @@ class TestTrainAndEval:
         assert emb_lines[0].startswith("sample_id,label,z_0")
         assert len(emb_lines) == 1 + 24  # 3 test classes x 8 samples
 
+    def test_eval_on_the_recorded_split_repeats_the_final_metrics(self, tmp_path, small_dataset, train_config):
+        run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+        assert run_cli("train", "--data", str(small_dataset), "--config", str(train_config), "--out-dir", str(run_dir)) == 0
+        argv = ["--checkpoint", str(run_dir / "checkpoint.npz"), "--data", str(small_dataset), "--out-dir", str(eval_dir)]
+        assert run_cli("eval", "--kmeans-seed", "0", *argv) == 0
+        final = json.loads((run_dir / "manifest.json").read_text())["final_metrics"]
+        metrics = json.loads((eval_dir / "metrics.json").read_text())
+        assert list(final) == ["nmi", "f1", "recall", "num_test_points", "num_test_classes"]
+        assert {key: metrics[key] for key in final} == final
+        assert final["num_test_points"] == 24 and final["num_test_classes"] == 3
+
     def test_identical_config_gives_identical_curves(self, tmp_path, small_dataset, train_config):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -120,7 +131,8 @@ class TestExitCodes:
     def test_unknown_config_key_exits_one(self, tmp_path, small_dataset, capsys):
         bad = tmp_path / "bad.cfg"
         # a misspelt key, and keys that earlier versions accepted
-        for line in ("learning_rat = 0.1", "normalize_embeddings = false", "fixed_reference_distance = none"):
+        lines = ("learning_rat = 0.1", "normalize_embeddings = false", "fixed_reference_distance = none", "eval_every = 0")
+        for line in lines:
             bad.write_text(line + "\n")
             assert run_cli("train", "--data", str(small_dataset), "--config", str(bad), "--out-dir", str(tmp_path / "x")) == 1
             assert f"unknown config key {line.split(' = ')[0]!r}" in capsys.readouterr().err
@@ -336,6 +348,7 @@ def test_bad_seed_or_scale_exits_one_with_a_message(tmp_path, small_dataset, cap
     "argv, message",
     [
         (["train", "--config", "{tmp}/bad.cfg", "--out-dir", "{tmp}/run"], "unknown config key"),
+        (["train", "--config", "{tmp}/interim.cfg", "--out-dir", "{tmp}/run"], "unknown config key 'eval_every'"),
         (["train", "--config", "{tmp}/run.cfg", "--out-dir", "{tmp}/afile/run"], "afile exists and is not a directory"),
         (["eval", "--ks", "1,two", "--out-dir", "{tmp}/eval"], "--ks must be a comma list of integers, got '1,two'"),
         (["eval", "--out-dir", "{tmp}/afile/eval"], "afile exists and is not a directory"),
@@ -348,9 +361,9 @@ def test_bad_seed_or_scale_exits_one_with_a_message(tmp_path, small_dataset, cap
         (["eval", "--train-fraction", "nan", "--out-dir", "{tmp}/eval"], "train_fraction must lie strictly in (0, 1), got nan"),
     ],
     ids=[
-        "train-unknown-config-key", "train-out-dir-below-a-file", "eval-ks-not-integers", "eval-out-dir-below-a-file",
-        "eval-ks-zero", "eval-ks-empty", "train-fraction-outside-0-1", "eval-kmeans-seed-negative",
-        "eval-split-seed-negative", "eval-train-fraction-outside-0-1", "eval-train-fraction-nan",
+        "train-unknown-config-key", "train-eval-every-removed", "train-out-dir-below-a-file", "eval-ks-not-integers",
+        "eval-out-dir-below-a-file", "eval-ks-zero", "eval-ks-empty", "train-fraction-outside-0-1",
+        "eval-kmeans-seed-negative", "eval-split-seed-negative", "eval-train-fraction-outside-0-1", "eval-train-fraction-nan",
     ],
 )
 def test_bad_argument_exits_one_before_the_dataset_is_read(tmp_path, small_dataset, train_config, monkeypatch, capsys, argv, message):
@@ -360,6 +373,8 @@ def test_bad_argument_exits_one_before_the_dataset_is_read(tmp_path, small_datas
         raise AssertionError(f"read {path}")
 
     (tmp_path / "bad.cfg").write_text("learning_rat = 0.1\n")
+    # a removed setting: the test classes are scored once, after the last epoch
+    (tmp_path / "interim.cfg").write_text("epochs = 4\neval_every = 2\n")
     (tmp_path / "fraction.cfg").write_text("train_fraction = 1.5\n")
     (tmp_path / "afile").write_text("not a directory\n")
     command, *options = [arg.format(tmp=tmp_path) for arg in argv]

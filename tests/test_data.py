@@ -801,7 +801,6 @@ class TestConfigParsing:
         fc_lr_multiplier = 10
         seed = 7
         embed_dim = 32
-        eval_every = 2
         hidden_dims = 128,128
         generator_hidden_dim = none
         train_fraction = 0.5
@@ -839,13 +838,15 @@ class TestConfigParsing:
             ("generator_hidden_dim = 0", "generator_hidden_dim"),
             ("recall_ks = 0", "recall_ks"),
             ("recall_ks = 1,0,4", "recall_ks"),
-            ("eval_every = -1", "eval_every"),
             ("margin = -1", "margin"),
             ("npair_n = 1", "npair_n"),
             # a removed setting is refused by name whatever its value, as an unknown key
             ("fixed_reference_distance = 0", "fixed_reference_distance"),
             ("fixed_reference_distance = -1", "fixed_reference_distance"),
             ("fixed_reference_distance = nan", "fixed_reference_distance"),
+            ("eval_every = 0", "unknown config key 'eval_every'"),
+            ("eval_every = -1", "unknown config key 'eval_every'"),
+            ("eval_every = 0.5", "unknown config key 'eval_every'"),
             ("loss_kind = contrastive", "loss_kind must be 'triplet' or 'npair', got 'contrastive'"),
             ("alpha = -1", "alpha must be nonnegative"),
             ("beta = 0", "beta must be positive"),
@@ -871,7 +872,6 @@ class TestConfigParsing:
             pytest.param({"batch_size": 16.0}, "batch_size must be an integer", id="batch_size=16.0"),
             pytest.param({"npair_n": 2.5}, "npair_n must be an integer", id="npair_n=2.5"),
             pytest.param({"embed_dim": 8.0}, "embed_dim must be an integer", id="embed_dim=8.0"),
-            pytest.param({"eval_every": 0.5}, "eval_every must be an integer", id="eval_every=0.5"),
             pytest.param({"seed": 1.5}, "seed must be an integer", id="seed=1.5"),
             pytest.param({"split_seed": False}, "split_seed must be an integer", id="split_seed=False"),
             pytest.param({"hidden_dims": (8, 2.5)}, "hidden_dims must be an integer, got 2.5", id="hidden_dims=8,2.5"),

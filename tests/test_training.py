@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hardmetric import data, training
 from hardmetric.data import synth_gaussian_dataset
 from hardmetric.embedder import embed, embed_backward, project, project_backward
 from hardmetric.errors import InputError, NumericalError
+from hardmetric.evaluation import evaluate_embeddings
 from hardmetric.generator import generator_loss
 from hardmetric.losses import batch_metric_loss
 from hardmetric.nn import stack_params
@@ -27,6 +29,7 @@ from hardmetric.training import (
     metric_weight,
     mine_tuples,
     run_training,
+    score_classes,
     train_step,
     write_curves,
 )
@@ -585,16 +588,20 @@ class TestRunTraining:
         assert (tmp_path / "a" / "curves.csv").read_bytes() == (tmp_path / "b" / "curves.csv").read_bytes()
         assert first.final_report.to_dict() == second.final_report.to_dict()
 
-    def test_interim_evaluations_are_written_to_the_manifest(self, tmp_path):
-        import json
-
+    def test_test_classes_are_scored_once_after_the_last_epoch(self, tmp_path, monkeypatch):
+        calls = []
+        step, score = training.train_step, training.evaluate_embeddings
+        monkeypatch.setattr(training, "train_step", lambda *args: calls.append("step") or step(*args))
+        monkeypatch.setattr(training, "evaluate_embeddings", lambda *args, **kw: calls.append("score") or score(*args, **kw))
         ds = synth_gaussian_dataset(6, 6, 5, seed=4)
-        result = run_training(ds, small_config(epochs=4, eval_every=2, batch_size=9), out_dir=tmp_path)
+        result = run_training(ds, small_config(epochs=4, batch_size=9), out_dir=tmp_path)
+        # 3 training classes of 6 rows: 2 batches of 9 in each of the 4 epochs, then one score
+        assert calls == ["step"] * 8 + ["score"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        history = manifest["eval_history"]
-        assert [point["epoch"] for point in history] == [1, 3]
-        assert history[0] == {"epoch": 1, **result.eval_history[0].report.to_dict()}
-        assert history[-1] == {"epoch": 3, **manifest["final_metrics"]}
+        assert list(manifest) == [
+            "config", "seed", "dataset", "split", "label_map", "skipped_batches", "final_metrics", "elapsed_seconds",
+        ]
+        assert manifest["final_metrics"] == result.final_report.to_dict()
 
     def test_baseline_mode_runs_without_generator(self):
         ds = synth_gaussian_dataset(6, 6, 5, seed=5)
@@ -615,6 +622,34 @@ class TestRunTraining:
         slope = np.polyfit(np.array(epochs, dtype=float), means, 1)[0]
         assert slope < 0.0
         assert means[-1] < means[0]
+
+
+class TestScoreClasses:
+    def test_rows_embeddings_and_report_of_the_given_classes(self):
+        ds = synth_gaussian_dataset(6, 5, 4, seed=2)
+        models = init_models(4, 3, small_config())
+        report, rows, z = score_classes(models.embedder, ds, [4, 1], (1, 2), kmeans_seed=3)
+        assert np.array_equal(rows, np.flatnonzero((ds.labels == 1) | (ds.labels == 4)))
+        assert np.array_equal(z, embed(models.embedder, ds.samples[rows])[0].embeddings)
+        assert report == evaluate_embeddings(z, ds.labels[rows], ks=(1, 2), kmeans_seed=3)
+
+    def test_gathered_samples_are_freed_before_the_evaluation(self, monkeypatch):
+        gathered = []
+        inner_embed, inner_score = training.embed, training.evaluate_embeddings
+
+        def recorded_embed(params, x):
+            gathered.append(weakref.ref(x))
+            return inner_embed(params, x)
+
+        def checked_score(*args, **kwargs):
+            assert gathered[0]() is None, "the gathered samples outlive embed"
+            return inner_score(*args, **kwargs)
+
+        monkeypatch.setattr(training, "embed", recorded_embed)
+        monkeypatch.setattr(training, "evaluate_embeddings", checked_score)
+        ds = synth_gaussian_dataset(6, 5, 4, seed=2)
+        score_classes(init_models(4, 3, small_config()).embedder, ds, [0, 5], (1,))
+        assert len(gathered) == 1
 
 
 class TestGradientScopeProbe:
